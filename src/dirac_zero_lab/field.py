@@ -256,6 +256,34 @@ def inverse_fourier(fhat: SpinorField) -> SpinorField:
     return SpinorField(g, _ifft3(fhat.values) * scale, POSITION)
 
 
+def _padded_offsets(grid: GridSpec) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Offset axes h * {0, ..., N-1, -N, ..., -1} of the padded (2N)^3 lattice
+    (FFT order, broadcastable), and |z|^2 with its z = 0 entry set to 1."""
+    N = grid.N
+    wrapped = np.fft.ifftshift(grid.h * np.arange(-N, N, dtype=float))
+    z = (wrapped[:, None, None], wrapped[None, :, None], wrapped[None, None, :])
+    r2 = sum(c**2 for c in z)
+    r2[0, 0, 0] = 1.0
+    return z, r2
+
+
+def _padded_convolve(values: np.ndarray, N: int, apply_kernel) -> np.ndarray:
+    """Exact linear convolution sum_{y in box} K[x - y] values[y] by zero padding.
+
+    The box is on the leading three axes, transformed by ``rfftn`` (real
+    input) or ``fftn``; ``apply_kernel`` multiplies by the kernel's transform.
+    """
+    shape = (2 * N,) * 3
+    axes = (0, 1, 2)
+    pad = np.zeros(shape + values.shape[3:], dtype=values.dtype)
+    pad[:N, :N, :N] = values
+    if np.iscomplexobj(values):
+        conv = np.fft.ifftn(apply_kernel(np.fft.fftn(pad, axes=axes)), axes=axes)
+    else:
+        conv = np.fft.irfftn(apply_kernel(np.fft.rfftn(pad, axes=axes)), s=shape, axes=axes)
+    return conv[:N, :N, :N]
+
+
 def _pointwise_square(values: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(values) ** 2, axis=-1)
 
@@ -385,7 +413,13 @@ def _read_dzl1(path, components: int) -> tuple[GridSpec, str, np.ndarray]:
     parts = text.split()
     if not parts or parts[0] != _MAGIC:
         raise ValueError(f"not a {_MAGIC} file: header {text!r}")
+    stray = [t for t in parts[1:] if "=" not in t]
+    if stray:
+        raise ValueError(f"malformed DZL1 header token {stray[0]!r}: expected key=value")
     fields = dict(p.split("=", 1) for p in parts[1:])
+    missing = [k for k in ("L", "N", "space", "components") if k not in fields]
+    if missing:
+        raise ValueError(f"DZL1 header is missing the {missing[0]!r} key: {text!r}")
     L = float(fields["L"])
     N = int(fields["N"])
     space = fields["space"]

@@ -5,7 +5,8 @@ alpha_dot(xi), and A multiplies by invert_alpha_dot(xi) with the xi = 0 mode
 annihilated (the continuum symbol is singular there; the removed mass is
 surfaced as a warning).  The quadrature route sums the convolution kernel
 (i/4pi) alpha.(x-y)/|x-y|^3 over the primary box with the odd-kernel
-principal-value rule (diagonal term omitted).
+principal-value rule (diagonal term omitted), as an exact zero-padded FFT
+convolution on the (2N)^3 lattice at O(N^3 log N) cost.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .field import (
     POSITION,
     GridSpec,
     SpinorField,
+    _padded_convolve,
+    _padded_offsets,
     forward_fourier,
     inverse_fourier,
     l2_norm,
@@ -35,9 +38,6 @@ __all__ = [
     "verify_pairing_identity",
     "symbol_product_max_deviation",
 ]
-
-QUADRATURE_GUARD_N = 32
-
 
 class ZeroModeAnnihilationWarning(UserWarning):
     """A applied to a field with non-negligible xi = 0 mass; that mode was dropped."""
@@ -103,45 +103,24 @@ def apply_a_spectral(f: SpinorField, warn_threshold: float = 1e-8) -> SpinorFiel
     return inverse_fourier(SpinorField(g, ghat, FREQUENCY))
 
 
-def apply_a_quadrature(
-    f: SpinorField,
-    guard: int = QUADRATURE_GUARD_N,
-    force: bool = False,
-    chunk: int = 256,
-) -> SpinorField:
-    """A f by direct summation of the kernel over the primary box (no images).
+def apply_a_quadrature(f: SpinorField) -> SpinorField:
+    """A f by summing the kernel over the primary box (no periodic images).
 
-    (Af)(x) = h^3 sum_{y != x} (i/4pi) alpha_dot(x - y) / |x - y|^3 f(y).
-    The y = x term is omitted (odd kernel: midpoint principal value).  The
-    cost is N^6; grids beyond ``guard`` points per axis are rejected unless
-    ``force`` is given.
+    (Af)(x) = h^3 sum_{y != x} (i/4pi) alpha_dot(x - y) / |x - y|^3 f(y); the
+    y = x term is omitted (odd kernel: midpoint principal value).  The sum is
+    one exact linear convolution on the zero-padded (2N)^3 lattice (FFT, the
+    mode-wise matrix sum_j hat(K_j) alpha_j of K_j(z) = z_j / |z|^3, inverse FFT,
+    crop), at O(N^3 log N) cost.
     """
     if f.space != POSITION:
         raise ValueError("apply_a_quadrature expects a position-space field")
     g = f.grid
-    if g.N > guard and not force:
-        raise ValueError(
-            f"N={g.N} exceeds the N^6 quadrature cost guard ({guard}); pass force=True to override"
-        )
-    points = g.position_mesh.reshape(-1, 3)
-    vals = f.values.reshape(-1, 4)
-    m = points.shape[0]
-    # Pre-contract with the Dirac matrices so the pair loop is three scalar sums.
-    gj_re = np.stack([(vals @ a.T).real for a in ALPHA])  # (3, m, 4)
-    gj_im = np.stack([(vals @ a.T).imag for a in ALPHA])
-    out = np.zeros((m, 4), dtype=np.complex128)
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        diff = points[start:stop, None, :] - points[None, :, :]  # (c, m, 3)
-        r2 = np.einsum("cmj,cmj->cm", diff, diff)
-        rows = np.arange(stop - start)
-        r2[rows, np.arange(start, stop)] = np.inf  # principal value: drop y = x
-        inv_r3 = 1.0 / (r2 * np.sqrt(r2))
-        for j in range(3):
-            w = diff[..., j] * inv_r3  # (c, m)
-            out[start:stop] += w @ gj_re[j] + 1j * (w @ gj_im[j])
-    out *= 1j / (4.0 * np.pi) * g.cell_volume
-    return SpinorField(g, out.reshape(g.N, g.N, g.N, 4), POSITION)
+    z, r2 = _padded_offsets(g)
+    inv_r3 = 1.0 / (r2 * np.sqrt(r2))
+    inv_r3[0, 0, 0] = 0.0  # principal value: drop y = x
+    kernel_hat = [np.fft.fftn(c * inv_r3) for c in z]
+    out = _padded_convolve(f.values, g.N, lambda fhat: _matrix_contract(fhat, kernel_hat))
+    return SpinorField(g, out * (1j / (4.0 * np.pi) * g.cell_volume), POSITION)
 
 
 def verify_ah0_identity(f: SpinorField) -> float:

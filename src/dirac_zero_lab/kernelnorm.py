@@ -19,7 +19,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .field import POSITION, GridSpec, SpinorField
+from .field import POSITION, GridSpec, SpinorField, _padded_convolve, _padded_offsets
 from .freeop import apply_a_spectral
 
 __all__ = [
@@ -101,32 +101,20 @@ def _convolution_kernel_fft(grid: GridSpec, exponent: float) -> np.ndarray:
 
     The z = 0 entry is zeroed (diagonal omitted), matching the direct sum.
     """
-    N = grid.N
-    offs = grid.h * np.arange(-N, N, dtype=float)
-    wrapped = np.fft.ifftshift(offs)  # offset 0 first, matching FFT layout
-    zz = wrapped[:, None, None] ** 2 + wrapped[None, :, None] ** 2 + wrapped[None, None, :] ** 2
-    zz[0, 0, 0] = 1.0
+    _, zz = _padded_offsets(grid)
     kernel = zz ** (-exponent / 2.0)
     kernel[0, 0, 0] = 0.0  # diagonal omitted, whatever the exponent sign
     return np.fft.rfftn(kernel)
 
 
-def _real_linear_convolve(kernel_hat: np.ndarray, psi: np.ndarray, N: int) -> np.ndarray:
-    pad = np.zeros((2 * N, 2 * N, 2 * N))
-    pad[:N, :N, :N] = psi
-    conv = np.fft.irfftn(
-        np.fft.rfftn(pad) * kernel_hat, s=(2 * N, 2 * N, 2 * N), axes=(0, 1, 2)
-    )
-    return conv[:N, :N, :N]
-
-
 def _linear_convolve(kernel_hat: np.ndarray, psi: np.ndarray, N: int) -> np.ndarray:
     """Exact linear convolution sum_{y in box} K[x - y] psi[y] via zero padding."""
     if np.iscomplexobj(psi):
-        return _real_linear_convolve(kernel_hat, psi.real, N) + 1j * _real_linear_convolve(
+        return _linear_convolve(kernel_hat, psi.real, N) + 1j * _linear_convolve(
             kernel_hat, psi.imag, N
         )
-    return _real_linear_convolve(kernel_hat, psi, N)
+    # In place: a second (2N)^3 spectrum would raise the peak memory.
+    return _padded_convolve(psi, N, lambda psi_hat: np.multiply(psi_hat, kernel_hat, out=psi_hat))
 
 
 class _NwOperator:

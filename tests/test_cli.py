@@ -61,10 +61,20 @@ def test_verify_freeop_missing_config_file(capsys):
 
 
 def test_config_file_round_trip(capsys, tmp_path):
+    # The config file outranks the command's default grid (12, 24), and a
+    # run's own run-config.cfg reproduces the run.
     cfg = tmp_path / "lab.cfg"
     cfg.write_text("L = 8\nN = 16\nseed = 9\ntol.ah0 = 1e-9  # slightly loose\n")
-    code, out, _ = run_cli(capsys, "verify-freeop", "--config", str(cfg))
+    first, second = tmp_path / "first", tmp_path / "second"
+    code, _, _ = run_cli(capsys, "verify-freeop", "--config", str(cfg), "--out", str(first))
     assert code == 0
+    written = (first / "run-config.cfg").read_text().splitlines()
+    assert "L = 8.0" in written and "N = 16" in written
+    code, _, _ = run_cli(
+        capsys, "verify-freeop", "--config", str(first / "run-config.cfg"), "--out", str(second)
+    )
+    assert code == 0
+    assert (second / "verify-freeop.json").read_text() == (first / "verify-freeop.json").read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +188,15 @@ def test_zero_mode_potential_from_file(capsys, tmp_path):
     )
     assert code == 0
     assert "zero modes at tolerance 0.1: 0" in out
+
+
+def test_zero_mode_bad_potential_header_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "bad.dzl1"
+    path.write_bytes(b"DZL1 L=8.0 space=position components=16\n")
+    code, _, err = run_cli(capsys, "zero-mode", "--potential", f"file:{path}", "--out", str(tmp_path))
+    assert code == 2
+    assert "'N'" in err
+    assert "Traceback" not in err
 
 
 def test_zero_mode_loss_yau_end_to_end(capsys, tmp_path):

@@ -379,6 +379,21 @@ def test_field_file_rejects_bad_magic(tmp_path):
         load_field(path)
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (b"DZL1 L=1.0 space=position components=4", "missing the 'N' key"),
+        (b"DZL1 L=1.0 N=4 stray space=position components=4", "token 'stray'"),
+    ],
+    ids=["missing-key", "stray-token"],
+)
+def test_field_file_rejects_bad_header(tmp_path, header, message):
+    path = tmp_path / "bad.dzl1"
+    path.write_bytes(header + b"\n" + b"\0" * (4**3 * 4 * 16))
+    with pytest.raises(ValueError, match=message):
+        load_field(path)
+
+
 def test_frequency_field_round_trips_space_tag(tmp_path):
     g = make_grid(6.0, 12)
     fhat = forward_fourier(random_field(g, seed=16))

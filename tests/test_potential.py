@@ -244,3 +244,10 @@ def test_potential_file_rejects_field_component_count(tmp_path):
     save_field(random_field(g, seed=1), path)
     with pytest.raises(ValueError, match="components"):
         load_potential(path)
+
+
+def test_potential_file_rejects_header_without_grid_size(tmp_path):
+    path = tmp_path / "bad.dzl1"
+    path.write_bytes(b"DZL1 L=2.0 space=position components=16\n" + b"\0" * (4**3 * 16 * 16))
+    with pytest.raises(ValueError, match="missing the 'N' key"):
+        load_potential(path)
