@@ -285,7 +285,7 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     ly = potential.loss_yau(grid)
     Q = potential.loss_yau_potential(grid)
     with _silence():
-        rep = resonance.birman_schwinger_spectrum(Q, k=6, seed=seed, deflation_passes=0)
+        rep = resonance.birman_schwinger_spectrum(Q, k=6, seed=seed)
         near = [lam for lam in rep.eigenvalues if abs(lam - 1.0) <= 0.1]
         res.add(
             "eigenvalue within 0.1 of 1",
@@ -293,7 +293,7 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
             f"eigenvalues {[f'{l.real:+.4f}{l.imag:+.4f}j' for l in rep.eigenvalues[:4]]}",
         )
 
-        ritz, fields = resonance.fixed_point_subspace(Q, tol=0.1, seed=seed)
+        _, fields = resonance.fixed_point_subspace(rep, tol=0.1)
         overlap = resonance.subspace_overlap(fields, ly.zero_mode)
         res.add(
             "eigenspace overlap with the magnetic zero mode >= 0.95",
@@ -302,7 +302,7 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
             "(near-degenerate block pair: subspace projection)",
         )
 
-        rep_half = resonance.birman_schwinger_spectrum(0.5 * Q, k=6, seed=seed, deflation_passes=0)
+        rep_half = resonance.birman_schwinger_spectrum(0.5 * Q, k=6, seed=seed)
         worst = 0.0
         for lam_h in rep_half.eigenvalues:
             best = min(abs(lam_h - 0.5 * lam) / abs(0.5 * lam) for lam in rep.eigenvalues)
@@ -395,7 +395,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     with _silence():
         for name, Q0, rescale in _admissible_family(grid):
             if rescale:
-                rep = resonance.birman_schwinger_spectrum(Q0, k=4, seed=seed, deflation_passes=0)
+                rep = resonance.birman_schwinger_spectrum(Q0, k=4, seed=seed)
                 lam1 = next(
                     (l.real for l in rep.eigenvalues if abs(l.imag) <= 0.05 * abs(l) and abs(l) > 1e-6),
                     None,

@@ -279,9 +279,9 @@ def _build_potential(args, grid: field.GridSpec) -> potential.PotentialField:
 
 def cmd_zero_mode(args) -> int:
     cfg = _build_config(args, out_dir="dzl-zero-mode")
-    cfg.write_beside_outputs()
     grid = field.make_grid(cfg.L, cfg.N)
     Q = _build_potential(args, grid)
+    cfg.write_beside_outputs()
     tol = cfg.tolerances["zero_mode"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", freeop.ZeroModeAnnihilationWarning)
@@ -293,11 +293,7 @@ def cmd_zero_mode(args) -> int:
             field_dir=os.path.join(cfg.out_dir, "eigenfields"),
             reference=reference,
         )
-        modes = [
-            f
-            for lam, f in zip(report.eigenvalues, report.eigenfields)
-            if abs(lam - 1.0) <= tol and resonance.residual(f, Q) <= 10 * tol
-        ]
+        _, modes = resonance.fixed_point_subspace(report, tol, Q)
         print(f"eigenvalues: {[f'{l.real:+.4f}{l.imag:+.4f}j' for l in report.eigenvalues]}")
         print(f"zero modes at tolerance {tol}: {len(modes)}")
         if not modes:
@@ -333,6 +329,7 @@ def cmd_acceptance(args) -> int:
         f"criterion_{r.index}": {
             "title": r.title,
             "passed": r.passed,
+            "elapsed": r.elapsed,
             "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in r.checks],
         }
         for r in results

@@ -183,10 +183,13 @@ class NormEstimate:
     seed: int
 
 
-def _power_iteration(apply_fwd, apply_adj, shape, seed, iterations, rtol=1e-4) -> NormEstimate:
-    """sqrt of the top eigenvalue of K^adj K by power iteration (L^2 operator norm)."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(shape)
+def _power_iteration(apply_fwd, apply_adj, start, seed, iterations, rtol=1e-4) -> NormEstimate:
+    """sqrt of the top eigenvalue of K^adj K by power iteration (L^2 operator norm).
+
+    ``start`` is the seeded start vector; it becomes the iterate's buffer and
+    is overwritten.  ``seed`` is only recorded.
+    """
+    v = start
     v /= np.linalg.norm(v)
     est_prev = 0.0
     converged = False
@@ -198,7 +201,7 @@ def _power_iteration(apply_fwd, apply_adj, shape, seed, iterations, rtol=1e-4) -
         used = it
         if nu == 0.0:
             return NormEstimate(0.0, it, True, seed)
-        v = u / nu
+        np.divide(u, nu, out=v)
         if est_prev > 0 and abs(est - est_prev) <= rtol * est:
             converged = True
             est_prev = est
@@ -236,7 +239,8 @@ def estimate_norm(
     """
     op = _NwOperator(spec, grid)
     if float(spec.p) == 2.0:
-        return _power_iteration(op.apply, op.apply_adjoint, (grid.N,) * 3, seed, iterations)
+        start = np.random.default_rng(seed).standard_normal((grid.N,) * 3)
+        return _power_iteration(op.apply, op.apply_adjoint, start, seed, iterations)
     return _random_trials_norm(op, float(spec.p), seed, trials=max(iterations, 8))
 
 
@@ -351,31 +355,15 @@ def lemma_a_conjugated_norm(
         return (w_up[..., None] * out.values).ravel()
 
     rng = np.random.default_rng(seed)
-    shape = grid.npoints * 4
-    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    v /= np.linalg.norm(v)
-    est_prev, used, converged = 0.0, 0, False
-    for it in range(1, iterations + 1):
-        u = adj(fwd(v))
-        est = float(np.sqrt(max(np.real(np.vdot(v, u)), 0.0)))
-        used = it
-        nu = np.linalg.norm(u)
-        if nu == 0:
-            est_prev = 0.0
-            converged = True
-            break
-        v = u / nu
-        if est_prev > 0 and abs(est - est_prev) <= 1e-4 * est:
-            est_prev = est
-            converged = True
-            break
-        est_prev = est
+    n = grid.npoints * 4
+    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    a = _power_iteration(fwd, adj, start, seed, iterations)
     nw = estimate_norm(NwKernelSpec(a=t + 1.0, b=-t, d=3, p=2), grid, iterations, seed)
     return ConjugatedNormReport(
         t=float(t),
-        a_estimate=est_prev,
+        a_estimate=a.value,
         nw_estimate=nw.value / (4.0 * np.pi),
-        a_iterations=used,
+        a_iterations=a.iterations,
         nw_iterations=nw.iterations,
         seed=seed,
     )

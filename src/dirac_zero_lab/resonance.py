@@ -1,8 +1,8 @@
 """Zero-mode detection and threshold classification.
 
 A zero mode of alpha.D + Q is a fixed point of T = -A (Q .), so the search
-runs a matrix-free restarted Arnoldi iteration on T and looks for eigenvalue
-one.  Detected states are classified by a fitted pointwise decay exponent and
+runs one matrix-free, implicitly restarted Arnoldi solve (ARPACK ``eigs``)
+on T and looks for eigenvalue one.  Detected states are classified by a fitted pointwise decay exponent and
 by the trend of weighted-H^1 partial quantities across two box sizes.
 """
 
@@ -80,36 +80,14 @@ def _birman_schwinger_matvec(Q: PotentialField):
     return matvec
 
 
-def _arnoldi_factorization(matvec, start, m, tol):
-    """Build V (n x k) orthonormal and H ((k+1) x k) Hessenberg; MGS with one refinement."""
-    n = start.shape[0]
-    V = np.zeros((n, m + 1), dtype=np.complex128)
-    H = np.zeros((m + 1, m), dtype=np.complex128)
-    V[:, 0] = start / np.linalg.norm(start)
-    k = 0
-    for j in range(m):
-        w = matvec(V[:, j])
-        for _ in range(2):  # modified Gram-Schmidt, twice for orthogonality
-            for i in range(j + 1):
-                c = np.vdot(V[:, i], w)
-                H[i, j] += c
-                w -= c * V[:, i]
-        h = np.linalg.norm(w)
-        H[j + 1, j] = h
-        k = j + 1
-        if h <= tol * max(1.0, np.abs(H[: j + 1, : j + 1]).max()):
-            break  # invariant subspace found
-        V[:, j + 1] = w / h
-    return V[:, :k], H[: k + 1, :k], k
-
-
 @dataclass
 class EigenReport:
     """Top eigenpairs of the fixed-point operator, sorted by |lambda| descending.
 
     ``residuals`` holds ||T f - lambda f||_2 / ||f||_2 per reported pair
-    (the convergence tests inside the solver use the |lambda|-relative form,
-    which is what makes the spectrum exactly covariant under Q -> c Q).
+    (ARPACK's own convergence test is the |lambda|-relative form, which is
+    what makes the spectrum exactly covariant under Q -> c Q).
+    ``iterations`` counts the solver's matvecs.
     """
 
     eigenvalues: list[complex]
@@ -119,113 +97,57 @@ class EigenReport:
     converged: bool
 
 
-def _arnoldi_top_pairs(matvec, n, k, start, tol, budget):
-    """One restarted Arnoldi run; returns (pairs, matvecs, converged).
-
-    Each pair is (lambda, unit eigenvector estimate).
-    """
-    m = min(max(3 * k + 12, 30), n)
-    total = 0
-    while True:
-        V, H, kk = _arnoldi_factorization(matvec, start, m, tol=1e-14)
-        total += kk
-        ritz_vals, ritz_vecs = np.linalg.eig(H[:kk, :kk])
-        order = np.argsort(-np.abs(ritz_vals))
-        ritz_vals, ritz_vecs = ritz_vals[order], ritz_vecs[:, order]
-        top = min(k, kk)
-        exhausted = kk < m  # early breakdown: Krylov space is invariant
-        beta = 0.0 if exhausted else float(np.abs(H[kk, kk - 1]))
-        # Arnoldi residual estimate per Ritz pair: |beta * last component|.
-        ests = beta * np.abs(ritz_vecs[-1, :top])
-        ok = bool(np.all(ests <= tol * np.maximum(np.abs(ritz_vals[:top]), 1e-300)))
-        if ok or exhausted or total >= budget:
-            fields = V @ ritz_vecs[:, :top]
-            pairs = []
-            for i in range(fields.shape[1]):
-                nv = np.linalg.norm(fields[:, i])
-                if nv > 0:
-                    pairs.append((complex(ritz_vals[i]), fields[:, i] / nv))
-            return pairs, total, ok or exhausted
-        start = (V @ ritz_vecs[:, :top]).sum(axis=1)
-
-
 def birman_schwinger_spectrum(
     Q: PotentialField,
     k: int = 6,
     seed: int = 20240301,
     tol: float = ARNOLDI_TOL,
     max_iter: int = ARNOLDI_MAX_ITER,
-    deflation_passes: int = 1,
 ) -> EigenReport:
-    """Top-k eigenpairs of T f = -A (Q f) by restarted matrix-free Arnoldi.
+    """Top-k eigenpairs of T f = -A (Q f) by one implicitly restarted Arnoldi solve.
 
-    Deterministic for a fixed seed.  Convergence is judged on the relative
-    Arnoldi residual ||T v - lambda v|| / |lambda|, which makes the reported
-    spectrum exactly covariant under scaling Q -> c Q.
-
-    A single Krylov sequence reaches one eigenvector per (near-)degenerate
-    eigenvalue, and the fixed-point eigenvalue here is typically twofold
-    degenerate (upper/lower block embeddings), so after the first run the
-    operator is deflated against the found vectors and searched again; the
-    extra pairs are kept only if they meet ``tol`` against the undeflated
-    operator.
+    ARPACK's ``eigs`` (Lehoucq, Sorensen & Yang 1998) runs matrix-free on T
+    from a seeded complex start vector, so the result is deterministic for a
+    fixed seed.  Convergence is judged on the relative residual
+    ||T v - lambda v|| / |lambda| <= ``tol``, which makes the reported
+    spectrum exactly covariant under scaling Q -> c Q; ``max_iter`` bounds
+    the restarts.  The restarted basis keeps ~30 Krylov vectors, so both
+    copies of a twofold fixed-point eigenvalue (the upper/lower block
+    embeddings) come out of the one solve.  If ARPACK stops before every
+    pair converges, the converged pairs are returned with ``converged=False``.
     """
+    # Lazy: a module-level scipy.sparse import doubles every CLI command's import time and RSS.
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+
     if k < 1:
         raise ValueError("need k >= 1 eigenpairs")
     grid = Q.grid
-    base_matvec = _birman_schwinger_matvec(Q)
     n = grid.npoints * 4
+    if not np.any(Q.values):
+        return EigenReport([], [], [], 0, True)  # T = 0; ARPACK rejects a zero start vector
     rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    base_matvec = _birman_schwinger_matvec(Q)
+    matvecs = 0
 
-    all_pairs: list[tuple[complex, np.ndarray]] = []
-    total = 0
+    def counted(v: np.ndarray) -> np.ndarray:
+        nonlocal matvecs
+        matvecs += 1
+        return base_matvec(v)
+
+    T = LinearOperator((n, n), matvec=counted, dtype=np.complex128)
+    ncv = min(max(2 * k + 1, 30), n - 1)
     converged = True
-    basis: list[np.ndarray] = []  # orthonormalized found eigenvectors
+    try:
+        vals, vecs = eigs(T, k=k, which="LM", v0=v0, ncv=ncv, tol=tol, maxiter=max_iter)
+    except ArpackNoConvergence as exc:
+        vals, vecs, converged = exc.eigenvalues, exc.eigenvectors, False
 
-    def deflated_matvec(v: np.ndarray) -> np.ndarray:
-        for b in basis:
-            v = v - np.vdot(b, v) * b
-        w = base_matvec(v)
-        for b in basis:
-            w = w - np.vdot(b, w) * b
-        return w
-
-    for pass_i in range(deflation_passes + 1):
-        start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        if pass_i == 0:
-            mv = base_matvec
-        else:
-            if not all_pairs or max(abs(lam) for lam, _ in all_pairs) == 0.0:
-                break  # nothing left worth deflating against
-            mv = deflated_matvec
-        pairs, used, ok = _arnoldi_top_pairs(mv, n, k, start, tol, max_iter - total)
-        total += used
-        if pass_i == 0:
-            converged = ok
-            all_pairs.extend(pairs)
-        else:
-            # keep only genuine eigenpairs of the undeflated operator
-            for lam, vec in pairs:
-                resid = np.linalg.norm(base_matvec(vec) - lam * vec) / max(abs(lam), 1e-300)
-                if resid <= 10 * tol:
-                    all_pairs.append((lam, vec))
-        # refresh the deflation basis (orthonormalized)
-        basis = []
-        for _lam, vec in all_pairs:
-            w = vec.copy()
-            for b in basis:
-                w -= np.vdot(b, w) * b
-            nw = np.linalg.norm(w)
-            if nw > 1e-10:
-                basis.append(w / nw)
-        if total >= max_iter:
-            break
-
-    all_pairs.sort(key=lambda p: -abs(p[0]))
     eigenvalues, eigenfields, resids = [], [], []
-    for lam, vec in all_pairs[:k]:
-        tv = base_matvec(vec)
-        resids.append(float(np.linalg.norm(tv - lam * vec)))  # vec is unit
+    for i in np.argsort(-np.abs(vals), kind="stable"):
+        vec = vecs[:, i] / np.linalg.norm(vecs[:, i])
+        lam = complex(vals[i])
+        resids.append(float(np.linalg.norm(base_matvec(vec) - lam * vec)))
         eigenvalues.append(lam)
         fld = SpinorField(grid, vec.reshape(grid.N, grid.N, grid.N, 4), POSITION)
         eigenfields.append((1.0 / l2_norm(fld)) * fld)
@@ -233,50 +155,30 @@ def birman_schwinger_spectrum(
         eigenvalues=eigenvalues,
         eigenfields=eigenfields,
         residuals=resids,
-        iterations=total,
+        iterations=matvecs,
         converged=converged,
     )
 
 
 def fixed_point_subspace(
-    Q: PotentialField,
-    tol: float = ZERO_MODE_TOL,
-    block: int = 8,
-    iterations: int = 60,
-    seed: int = 20240301,
+    report: EigenReport, tol: float = ZERO_MODE_TOL, Q: PotentialField | None = None
 ) -> tuple[list[complex], list[SpinorField]]:
-    """Ritz pairs with |lambda - 1| <= tol from block subspace iteration on T.
+    """The Ritz pairs of ``report`` with |lambda - 1| <= tol.
 
     Near the fixed point the discrete operator often carries a (nearly
     defective) multifold eigenvalue, e.g. the two block embeddings of a Weyl
     zero mode; individual eigenvectors are then ill-conditioned while the
-    invariant subspace is stable.  Block orthogonal iteration converges to
-    the dominant invariant subspace; the returned fields span its near-one
-    Ritz sector and should be compared against references by subspace
-    projection, not one-by-one.
+    invariant subspace is stable, so the returned fields should be compared
+    against references by subspace projection, not one-by-one.  Given ``Q``,
+    each field must also pass the direct residual(f, Q) <= 10 tol: this is
+    the zero-mode filter.
     """
-    grid = Q.grid
-    matvec = _birman_schwinger_matvec(Q)
-    n = grid.npoints * 4
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((n, block)) + 1j * rng.standard_normal((n, block))
-    Z, _ = np.linalg.qr(Z)
-    for _ in range(iterations):
-        W = np.column_stack([matvec(Z[:, i]) for i in range(block)])
-        Z, _ = np.linalg.qr(W)
-    TZ = np.column_stack([matvec(Z[:, i]) for i in range(block)])
-    B = Z.conj().T @ TZ
-    vals, vecs = np.linalg.eig(B)
-    order = np.argsort(-np.abs(vals))
-    vals, vecs = vals[order], vecs[:, order]
-    keep = [i for i in range(len(vals)) if abs(vals[i] - 1.0) <= tol]
-    fields = []
-    for i in keep:
-        v = Z @ vecs[:, i]
-        v /= np.linalg.norm(v)
-        fld = SpinorField(grid, v.reshape(grid.N, grid.N, grid.N, 4), POSITION)
-        fields.append((1.0 / l2_norm(fld)) * fld)
-    return [complex(vals[i]) for i in keep], fields
+    pairs = [
+        (lam, fld)
+        for lam, fld in zip(report.eigenvalues, report.eigenfields)
+        if abs(lam - 1.0) <= tol and (Q is None or residual(fld, Q) <= 10.0 * tol)
+    ]
+    return [lam for lam, _ in pairs], [fld for _, fld in pairs]
 
 
 def subspace_overlap(fields, reference: SpinorField) -> float:
@@ -297,19 +199,10 @@ def subspace_overlap(fields, reference: SpinorField) -> float:
 
 
 def find_zero_modes(
-    Q: PotentialField,
-    tol: float = ZERO_MODE_TOL,
-    k: int = 6,
-    seed: int = 20240301,
-    deflation_passes: int = 1,
+    Q: PotentialField, tol: float = ZERO_MODE_TOL, k: int = 6, seed: int = 20240301
 ) -> list[SpinorField]:
     """Eigenfields with |lambda - 1| <= tol, re-validated by the direct residual."""
-    report = birman_schwinger_spectrum(Q, k=k, seed=seed, deflation_passes=deflation_passes)
-    modes = []
-    for lam, fld in zip(report.eigenvalues, report.eigenfields):
-        if abs(lam - 1.0) <= tol and residual(fld, Q) <= 10.0 * tol:
-            modes.append(fld)
-    return modes
+    return fixed_point_subspace(birman_schwinger_spectrum(Q, k=k, seed=seed), tol, Q)[1]
 
 
 def coupling_thresholds(Q: PotentialField, k: int = 6, seed: int = 20240301) -> list[float]:

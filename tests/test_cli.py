@@ -213,10 +213,13 @@ def test_zero_mode_loss_yau_end_to_end(capsys, tmp_path):
     assert (out_dir / "decay-fit-0.csv").exists()
 
 
-def test_zero_mode_unknown_potential(capsys):
+def test_zero_mode_unknown_potential(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, "zero-mode", "--potential", "whatever")
     assert code == 2
     assert "unknown potential" in err
+    # a rejected run writes nothing, not even its default dzl-zero-mode/ directory
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_zero_mode_exit_three_on_resonance_candidate(capsys, tmp_path, monkeypatch):
@@ -288,6 +291,7 @@ def test_acceptance_only_bootstrap(capsys, tmp_path):
     assert "[PASS] criterion 7" in out
     payload = json.loads((out_dir / "acceptance.json").read_text())
     assert payload["criterion_7"]["passed"] is True
+    assert payload["criterion_7"]["elapsed"] >= 0.0
 
 
 def test_acceptance_only_clifford_by_number(capsys):

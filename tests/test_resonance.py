@@ -36,12 +36,12 @@ def bracket_field(grid, exponent):
 
 @pytest.fixture(scope="module")
 def spectrum_ly(q_ly16):
-    return birman_schwinger_spectrum(q_ly16, k=6, deflation_passes=0)
+    return birman_schwinger_spectrum(q_ly16, k=6)
 
 
 @pytest.fixture(scope="module")
 def modes_ly(q_ly16):
-    return find_zero_modes(q_ly16, tol=0.1, k=6, deflation_passes=0)
+    return find_zero_modes(q_ly16, tol=0.1, k=6)
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +96,23 @@ def test_spectrum_magnetic_potential(spectrum_ly):
 
 
 def test_spectrum_deterministic(q_ly16, spectrum_ly):
-    again = birman_schwinger_spectrum(q_ly16, k=6, deflation_passes=0)
+    again = birman_schwinger_spectrum(q_ly16, k=6)
     assert np.allclose(again.eigenvalues, spectrum_ly.eigenvalues, rtol=1e-12, atol=1e-14)
 
 
 def test_spectrum_scales_linearly(q_ly16, spectrum_ly):
-    rep_half = birman_schwinger_spectrum(0.5 * q_ly16, k=6, deflation_passes=0)
+    rep_half = birman_schwinger_spectrum(0.5 * q_ly16, k=6)
     for lam_h in rep_half.eigenvalues:
         best = min(abs(lam_h - 0.5 * lam) / abs(0.5 * lam) for lam in spectrum_ly.eigenvalues)
         assert best <= 1e-8
+
+
+def test_spectrum_finds_both_doublet_copies(spectrum_ly, ly16):
+    # the fixed point is twofold (upper/lower block embeddings); one solve finds both
+    near = [i for i, lam in enumerate(spectrum_ly.eigenvalues) if abs(lam - 1.0) <= 0.1]
+    assert len(near) >= 2
+    fields = [spectrum_ly.eigenfields[i] for i in near]
+    assert subspace_overlap(fields, ly16.zero_mode) >= 0.95
 
 
 def test_spectrum_rejects_bad_k(q_ly16):
@@ -136,7 +144,7 @@ def test_find_zero_modes_magnetic(modes_ly, q_ly16):
 
 def test_find_zero_modes_small_scalar_amplitude(grid16):
     q = 0.1 * (1.0 + grid16.radius2) ** (-1.0)
-    modes = find_zero_modes(from_em(q, None, grid16), tol=0.1, k=4, deflation_passes=0)
+    modes = find_zero_modes(from_em(q, None, grid16), tol=0.1, k=4)
     assert modes == []
 
 
@@ -155,8 +163,8 @@ def test_coupling_thresholds_zero_potential(grid16):
     assert coupling_thresholds(from_em(None, None, grid16), k=3) == []
 
 
-def test_fixed_point_subspace_overlap(q_ly16, ly16):
-    ritz, fields = fixed_point_subspace(q_ly16, tol=0.1, block=8, iterations=60)
+def test_fixed_point_subspace_overlap(spectrum_ly, ly16):
+    ritz, fields = fixed_point_subspace(spectrum_ly, tol=0.1)
     assert len(fields) >= 1
     assert all(abs(v - 1.0) <= 0.1 for v in ritz)
     assert subspace_overlap(fields, ly16.zero_mode) >= 0.95
