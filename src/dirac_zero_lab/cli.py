@@ -25,7 +25,6 @@ from . import clifford, field, freeop, kernelnorm, potential, resonance
 OUTPUT_ROOT_ENV = "DZL_OUTPUT_ROOT"
 
 DEFAULT_TOLERANCES = {
-    "clifford": 0.0,
     "symbol_product": 1e-14,
     "ah0": 1e-10,
     "pairing": 1e-8,
@@ -33,7 +32,6 @@ DEFAULT_TOLERANCES = {
     # quadrature converges to the continuum); acceptance asserts a failing 0.05.
     "quadrature": 0.25,
     "zero_mode": 0.1,
-    "arnoldi": 1e-8,
 }
 
 
@@ -43,8 +41,6 @@ class RunConfig:
     N: int = acc.DEFAULT_N
     seed: int = acc.DEFAULT_SEED
     out_dir: str | None = None
-    emit_json: bool = True
-    emit_csv: bool = True
     tolerances: dict = dc_field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def lines(self) -> list[str]:
@@ -53,7 +49,6 @@ class RunConfig:
             f"N = {self.N}",
             f"seed = {self.seed}",
             f"out = {self.out_dir or ''}",
-            f"emit = {'json,csv' if self.emit_json and self.emit_csv else 'json' if self.emit_json else 'csv'}",
         ]
         rows.extend(f"tol.{k} = {v!r}" for k, v in sorted(self.tolerances.items()))
         return rows
@@ -104,6 +99,8 @@ def _build_config(args, **defaults) -> RunConfig:
             cfg.out_dir = raw["out"]
         for key, val in raw.items():
             if key.startswith("tol."):
+                if key[4:] not in DEFAULT_TOLERANCES:
+                    raise UsageError(f"unknown tolerance {key!r}; known: {', '.join(DEFAULT_TOLERANCES)}")
                 cfg.tolerances[key[4:]] = float(val)
     for name in ("L", "N", "seed"):
         val = getattr(args, name, None)
@@ -121,7 +118,7 @@ def _build_config(args, **defaults) -> RunConfig:
 
 
 def _emit_json(cfg: RunConfig, name: str, payload: dict) -> None:
-    if cfg.out_dir is None or not cfg.emit_json:
+    if cfg.out_dir is None:
         return
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, name), "w") as fh:
@@ -218,7 +215,7 @@ def cmd_nw_sweep(args) -> int:
         f"growth={report.growth_class} criterion={report.criterion_class} "
         f"agreement={report.agreement}"
     )
-    if cfg.out_dir and cfg.emit_csv:
+    if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
         kernelnorm.sweep_rows_to_csv(
             [report], os.path.join(cfg.out_dir, "nw-sweep.csv"), extra={"seed": cfg.seed}
@@ -281,6 +278,8 @@ def cmd_zero_mode(args) -> int:
     cfg = _build_config(args, out_dir="dzl-zero-mode")
     grid = field.make_grid(cfg.L, cfg.N)
     Q = _build_potential(args, grid)
+    if Q.grid != grid:
+        raise ValueError(f"the potential's grid {Q.grid} differs from the run grid {grid}; pass its --L and --N")
     cfg.write_beside_outputs()
     tol = cfg.tolerances["zero_mode"]
     with warnings.catch_warnings():

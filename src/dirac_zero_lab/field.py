@@ -227,16 +227,13 @@ def random_field(
     return inverse_fourier(fhat)
 
 
-def _fft3(values: np.ndarray) -> np.ndarray:
-    shifted = np.fft.ifftshift(values, axes=(0, 1, 2))
-    out = np.fft.fftn(shifted, axes=(0, 1, 2))
-    return np.fft.fftshift(out, axes=(0, 1, 2))
-
-
-def _ifft3(values: np.ndarray) -> np.ndarray:
-    shifted = np.fft.ifftshift(values, axes=(0, 1, 2))
-    out = np.fft.ifftn(shifted, axes=(0, 1, 2))
-    return np.fft.fftshift(out, axes=(0, 1, 2))
+def _centered_transform(transform, values: np.ndarray, scale: float) -> np.ndarray:
+    """``transform`` (fftn or ifftn) over the box axes in the centered layout, times ``scale``."""
+    axes = (0, 1, 2)
+    buf = np.fft.ifftshift(values, axes=axes)
+    out = np.fft.fftshift(transform(buf, axes=axes, out=buf), axes=axes)
+    out *= scale
+    return out
 
 
 def forward_fourier(f: SpinorField) -> SpinorField:
@@ -244,7 +241,7 @@ def forward_fourier(f: SpinorField) -> SpinorField:
     if f.space != POSITION:
         raise ValueError("forward_fourier expects a position-space field")
     scale = f.grid.cell_volume / _TWO_PI_32
-    return SpinorField(f.grid, _fft3(f.values) * scale, FREQUENCY)
+    return SpinorField(f.grid, _centered_transform(np.fft.fftn, f.values, scale), FREQUENCY)
 
 
 def inverse_fourier(fhat: SpinorField) -> SpinorField:
@@ -253,7 +250,7 @@ def inverse_fourier(fhat: SpinorField) -> SpinorField:
         raise ValueError("inverse_fourier expects a frequency-space field")
     g = fhat.grid
     scale = g.npoints * g.freq_cell_volume / _TWO_PI_32
-    return SpinorField(g, _ifft3(fhat.values) * scale, POSITION)
+    return SpinorField(g, _centered_transform(np.fft.ifftn, fhat.values, scale), POSITION)
 
 
 def _padded_offsets(grid: GridSpec) -> tuple[tuple[np.ndarray, ...], np.ndarray]:

@@ -1,22 +1,28 @@
 """The free operator alpha.D and its inverse A, as multipliers and as quadrature.
 
-The spectral routes act mode-by-mode: alpha.D multiplies the spectrum by
-alpha_dot(xi), and A multiplies by invert_alpha_dot(xi) with the xi = 0 mode
-annihilated (the continuum symbol is singular there; the removed mass is
-surfaced as a warning).  The quadrature route sums the convolution kernel
-(i/4pi) alpha.(x-y)/|x-y|^3 over the primary box with the odd-kernel
-principal-value rule (diagonal term omitted), as an exact zero-padded FFT
-convolution on the (2N)^3 lattice at O(N^3 log N) cost.
+The spectral routes share one private path in native FFT order (a multiplier
+commutes with the half-box shift, and the forward and inverse continuum scales
+multiply to 1).  It applies alpha.c = [[0, sigma.c], [sigma.c, 0]],
+sigma.c = [[c3, c1 - i c2], [c1 + i c2, -c3]], elementwise: c = xi for
+alpha.D, c = xi / |xi|^2 for A, whose xi = 0 mode is annihilated (the symbol
+is singular there; the removed mass is surfaced as a warning).  The symbols
+are cached per grid: one FFT pair plus O(N^3) products per call.
+The quadrature route sums the convolution kernel (i/4pi) alpha.(x-y)/|x-y|^3
+over the primary box with the odd-kernel principal-value rule (diagonal term
+omitted), as an exact zero-padded FFT convolution on the (2N)^3 lattice at
+O(N^3 log N) cost.
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 
 import numpy as np
 
 from .clifford import ALPHA
 from .field import (
+    _TWO_PI_32,
     FREQUENCY,
     POSITION,
     GridSpec,
@@ -24,7 +30,6 @@ from .field import (
     _padded_convolve,
     _padded_offsets,
     forward_fourier,
-    inverse_fourier,
     l2_norm,
 )
 
@@ -39,68 +44,85 @@ __all__ = [
     "symbol_product_max_deviation",
 ]
 
+_AXES = (0, 1, 2)
+
+
 class ZeroModeAnnihilationWarning(UserWarning):
-    """A applied to a field with non-negligible xi = 0 mass; that mode was dropped."""
+    """A dropped a non-negligible xi = 0 mode; ``mass`` is its L^2 mass."""
+
+    def __init__(self, message: str, mass: float):
+        super().__init__(message)
+        self.mass = mass
 
 
-def _matrix_contract(values: np.ndarray, coeffs) -> np.ndarray:
-    """sum_j coeffs[j] * (alpha_j values) pointwise over the component axis."""
-    out = coeffs[0][..., None] * (values @ ALPHA[0].T)
-    out += coeffs[1][..., None] * (values @ ALPHA[1].T)
-    out += coeffs[2][..., None] * (values @ ALPHA[2].T)
+def _sigma_coeffs(c1, c2, c3) -> tuple:
+    """The entries (c3, c1 - i c2, c1 + i c2) of sigma.c; complex c is allowed."""
+    return c3, c1 - 1j * c2, c1 + 1j * c2
+
+
+def _dot_contract(coeffs, v: np.ndarray) -> np.ndarray:
+    """(sigma.c) v on 2-spinors, (alpha.c) v on 4-spinors; ``coeffs`` = :func:`_sigma_coeffs` of c."""
+    c3, cm, cp = coeffs
+    out = np.empty(v.shape, np.complex128)
+    for dst, src in ((0, 0),) if v.shape[-1] == 2 else ((0, 2), (2, 0)):
+        a, b = v[..., src], v[..., src + 1]
+        out[..., dst] = c3 * a + cm * b
+        out[..., dst + 1] = cp * a - c3 * b
     return out
+
+
+@lru_cache(maxsize=4)
+def _symbol(grid: GridSpec, inverse: bool) -> tuple:
+    """Native-order :func:`_sigma_coeffs` of xi (alpha.D) or xi / |xi|^2 (A; zero at xi = 0)."""
+    k = np.fft.ifftshift(grid.freq_axis)
+    c = (k[:, None, None], k[None, :, None], k[None, None, :])
+    if inverse:
+        r2 = c[0] ** 2 + c[1] ** 2 + c[2] ** 2
+        r2[0, 0, 0] = 1.0  # the numerators vanish at xi = 0, so A's symbol is zero there
+        c = tuple(cj / r2 for cj in c)
+    coeffs = _sigma_coeffs(*c)
+    for cj in coeffs:
+        cj.setflags(write=False)  # shared by every caller of the cache
+    return coeffs
+
+
+def _multiply(coeffs, values: np.ndarray) -> np.ndarray:
+    """F^{-1} (sigma.c or alpha.c) F values over the box axes, transforming into owned buffers."""
+    spec = np.fft.fftn(values, axes=_AXES, out=np.empty(values.shape, np.complex128))
+    out = _dot_contract(coeffs, spec)
+    return np.fft.ifftn(out, axes=_AXES, out=out)
 
 
 def apply_h0(f: SpinorField) -> SpinorField:
     """alpha.D f via the exact multiplier alpha_dot(xi) on the frequency lattice."""
     if f.space != POSITION:
         raise ValueError("apply_h0 expects a position-space field")
-    fhat = forward_fourier(f)
-    xi = f.grid.freq_mesh
-    ghat = _matrix_contract(fhat.values, (xi[..., 0], xi[..., 1], xi[..., 2]))
-    return inverse_fourier(SpinorField(f.grid, ghat, FREQUENCY))
-
-
-def _inverse_symbol_coeffs(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Componentwise xi_j / |xi|^2 with the singular xi = 0 entry zeroed."""
-    xi = grid.freq_mesh
-    denom = grid.freq_radius2.copy()
-    denom[grid.origin_index] = 1.0
-    coeffs = tuple(xi[..., j] / denom for j in range(3))
-    for c in coeffs:
-        c[grid.origin_index] = 0.0
-    return coeffs
+    return SpinorField(f.grid, _multiply(_symbol(f.grid, False), f.values), POSITION)
 
 
 def zero_mode_mass(f: SpinorField) -> float:
     """L^2 mass carried by the xi = 0 Fourier mode of a position-space field."""
-    fhat = forward_fourier(f)
-    amp = fhat.values[f.grid.origin_index]
-    return float(np.sqrt(f.grid.freq_cell_volume) * np.linalg.norm(amp))
+    if f.space != POSITION:
+        raise ValueError("zero_mode_mass expects a position-space field")
+    dft0 = np.linalg.norm(np.sum(f.values, axis=_AXES))  # the raw DFT at xi = 0 is the lattice sum
+    return float(np.sqrt(f.grid.freq_cell_volume) * f.grid.cell_volume / _TWO_PI_32 * dft0)
 
 
 def apply_a_spectral(f: SpinorField, warn_threshold: float = 1e-8) -> SpinorField:
     """A f via the multiplier invert_alpha_dot(xi); the xi = 0 mode is annihilated.
 
     Emits :class:`ZeroModeAnnihilationWarning` when the annihilated L^2 mass
-    exceeds ``warn_threshold`` relative to ||f||_2.
+    exceeds ``warn_threshold`` relative to ||f||_2 (``inf`` skips the check).
     """
     if f.space != POSITION:
         raise ValueError("apply_a_spectral expects a position-space field")
     g = f.grid
-    fhat = forward_fourier(f)
-    killed = float(np.sqrt(g.freq_cell_volume) * np.linalg.norm(fhat.values[g.origin_index]))
-    total = l2_norm(f)
-    if total > 0 and killed > warn_threshold * total:
-        warnings.warn(
-            f"A annihilated the xi=0 mode: L2 mass {killed:.3e} "
-            f"({killed / total:.2%} of the field)",
-            ZeroModeAnnihilationWarning,
-            stacklevel=2,
-        )
-    ghat = _matrix_contract(fhat.values, _inverse_symbol_coeffs(g))
-    ghat[g.origin_index] = 0.0
-    return inverse_fourier(SpinorField(g, ghat, FREQUENCY))
+    if warn_threshold < np.inf:
+        killed, total = zero_mode_mass(f), l2_norm(f)
+        if total > 0 and killed > warn_threshold * total:
+            message = f"A annihilated the xi=0 mode: L2 mass {killed:.3e} ({killed / total:.2%} of the field)"
+            warnings.warn(ZeroModeAnnihilationWarning(message, killed), stacklevel=2)
+    return SpinorField(g, _multiply(_symbol(g, True), f.values), POSITION)
 
 
 def apply_a_quadrature(f: SpinorField) -> SpinorField:
@@ -118,8 +140,8 @@ def apply_a_quadrature(f: SpinorField) -> SpinorField:
     z, r2 = _padded_offsets(g)
     inv_r3 = 1.0 / (r2 * np.sqrt(r2))
     inv_r3[0, 0, 0] = 0.0  # principal value: drop y = x
-    kernel_hat = [np.fft.fftn(c * inv_r3) for c in z]
-    out = _padded_convolve(f.values, g.N, lambda fhat: _matrix_contract(fhat, kernel_hat))
+    kernel_hat = _sigma_coeffs(*(np.fft.fftn(c * inv_r3) for c in z))
+    out = _padded_convolve(f.values, g.N, lambda fhat: _dot_contract(kernel_hat, fhat))
     return SpinorField(g, out * (1j / (4.0 * np.pi) * g.cell_volume), POSITION)
 
 
@@ -127,17 +149,13 @@ def verify_ah0_identity(f: SpinorField) -> float:
     """Relative error of A (alpha.D) f against f with its xi = 0 mode removed."""
     if f.space != POSITION:
         raise ValueError("verify_ah0_identity expects a position-space field")
-    g = f.grid
-    fhat = forward_fourier(f)
-    centered = fhat.values.copy()
-    centered[g.origin_index] = 0.0
-    f0 = inverse_fourier(SpinorField(g, centered, FREQUENCY))
+    spec = np.fft.fftn(f.values, axes=_AXES)
+    spec[0, 0, 0] = 0.0  # xi = 0; unlike subtracting the mean, this leaves a constant exactly 0
+    f0 = SpinorField(f.grid, np.fft.ifftn(spec, axes=_AXES, out=spec), POSITION)
     denom = l2_norm(f0)
     if denom == 0.0:
         raise ValueError("field has no nonzero Fourier mode besides xi = 0 (constant input)")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ZeroModeAnnihilationWarning)
-        composed = apply_a_spectral(apply_h0(f))
+    composed = apply_a_spectral(apply_h0(f), warn_threshold=np.inf)
     return l2_norm(composed - f0) / denom
 
 
@@ -161,14 +179,12 @@ def verify_pairing_identity(g_field: SpinorField, phi: SpinorField) -> tuple[com
         raise ValueError("test field must vanish at the origin lattice point")
 
     measure = grid.freq_cell_volume
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ZeroModeAnnihilationWarning)
-        ag_hat = forward_fourier(apply_a_spectral(g_field))
+    ag_hat = forward_fourier(apply_a_spectral(g_field, warn_threshold=np.inf))
     lhs = np.sum(ag_hat.values * np.conj(phi.values)) * measure
 
-    g_hat = forward_fourier(g_field)
-    m_phi = _matrix_contract(phi.values, _inverse_symbol_coeffs(grid))
-    rhs = np.sum(g_hat.values * np.conj(m_phi)) * measure
+    g_hat = np.fft.ifftshift(forward_fourier(g_field).values, axes=_AXES)
+    m_phi = _dot_contract(_symbol(grid, True), np.fft.ifftshift(phi.values, axes=_AXES))
+    rhs = np.sum(g_hat * np.conj(m_phi)) * measure
     return complex(lhs), complex(rhs)
 
 

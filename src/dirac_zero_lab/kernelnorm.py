@@ -344,20 +344,18 @@ def lemma_a_conjugated_norm(
     w_up = grid.bracket ** float(t)
     w_down = grid.bracket ** float(-t - 1.0)
 
-    def fwd(v: np.ndarray) -> np.ndarray:
-        f = SpinorField(grid, (w_up[..., None] * v.reshape(grid.N, grid.N, grid.N, 4)), POSITION)
-        out = apply_a_spectral(f, warn_threshold=np.inf)
-        return (w_down[..., None] * out.values).ravel()
+    def conjugated(w_in: np.ndarray, w_out: np.ndarray):
+        def apply(v: np.ndarray) -> np.ndarray:
+            f = SpinorField(grid, (w_in[..., None] * v.reshape(grid.N, grid.N, grid.N, 4)), POSITION)
+            return (w_out[..., None] * apply_a_spectral(f, warn_threshold=np.inf).values).ravel()
 
-    def adj(v: np.ndarray) -> np.ndarray:
-        f = SpinorField(grid, (w_down[..., None] * v.reshape(grid.N, grid.N, grid.N, 4)), POSITION)
-        out = apply_a_spectral(f, warn_threshold=np.inf)
-        return (w_up[..., None] * out.values).ravel()
+        return apply
 
     rng = np.random.default_rng(seed)
     n = grid.npoints * 4
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    a = _power_iteration(fwd, adj, start, seed, iterations)
+    # A is self-adjoint, so the adjoint of w_down A w_up swaps the weights
+    a = _power_iteration(conjugated(w_up, w_down), conjugated(w_down, w_up), start, seed, iterations)
     nw = estimate_norm(NwKernelSpec(a=t + 1.0, b=-t, d=3, p=2), grid, iterations, seed)
     return ConjugatedNormReport(
         t=float(t),

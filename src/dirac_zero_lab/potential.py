@@ -14,15 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import ALPHA, PAULI
-from .field import (
-    POSITION,
-    GridSpec,
-    SpinorField,
-    _fft3,
-    _ifft3,
-    _read_dzl1,
-    _write_dzl1,
-)
+from .field import POSITION, GridSpec, SpinorField, _read_dzl1, _write_dzl1
+from .freeop import _dot_contract, _multiply, _sigma_coeffs, _symbol
 
 __all__ = [
     "DecayEnvelope",
@@ -83,16 +76,21 @@ def _hermiticity_deviation(values: np.ndarray) -> float:
     return float(np.max(np.abs(values - np.conj(np.swapaxes(values, -1, -2)))))
 
 
+def _check_potential_values(vals: np.ndarray, what: str) -> None:
+    """Reject non-finite values and max |Q - Q^dag| > HERMITICITY_TOL max(1, max |Q|)."""
+    if not np.all(np.isfinite(vals.view(float))):
+        raise ValueError(f"{what} is not finite on the lattice")
+    dev = _hermiticity_deviation(vals)
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    if dev > HERMITICITY_TOL * scale:
+        raise ValueError(f"{what} is not Hermitian: max |Q - Q^dag| = {dev:.3e}")
+
+
 def from_matrix_fn(fn, grid: GridSpec, decay: DecayEnvelope | None = None) -> PotentialField:
     """Sample a position -> Hermitian 4x4 function; Hermiticity is validated."""
     raw = np.asarray(fn(grid.position_mesh), dtype=np.complex128)
     vals = np.broadcast_to(raw, (grid.N, grid.N, grid.N, 4, 4)).copy()
-    if not np.all(np.isfinite(vals.view(float))):
-        raise ValueError("potential function is not finite on the lattice")
-    dev = _hermiticity_deviation(vals)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if dev > HERMITICITY_TOL * scale:
-        raise ValueError(f"sampled potential is not Hermitian: max |Q - Q^dag| = {dev:.3e}")
+    _check_potential_values(vals, "sampled potential")
     return PotentialField(grid, vals, decay)
 
 
@@ -189,22 +187,14 @@ def hermiticity_check(Q: PotentialField) -> float:
 
 
 def pauli_derivative(phi: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """sigma.D phi for a 2-spinor lattice field, via Pauli multipliers."""
-    phi = np.asarray(phi, dtype=np.complex128)
-    spec = _fft3(phi)
-    xi = grid.freq_mesh
-    out = np.zeros_like(spec)
-    for j, s in enumerate(PAULI):
-        out += xi[..., j, None] * (spec @ s.T)
-    return _ifft3(out)
+    """sigma.D phi for a 2-spinor lattice field, via the multiplier sigma.xi."""
+    return _multiply(_symbol(grid, False), np.asarray(phi, dtype=np.complex128))
 
 
 def weyl_residual(phi: np.ndarray, A: np.ndarray, grid: GridSpec) -> float:
     """|| sigma.(D - A) phi ||_2 / || phi ||_2 on the lattice."""
     phi = np.asarray(phi, dtype=np.complex128)
-    res = pauli_derivative(phi, grid)
-    for j, s in enumerate(PAULI):
-        res -= A[..., j, None] * (phi @ s.T)
+    res = pauli_derivative(phi, grid) - _dot_contract(_sigma_coeffs(*np.moveaxis(A, -1, 0)), phi)
     num = np.sqrt(np.sum(np.abs(res) ** 2))
     den = np.sqrt(np.sum(np.abs(phi) ** 2))
     if den == 0:
@@ -217,5 +207,10 @@ def save_potential(Q: PotentialField, path) -> None:
 
 
 def load_potential(path) -> PotentialField:
-    grid, _space, flat = _read_dzl1(path, components=16)
-    return PotentialField(grid, flat.reshape(grid.N, grid.N, grid.N, 4, 4))
+    """Read a DZL1 potential; the payload must be position-space, finite and Hermitian."""
+    grid, space, flat = _read_dzl1(path, components=16)
+    if space != POSITION:
+        raise ValueError(f"potential file {path} has space={space}; potentials live in position space")
+    vals = flat.reshape(grid.N, grid.N, grid.N, 4, 4)
+    _check_potential_values(vals, f"potential in {path}")
+    return PotentialField(grid, vals)

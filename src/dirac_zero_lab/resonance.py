@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import ALPHA
 from .field import (
     POSITION,
     GridSpec,
@@ -26,7 +25,7 @@ from .field import (
     shell_profile,
     sobolev_norm,
 )
-from .freeop import apply_a_spectral, apply_h0
+from .freeop import _dot_contract, _sigma_coeffs, apply_a_spectral, apply_h0
 from .potential import PotentialField, apply_potential
 
 __all__ = [
@@ -74,8 +73,8 @@ def _birman_schwinger_matvec(Q: PotentialField):
     def matvec(v: np.ndarray) -> np.ndarray:
         f = SpinorField(grid, v.reshape(shape), POSITION)
         qf = apply_potential(Q, f)
-        out = apply_a_spectral(qf, warn_threshold=np.inf)
-        return -out.values.ravel()
+        out = apply_a_spectral(qf, warn_threshold=np.inf).values.ravel()
+        return np.negative(out, out=out)
 
     return matvec
 
@@ -347,12 +346,9 @@ def weighted_derivative_identity_check(
     weighted = SpinorField(grid, w[..., None] * f.values, POSITION)
     lhs = apply_h0(weighted)
 
-    mesh = grid.position_mesh
-    wm2 = grid.bracket ** (mu - 2.0)
-    first = np.zeros_like(f.values)
-    for j in range(3):
-        first += mesh[..., j, None] * (f.values @ ALPHA[j].T)
-    first *= -1j * mu * wm2[..., None]
+    alpha_x = _sigma_coeffs(*np.moveaxis(grid.position_mesh, -1, 0))
+    first = _dot_contract(alpha_x, f.values)
+    first *= -1j * mu * (grid.bracket ** (mu - 2.0))[..., None]
     if Q is None:
         second = w[..., None] * apply_h0(f).values
     else:

@@ -1,5 +1,8 @@
 import json
 
+import numpy as np
+import pytest
+
 from dirac_zero_lab.cli import main
 
 
@@ -70,11 +73,22 @@ def test_config_file_round_trip(capsys, tmp_path):
     assert code == 0
     written = (first / "run-config.cfg").read_text().splitlines()
     assert "L = 8.0" in written and "N = 16" in written
+    # only keys that some code reads are written
+    assert not [l for l in written if l.startswith(("emit", "tol.arnoldi", "tol.clifford"))]
     code, _, _ = run_cli(
         capsys, "verify-freeop", "--config", str(first / "run-config.cfg"), "--out", str(second)
     )
     assert code == 0
     assert (second / "verify-freeop.json").read_text() == (first / "verify-freeop.json").read_text()
+
+
+def test_config_rejects_unknown_tolerance(capsys, tmp_path):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("L = 8\nN = 16\ntol.arnoldi = 1e-6\n")
+    code, _, err = run_cli(capsys, "verify-freeop", "--config", str(cfg), "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert "unknown tolerance 'tol.arnoldi'" in err
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +211,39 @@ def test_zero_mode_bad_potential_header_is_usage_error(capsys, tmp_path):
     assert code == 2
     assert "'N'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        ("non-hermitian", "not Hermitian"),
+        ("frequency", "space=frequency"),
+        ("grid", "differs from the run grid"),
+    ],
+)
+def test_zero_mode_rejected_potential_file_is_usage_error(capsys, tmp_path, defect, message):
+    from dirac_zero_lab.field import make_grid
+    from dirac_zero_lab.potential import PotentialField, save_potential
+
+    g = make_grid(8.0, 16)
+    vals = np.zeros((16, 16, 16, 4, 4), dtype=complex)
+    vals[..., 0, 0] = 0.05 * (1.0 + g.radius2) ** (-1.0)
+    if defect == "non-hermitian":
+        vals[..., 0, 1] = 1e-3
+    path = tmp_path / "pot.dzl1"
+    save_potential(PotentialField(g, vals), path)
+    if defect == "frequency":
+        path.write_bytes(path.read_bytes().replace(b"space=position", b"space=frequency", 1))
+    # the "grid" case runs on the default (16, 32) grid against the file's (8, 16)
+    grid_flags = [] if defect == "grid" else ["--L", "8", "--N", "16"]
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(
+        capsys, "zero-mode", "--potential", f"file:{path}", *grid_flags, "--out", str(out_dir)
+    )
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()  # no run-config.cfg names a grid the run never used
 
 
 def test_zero_mode_loss_yau_end_to_end(capsys, tmp_path):

@@ -23,6 +23,7 @@ from dirac_zero_lab.freeop import (
     verify_pairing_identity,
     zero_mode_mass,
 )
+from dirac_zero_lab.potential import pauli_derivative
 
 
 def plane_wave(grid, mode, v):
@@ -107,11 +108,50 @@ def test_a_spectral_annihilates_constant_with_warning():
     g = make_grid(8.0, 16)
     vals = np.ones((g.N,) * 3 + (4,), dtype=complex)
     f = SpinorField(g, vals)
-    with pytest.warns(ZeroModeAnnihilationWarning):
+    with pytest.warns(ZeroModeAnnihilationWarning) as rec:
         out = apply_a_spectral(f)
     assert l2_norm(out) <= 1e-12
-    # the annihilated mass is the whole field
+    # the annihilated mass is the whole field, and the warning carries it
     assert zero_mode_mass(f) == pytest.approx(l2_norm(f), rel=1e-12)
+    assert rec[0].message.mass == pytest.approx(zero_mode_mass(f), rel=1e-12)
+
+
+def dense_multiplier(f, inverse):
+    """Independent oracle: the 4x4 matrix alpha_dot(xi) (or its inverse, zero at
+    xi = 0) applied mode by mode on the centered frequency lattice."""
+    g = f.grid
+    xi = g.freq_mesh.reshape(-1, 3)
+    mats = np.zeros((xi.shape[0], 4, 4), dtype=complex)
+    for m, x in enumerate(xi):
+        if not inverse:
+            mats[m] = alpha_dot(x)
+        elif np.any(x):
+            mats[m] = invert_alpha_dot(x)
+    fhat = forward_fourier(f).values.reshape(-1, 4)
+    out = np.einsum("mab,mb->ma", mats, fhat).reshape(f.values.shape)
+    return inverse_fourier(SpinorField(g, out, FREQUENCY)).values
+
+
+@pytest.mark.parametrize("op", ["h0", "a", "pauli"])
+def test_multipliers_match_dense_reference_across_grids(op):
+    # Grids alternate within one test, so a symbol cached under the wrong grid
+    # key (N alone, L alone) fails; (4, 8) is revisited after the others.
+    for L, N in ((4.0, 8), (6.0, 12), (6.0, 8), (4.0, 8)):
+        g = make_grid(L, N)
+        f = random_field(g, seed=N)  # nonzero mean: A must drop and report it
+        if op == "h0":
+            out, ref = apply_h0(f).values, dense_multiplier(f, inverse=False)
+        elif op == "a":
+            with pytest.warns(ZeroModeAnnihilationWarning) as rec:
+                out = apply_a_spectral(f).values
+            assert rec[0].message.mass == pytest.approx(zero_mode_mass(f), rel=1e-12)
+            ref = dense_multiplier(f, inverse=True)
+        else:
+            # alpha.xi (0, phi) = (sigma.xi phi, 0): the upper block is the Pauli derivative
+            phi = f.values[..., :2]
+            lower = SpinorField(g, np.concatenate([np.zeros_like(phi), phi], axis=-1))
+            out, ref = pauli_derivative(phi, g), dense_multiplier(lower, inverse=False)[..., :2]
+        assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_h0_a_composition_is_identity_on_mean_zero_fields():
@@ -202,9 +242,10 @@ def test_verify_ah0_on_random_mean_zero_fields():
 
 def test_verify_ah0_constant_is_degenerate():
     g = make_grid(8.0, 16)
-    f = SpinorField(g, np.ones((16, 16, 16, 4), dtype=complex))
-    with pytest.raises(ValueError, match="constant"):
-        verify_ah0_identity(f)
+    for c in (1.0, 0.1 + 0.2j):  # the second constant is not exact in binary
+        f = SpinorField(g, np.full((16, 16, 16, 4), c, dtype=complex))
+        with pytest.raises(ValueError, match="constant"):
+            verify_ah0_identity(f)
 
 
 def test_verify_ah0_on_slowly_decaying_field(grid16, ly16, grid24, ly24):

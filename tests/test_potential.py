@@ -6,6 +6,7 @@ from dirac_zero_lab.field import l2_norm, make_grid
 from dirac_zero_lab.freeop import apply_h0
 from dirac_zero_lab.potential import (
     DecayEnvelope,
+    PotentialField,
     apply_potential,
     decay_envelope,
     from_em,
@@ -250,4 +251,23 @@ def test_potential_file_rejects_header_without_grid_size(tmp_path):
     path = tmp_path / "bad.dzl1"
     path.write_bytes(b"DZL1 L=2.0 space=position components=16\n" + b"\0" * (4**3 * 16 * 16))
     with pytest.raises(ValueError, match="missing the 'N' key"):
+        load_potential(path)
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [("non-hermitian", "not Hermitian"), ("non-finite", "not finite"), ("frequency", "space=frequency")],
+)
+def test_load_potential_rejects_invalid_payload(tmp_path, defect, message):
+    g = make_grid(4.0, 8)
+    vals = np.zeros((8, 8, 8, 4, 4), dtype=complex)
+    if defect == "non-hermitian":
+        vals[..., 0, 1] = 1e-6  # the rule of from_matrix_fn: 1e-12 max(1, max |Q|)
+    elif defect == "non-finite":
+        vals[0, 0, 0, 0, 0] = np.nan
+    path = tmp_path / "q.dzl1"
+    save_potential(PotentialField(g, vals), path)
+    if defect == "frequency":
+        path.write_bytes(path.read_bytes().replace(b"space=position", b"space=frequency", 1))
+    with pytest.raises(ValueError, match=message):
         load_potential(path)
