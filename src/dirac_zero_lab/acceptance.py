@@ -9,9 +9,8 @@ values are reported next to the bounds rather than hidden.
 
 from __future__ import annotations
 
-import contextlib
+import dataclasses
 import time
-import warnings
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -47,13 +46,6 @@ class CriterionResult:
         self.checks.append(CheckResult(name, bool(passed), detail))
 
 
-@contextlib.contextmanager
-def _silence():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", freeop.ZeroModeAnnihilationWarning)
-        yield
-
-
 # ---------------------------------------------------------------------------
 # 1. Clifford algebra
 # ---------------------------------------------------------------------------
@@ -84,36 +76,39 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
     res = CriterionResult(2, "Inverse operator: symbol, composition, quadrature")
-    with _silence():
-        for N in (24, 32):
-            grid = field.make_grid(12.0, N)
-            dev = freeop.symbol_product_max_deviation(grid)
-            res.add(f"symbol product = I at xi != 0 (N={N})", dev <= 1e-14, f"max dev {dev:.2e}")
+    for N in (24, 32):
+        grid = field.make_grid(12.0, N)
+        dev = freeop.symbol_product_max_deviation(grid)
+        res.add(f"symbol product = I at xi != 0 (N={N})", dev <= 1e-14, f"max dev {dev:.2e}")
 
-        grid = field.make_grid(12.0, 24)
-        worst = 0.0
-        for i in range(20):
-            f = field.random_field(grid, seed + i, band_limit=2.0, mean_zero=True)
-            worst = max(worst, freeop.verify_ah0_identity(f))
-        res.add("A(alpha.D) f = f on 20 mean-zero band-limited fields", worst <= 1e-10, f"max rel err {worst:.2e}")
+    grid = field.make_grid(12.0, 24)
+    worst = 0.0
+    for i in range(20):
+        f = field.random_field(grid, seed + i, band_limit=2.0, mean_zero=True)
+        worst = max(worst, freeop.verify_ah0_identity(f))
+    res.add("A(alpha.D) f = f on 20 mean-zero band-limited fields", worst <= 1e-10, f"max rel err {worst:.2e}")
 
-        rels = {}
-        for N in (24, 32):
-            g = field.make_grid(12.0, N)
-            vals = np.zeros((N, N, N, 4), dtype=complex)
-            vals[..., 0] = np.exp(-g.radius2)
-            vals[..., 2] = 0.5 * np.exp(-1.2 * g.radius2)
-            bump = field.SpinorField(g, vals, field.POSITION)
-            quad = freeop.apply_a_quadrature(bump)
-            spec = freeop.apply_a_spectral(bump)
-            rels[N] = field.l2_norm(quad - spec) / field.l2_norm(bump)
-        res.add(
-            "spectral vs quadrature on Gaussian bump <= 5% (L=12, N=24)",
-            rels[24] <= 0.05,
-            f"measured {rels[24]:.4f}; the quadrature converges to the continuum (Gauss-law error "
-            "0.020 at (12, 64)); the ~17% floor is the periodic multiplier's (see README)",
-        )
-        res.add("quadrature gap strictly smaller at N=32", rels[32] < rels[24], f"{rels[32]:.4f} < {rels[24]:.4f}")
+    rels = {}
+    for N in (24, 32):
+        g = field.make_grid(12.0, N)
+        vals = np.zeros((N, N, N, 4), dtype=complex)
+        vals[..., 0] = np.exp(-g.radius2)
+        vals[..., 2] = 0.5 * np.exp(-1.2 * g.radius2)
+        bump = field.SpinorField(g, vals, field.POSITION)
+        quad = freeop.apply_a_quadrature(bump)
+        spec = freeop.apply_a_spectral(bump, warn_threshold=np.inf)
+        norm = field.l2_norm(bump)
+        rels[N] = field.l2_norm(quad - spec) / norm
+        if N == 24:
+            removed = freeop.zero_mode_mass(bump) / norm
+    res.add(
+        "spectral vs quadrature on Gaussian bump <= 5% (L=12, N=24)",
+        rels[24] <= 0.05,
+        f"measured {rels[24]:.4f} (A drops {removed:.2%} of the bump's L2 mass at xi = 0); the quadrature "
+        "converges to the continuum (Gauss-law error 0.020 at (12, 64)); the ~17% floor is the "
+        "periodic multiplier's (see README)",
+    )
+    res.add("quadrature gap strictly smaller at N=32", rels[32] < rels[24], f"{rels[32]:.4f} < {rels[24]:.4f}")
     return res
 
 
@@ -137,13 +132,12 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
     res = CriterionResult(3, "Adjoint pairing identity")
     grid = field.make_grid(12.0, 24)
     worst = 0.0
-    with _silence():
-        for i in range(10):
-            g = field.random_field(grid, seed + 100 + i)
-            phi = annulus_test_field(grid, seed + 200 + i)
-            lhs, rhs = freeop.verify_pairing_identity(g, phi)
-            scale = abs(lhs) + abs(rhs) + field.l2_norm(g) * field.l2_norm(phi)
-            worst = max(worst, abs(lhs - rhs) / scale)
+    for i in range(10):
+        g = field.random_field(grid, seed + 100 + i)
+        phi = annulus_test_field(grid, seed + 200 + i)
+        lhs, rhs = freeop.verify_pairing_identity(g, phi)
+        scale = abs(lhs) + abs(rhs) + field.l2_norm(g) * field.l2_norm(phi)
+        worst = max(worst, abs(lhs - rhs) / scale)
     res.add("two-sided agreement on 10 seeded pairs", worst <= 1e-8, f"max rel discrepancy {worst:.2e}")
     return res
 
@@ -197,7 +191,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
         vals = []
         for L in lemma_scales:
             g = field.GridSpec(L, int(2 * L / h2_template.h))
-            vals.append(kernelnorm.lemma_a_conjugated_norm(t, g, seed=seed).a_estimate)
+            vals.append(kernelnorm.lemma_a_conjugated_norm(t, g, seed=seed).value)
         estimates[t] = vals
     for t in (-1.0, 0.0):
         drift = estimates[t][-1] / estimates[t][-2] - 1.0
@@ -220,10 +214,12 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     dom_ok = True
     ddetails = []
     for t in (-1.0, -0.5, 0.0):
-        rep = kernelnorm.lemma_a_conjugated_norm(t, grid16, seed=seed)
-        ok = rep.a_estimate <= 1.10 * rep.nw_estimate
-        dom_ok = dom_ok and ok
-        ddetails.append(f"t={t}: {rep.a_estimate:.4f} <= 1.1*{rep.nw_estimate:.4f}")
+        a_est = kernelnorm.lemma_a_conjugated_norm(t, grid16, seed=seed).value
+        # the kernel 1 / (4 pi <x>_reg^{t+1} |x-y|^2 <y>_reg^{-t}) dominates pointwise for t in [-1, 0]
+        spec = kernelnorm.NwKernelSpec(a=t + 1.0, b=-t)
+        nw_est = kernelnorm.estimate_norm(spec, grid16, 40, seed).value / (4.0 * np.pi)
+        dom_ok = dom_ok and a_est <= 1.10 * nw_est
+        ddetails.append(f"t={t}: {a_est:.4f} <= 1.1*{nw_est:.4f}")
     res.add("dominating-kernel bound", dom_ok, "; ".join(ddetails))
     return res
 
@@ -284,38 +280,37 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     grid = field.make_grid(DEFAULT_L, DEFAULT_N)
     ly = potential.loss_yau(grid)
     Q = potential.loss_yau_potential(grid)
-    with _silence():
-        rep = resonance.birman_schwinger_spectrum(Q, k=6, seed=seed)
-        near = [lam for lam in rep.eigenvalues if abs(lam - 1.0) <= 0.1]
-        res.add(
-            "eigenvalue within 0.1 of 1",
-            len(near) >= 1,
-            f"eigenvalues {[f'{l.real:+.4f}{l.imag:+.4f}j' for l in rep.eigenvalues[:4]]}",
-        )
+    rep = resonance.birman_schwinger_spectrum(Q, k=6, seed=seed)
+    near = [lam for lam in rep.eigenvalues if abs(lam - 1.0) <= 0.1]
+    res.add(
+        "eigenvalue within 0.1 of 1",
+        len(near) >= 1,
+        f"eigenvalues {[f'{l.real:+.4f}{l.imag:+.4f}j' for l in rep.eigenvalues[:4]]}",
+    )
 
-        _, fields = resonance.fixed_point_subspace(rep, tol=0.1)
-        overlap = resonance.subspace_overlap(fields, ly.zero_mode)
-        res.add(
-            "eigenspace overlap with the magnetic zero mode >= 0.95",
-            overlap >= 0.95 and len(fields) >= 1,
-            f"subspace dim {len(fields)}, overlap {overlap:.4f} "
-            "(near-degenerate block pair: subspace projection)",
-        )
+    _, fields = resonance.fixed_point_subspace(rep, tol=0.1)
+    overlap = resonance.subspace_overlap(fields, ly.zero_mode)
+    res.add(
+        "eigenspace overlap with the magnetic zero mode >= 0.95",
+        overlap >= 0.95 and len(fields) >= 1,
+        f"subspace dim {len(fields)}, overlap {overlap:.4f} "
+        "(near-degenerate block pair: subspace projection)",
+    )
 
-        rep_half = resonance.birman_schwinger_spectrum(0.5 * Q, k=6, seed=seed)
-        worst = 0.0
-        for lam_h in rep_half.eigenvalues:
-            best = min(abs(lam_h - 0.5 * lam) / abs(0.5 * lam) for lam in rep.eigenvalues)
-            worst = max(worst, best)
-        res.add("spectrum scales linearly in the amplitude", worst <= 1e-8, f"max matched dev {worst:.2e}")
+    rep_half = resonance.birman_schwinger_spectrum(0.5 * Q, k=6, seed=seed)
+    worst = 0.0
+    for lam_h in rep_half.eigenvalues:
+        best = min(abs(lam_h - 0.5 * lam) / abs(0.5 * lam) for lam in rep.eigenvalues)
+        worst = max(worst, best)
+    res.add("spectrum scales linearly in the amplitude", worst <= 1e-8, f"max matched dev {worst:.2e}")
 
-        zero_modes = resonance.find_zero_modes(potential.from_em(None, None, grid), tol=0.1, seed=seed)
-        res.add("Q = 0 yields no zero modes", len(zero_modes) == 0, f"{len(zero_modes)} modes")
+    zero_modes = resonance.find_zero_modes(potential.from_em(None, None, grid), tol=0.1, seed=seed)
+    res.add("Q = 0 yields no zero modes", len(zero_modes) == 0, f"{len(zero_modes)} modes")
 
-        amp = 0.1 * (1.0 + grid.radius2) ** (-1.0)
-        Qs = potential.from_em(amp, None, grid)
-        small_modes = resonance.find_zero_modes(Qs, tol=0.1, seed=seed)
-        res.add("small scalar potential yields no zero modes", len(small_modes) == 0, f"{len(small_modes)} modes")
+    amp = 0.1 * (1.0 + grid.radius2) ** (-1.0)
+    Qs = potential.from_em(amp, None, grid)
+    small_modes = resonance.find_zero_modes(Qs, tol=0.1, seed=seed)
+    res.add("small scalar potential yields no zero modes", len(small_modes) == 0, f"{len(small_modes)} modes")
     return res
 
 
@@ -386,55 +381,56 @@ def _admissible_family(grid: field.GridSpec):
     ), True
 
 
+def _smooth_test_field(N: int) -> field.SpinorField:
+    g = field.make_grid(16.0, N)
+    vals = np.zeros((N, N, N, 4), dtype=complex)
+    vals[..., 0] = np.exp(-g.radius2 / 4.0)
+    vals[..., 3] = 0.7 * np.exp(-g.radius2 / 6.0)
+    return field.SpinorField(g, vals, field.POSITION)
+
+
 def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     res = CriterionResult(8, "No-resonance property suite")
     grid = field.make_grid(DEFAULT_L, DEFAULT_N)
     kinds = []
     mu_ok = True
     any_modes = 0
-    with _silence():
-        for name, Q0, rescale in _admissible_family(grid):
-            if rescale:
-                rep = resonance.birman_schwinger_spectrum(Q0, k=4, seed=seed)
-                lam1 = next(
-                    (l.real for l in rep.eigenvalues if abs(l.imag) <= 0.05 * abs(l) and abs(l) > 1e-6),
-                    None,
-                )
-                if lam1 is None:
-                    kinds.append(f"{name}: no real eigenvalue")
-                    continue
-                Q = (1.0 / lam1) * Q0
-            else:
-                Q = Q0
-            modes = resonance.find_zero_modes(Q, tol=0.1, k=4, seed=seed)
-            any_modes += len(modes)
-            for mode in modes:
-                cls = resonance.classify_threshold_state(mode, Q)
-                kinds.append(f"{name}: {cls.kind} (sigma {cls.sigma:.2f})")
-                mu_ok = mu_ok and all(v == "finite-trend" for v in cls.mu_check.values())
-        bad = [k for k in kinds if "resonance_candidate" in k or "inconclusive" in k]
-        res.add(
-            "every residual-gated state classifies zero_mode",
-            not bad and any_modes > 0,
-            "; ".join(kinds),
+    for name, Q0, rescale in _admissible_family(grid):
+        rep = resonance.birman_schwinger_spectrum(Q0, k=4, seed=seed)
+        lam1 = 1.0
+        if rescale:
+            reals = resonance.real_eigenvalues(rep)
+            if not reals:
+                kinds.append(f"{name}: no real eigenvalue")
+                continue
+            lam1 = reals[0]
+        # The solve is covariant under Q -> c Q (criterion 6 checks it), so the
+        # report of Q0 / lam1 is this one divided by lam1: no second solve.
+        Q = (1.0 / lam1) * Q0
+        scaled = dataclasses.replace(
+            rep,
+            eigenvalues=[lam / lam1 for lam in rep.eigenvalues],
+            residuals=[r / abs(lam1) for r in rep.residuals],
         )
-        res.add("no resonance_candidate outcomes", not bad, f"{len(bad)} bad outcomes")
-        res.add("mu < 1/2 weighted-H1 finite-trend on every detected mode", mu_ok, f"{any_modes} modes checked")
+        _, modes = resonance.fixed_point_subspace(scaled, 0.1, Q)
+        any_modes += len(modes)
+        for mode in modes:
+            cls = resonance.classify_threshold_state(mode, Q)
+            kinds.append(f"{name}: {cls.kind} (sigma {cls.sigma:.2f})")
+            mu_ok = mu_ok and all(v == "finite-trend" for v in cls.mu_check.values())
+    bad = [k for k in kinds if "resonance_candidate" in k or "inconclusive" in k]
+    res.add(
+        "every residual-gated state classifies zero_mode",
+        not bad and any_modes > 0,
+        "; ".join(kinds),
+    )
+    res.add("no resonance_candidate outcomes", not bad, f"{len(bad)} bad outcomes")
+    res.add("mu < 1/2 weighted-H1 finite-trend on every detected mode", mu_ok, f"{any_modes} modes checked")
 
-        g64 = field.make_grid(16.0, 64)
-        vals = np.zeros((64, 64, 64, 4), dtype=complex)
-        vals[..., 0] = np.exp(-g64.radius2 / 4.0)
-        vals[..., 3] = 0.7 * np.exp(-g64.radius2 / 6.0)
-        smooth = field.SpinorField(g64, vals, field.POSITION)
-        err64 = resonance.weighted_derivative_identity_check(smooth, 0.4)
-        g32 = field.make_grid(16.0, 32)
-        vals32 = np.zeros((32, 32, 32, 4), dtype=complex)
-        vals32[..., 0] = np.exp(-g32.radius2 / 4.0)
-        vals32[..., 3] = 0.7 * np.exp(-g32.radius2 / 6.0)
-        smooth32 = field.SpinorField(g32, vals32, field.POSITION)
-        err32 = resonance.weighted_derivative_identity_check(smooth32, 0.4)
-        res.add("weighted derivative identity <= 0.02 on smooth fields", err64 <= 0.02, f"err(N=64) {err64:.2e}")
-        res.add("identity error at least halves when N doubles", err64 <= 0.5 * err32, f"{err32:.2e} -> {err64:.2e}")
+    err64 = resonance.weighted_derivative_identity_check(_smooth_test_field(64), 0.4)
+    err32 = resonance.weighted_derivative_identity_check(_smooth_test_field(32), 0.4)
+    res.add("weighted derivative identity <= 0.02 on smooth fields", err64 <= 0.02, f"err(N=64) {err64:.2e}")
+    res.add("identity error at least halves when N doubles", err64 <= 0.5 * err32, f"{err32:.2e} -> {err64:.2e}")
     return res
 
 

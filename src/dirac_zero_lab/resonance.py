@@ -37,6 +37,7 @@ __all__ = [
     "fixed_point_subspace",
     "subspace_overlap",
     "find_zero_modes",
+    "real_eigenvalues",
     "coupling_thresholds",
     "decay_fit",
     "default_shell_edges",
@@ -204,23 +205,28 @@ def find_zero_modes(
     return fixed_point_subspace(birman_schwinger_spectrum(Q, k=k, seed=seed), tol, Q)[1]
 
 
+def real_eigenvalues(report: EigenReport) -> list[float]:
+    """Real parts of the report's (numerically) real, nonzero eigenvalues, in report order.
+
+    Real: |Im lambda| <= REAL_EIGENVALUE_TOL |lambda|; nonzero: |lambda| > 1e-8 max |lambda|.
+    """
+    if not report.eigenvalues:
+        return []
+    floor = max(1e-8 * max(abs(lam) for lam in report.eigenvalues), 1e-300)
+    return [
+        lam.real
+        for lam in report.eigenvalues
+        if abs(lam) > floor and abs(lam.imag) <= REAL_EIGENVALUE_TOL * abs(lam)
+    ]
+
+
 def coupling_thresholds(Q: PotentialField, k: int = 6, seed: int = 20240301) -> list[float]:
     """Couplings tau with tau Q supporting a fixed point: tau = 1 / lambda.
 
-    Only (numerically) real, nonzero eigenvalues count; sorted by |tau|.
+    Only :func:`real_eigenvalues` count; sorted by |tau|.
     """
     report = birman_schwinger_spectrum(Q, k=k, seed=seed)
-    if not report.eigenvalues:
-        return []
-    floor = 1e-8 * max(abs(lam) for lam in report.eigenvalues)
-    taus = []
-    for lam in report.eigenvalues:
-        if abs(lam) <= max(floor, 1e-300):
-            continue
-        if abs(lam.imag) > REAL_EIGENVALUE_TOL * abs(lam):
-            continue
-        taus.append(1.0 / lam.real)
-    return sorted(taus, key=abs)
+    return sorted((1.0 / lam for lam in real_eigenvalues(report)), key=abs)
 
 
 @dataclass(frozen=True)

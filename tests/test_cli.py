@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -89,6 +92,27 @@ def test_config_rejects_unknown_tolerance(capsys, tmp_path):
     assert code == 2
     assert "unknown tolerance 'tol.arnoldi'" in err
     assert not (tmp_path / "run").exists()
+
+
+def test_config_rejects_unknown_key(capsys, tmp_path):
+    # a misspelled grid key must not silently run the default grid
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("L = 8\nNn = 16\n")
+    code, _, err = run_cli(capsys, "verify-freeop", "--config", str(cfg), "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert "'Nn'" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported inside the eigensolver only; commands that never solve skip its import cost
+    import dirac_zero_lab
+
+    src = os.path.dirname(os.path.dirname(dirac_zero_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, dirac_zero_lab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

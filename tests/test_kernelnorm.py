@@ -206,7 +206,7 @@ def test_conjugated_norm_adjoint_symmetry():
     r1 = lemma_a_conjugated_norm(-1.0, g, seed=5)
     # t = 0 and t = -1 give adjoint operators, hence equal norms (up to the
     # power-iteration stopping tolerance)
-    assert r0.a_estimate == pytest.approx(r1.a_estimate, rel=1e-3)
+    assert r0.value == pytest.approx(r1.value, rel=1e-3)
 
 
 def test_conjugated_norm_frozen_scale_profile():
@@ -215,7 +215,7 @@ def test_conjugated_norm_frozen_scale_profile():
     vals = []
     for L in (8.0, 16.0, 32.0):
         g = make_grid(L, int(2 * L))
-        vals.append(lemma_a_conjugated_norm(0.0, g, seed=5).a_estimate)
+        vals.append(lemma_a_conjugated_norm(0.0, g, seed=5).value)
     assert vals[0] == pytest.approx(0.797, abs=0.03)
     assert vals[1] == pytest.approx(0.973, abs=0.03)
     assert vals[2] == pytest.approx(1.125, abs=0.03)
@@ -225,7 +225,7 @@ def test_conjugated_norm_excluded_endpoint_grows():
     vals = []
     for L in (8.0, 16.0, 32.0):
         g = make_grid(L, int(2 * L))
-        vals.append(lemma_a_conjugated_norm(0.5, g, seed=5).a_estimate)
+        vals.append(lemma_a_conjugated_norm(0.5, g, seed=5).value)
     assert vals[-1] >= 1.5 * vals[0]
     assert vals[0] < vals[1] < vals[2]
 
@@ -233,8 +233,8 @@ def test_conjugated_norm_excluded_endpoint_grows():
 def test_conjugated_norm_dominated_by_nw_kernel():
     g = make_grid(16.0, 32)
     for t in (-1.0, -0.5, 0.0):
-        rep = lemma_a_conjugated_norm(t, g, seed=5)
-        assert rep.a_estimate <= 1.10 * rep.nw_estimate
+        bound = estimate_norm(NwKernelSpec(a=t + 1.0, b=-t), g, 40, 5).value / (4.0 * np.pi)
+        assert lemma_a_conjugated_norm(t, g, seed=5).value <= 1.10 * bound
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from dirac_zero_lab.field import (
 )
 from dirac_zero_lab.potential import from_em, loss_yau_potential
 from dirac_zero_lab.resonance import (
+    EigenReport,
     birman_schwinger_spectrum,
     classify_threshold_state,
     coupling_thresholds,
@@ -22,6 +24,7 @@ from dirac_zero_lab.resonance import (
     find_zero_modes,
     fixed_point_subspace,
     mu_trend,
+    real_eigenvalues,
     residual,
     subspace_overlap,
     weighted_derivative_identity_check,
@@ -146,6 +149,35 @@ def test_find_zero_modes_small_scalar_amplitude(grid16):
     q = 0.1 * (1.0 + grid16.radius2) ** (-1.0)
     modes = find_zero_modes(from_em(q, None, grid16), tol=0.1, k=4)
     assert modes == []
+
+
+def test_real_eigenvalues_reads_the_report_in_order():
+    lams = [1 + 1j, 1 - 1j, -0.5 + 0.001j, 2.0 + 0j, 1e-9 + 0j, 0.3 + 0j]
+    rep = EigenReport(lams, [], [], 0, True)
+    # the complex pair and the value below 1e-8 max|lambda| are skipped; no sorting
+    assert real_eigenvalues(rep) == [-0.5, 2.0, 0.3]
+    assert real_eigenvalues(EigenReport([], [], [], 0, True)) == []
+
+
+def test_rescaled_report_matches_second_solve():
+    # the solve is covariant under Q -> c Q, so dividing the first report by
+    # lambda_1 gives the zero modes of Q / lambda_1 without a second solve
+    g = make_grid(8.0, 16)
+    Q0 = from_em(-((1.0 + g.radius2) ** (-1.0)), None, g)
+    rep = birman_schwinger_spectrum(Q0, k=4)
+    lam1 = real_eigenvalues(rep)[0]
+    Q = (1.0 / lam1) * Q0
+    scaled = dataclasses.replace(
+        rep,
+        eigenvalues=[lam / lam1 for lam in rep.eigenvalues],
+        residuals=[r / abs(lam1) for r in rep.residuals],
+    )
+    _, fields = fixed_point_subspace(scaled, 0.1, Q)
+    direct = find_zero_modes(Q, tol=0.1, k=4)
+    assert len(direct) >= 1
+    assert len(fields) == len(direct)
+    for mode in direct:
+        assert subspace_overlap(fields, mode) >= 1.0 - 1e-10
 
 
 def test_coupling_thresholds_magnetic(q_ly16):
