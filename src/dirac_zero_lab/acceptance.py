@@ -294,7 +294,7 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
         "eigenspace overlap with the magnetic zero mode >= 0.95",
         overlap >= 0.95 and len(fields) >= 1,
         f"subspace dim {len(fields)}, overlap {overlap:.4f} "
-        "(near-degenerate block pair: subspace projection)",
+        "(twofold chiral pair: subspace projection)",
     )
 
     rep_half = resonance.birman_schwinger_spectrum(0.5 * Q, k=6, seed=seed)

@@ -1,9 +1,14 @@
 """Zero-mode detection and threshold classification.
 
 A zero mode of alpha.D + Q is a fixed point of T = -A (Q .), so the search
-runs one matrix-free, implicitly restarted Arnoldi solve (ARPACK ``eigs``)
-on T and looks for eigenvalue one.  Detected states are classified by a fitted pointwise decay exponent and
-by the trend of weighted-H^1 partial quantities across two box sizes.
+looks for eigenvalue one of T with matrix-free ARPACK ``eigs`` solves.  When
+Q commutes with gamma5 = [[0, I], [I, 0]] (every q I - alpha.A does), T
+splits into two chiral 2-spinor (Weyl) blocks T+- = -+S (a +- b), S =
+(sigma.D)^{-1}: one solve serves both sectors of a purely magnetic Q (copied)
+or a purely scalar Q (negated), any other such Q takes two half-size solves,
+and a Q that mixes chiralities is solved on 4-spinors.  Detected states are
+classified by a fitted pointwise decay exponent and by the trend of
+weighted-H^1 partial quantities across two box sizes.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +31,7 @@ from .field import (
     shell_profile,
     sobolev_norm,
 )
-from .freeop import _dot_contract, _sigma_coeffs, apply_a_spectral, apply_h0
+from .freeop import _dot_contract, _multiply, _sigma_coeffs, _symbol, apply_a_spectral, apply_h0
 from .potential import PotentialField, apply_potential
 
 __all__ = [
@@ -80,14 +86,67 @@ def _birman_schwinger_matvec(Q: PotentialField):
     return matvec
 
 
+def _chiral_blocks(Q: PotentialField):
+    """(a, b) with Q = [[a, b], [b, a]] if Q commutes with gamma5 = [[0, I], [I, 0]] exactly, else None."""
+    v = Q.values
+    a, b = v[..., :2, :2], v[..., :2, 2:]
+    if np.array_equal(a, v[..., 2:, 2:]) and np.array_equal(b, v[..., 2:, :2]):
+        return a, b
+    return None
+
+
+def _sector_matvec(grid: GridSpec, m: np.ndarray, sign: int):
+    """T_sign v = -sign S (m v) on chiral 2-spinors, S = (sigma.D)^{-1} the 2-spinor block of A."""
+    shape = (grid.N, grid.N, grid.N, 2)
+    symbol = _symbol(grid, True)
+    m = np.ascontiguousarray(m)
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        out = _multiply(symbol, np.einsum("...ab,...b->...a", m, v.reshape(shape))).ravel()
+        return np.negative(out, out=out) if sign > 0 else out
+
+    return matvec
+
+
+def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter: int = ARNOLDI_MAX_ITER):
+    """Top-k (by modulus) eigenpairs of the n x n operator ``matvec`` by ARPACK ``eigs``.
+
+    Starts from a seeded complex vector; returns (eigenvalues, eigenvector
+    columns, matvec count, converged).  If ARPACK stops early, the pairs
+    that did converge come back with ``converged=False``.
+    """
+    # Lazy: a module-level scipy.sparse import doubles every CLI command's import time and RSS.
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    matvecs = 0
+
+    def counted(v: np.ndarray) -> np.ndarray:
+        nonlocal matvecs
+        matvecs += 1
+        return matvec(v)
+
+    T = LinearOperator((n, n), matvec=counted, dtype=np.complex128)
+    ncv = min(max(2 * k + 1, 30), n - 1)
+    try:
+        vals, vecs = eigs(T, k=k, which="LM", v0=v0, ncv=ncv, tol=tol, maxiter=max_iter)
+        converged = True
+    except ArpackNoConvergence as exc:
+        vals, vecs, converged = exc.eigenvalues, exc.eigenvectors, False
+    return vals, vecs, matvecs, converged
+
+
 @dataclass
 class EigenReport:
-    """Top eigenpairs of the fixed-point operator, sorted by |lambda| descending.
+    """Top eigenpairs of the fixed-point operator, in the order of :func:`birman_schwinger_spectrum`.
 
     ``residuals`` holds ||T f - lambda f||_2 / ||f||_2 per reported pair
     (ARPACK's own convergence test is the |lambda|-relative form, which is
     what makes the spectrum exactly covariant under Q -> c Q).
-    ``iterations`` counts the solver's matvecs.
+    ``iterations`` counts the solver's matvecs over every sector solved;
+    ``sectors`` says what was solved ("+ copied", "+ negated", "+-", "full",
+    or "none" for Q = 0) and ``solve_s`` the wall time of the whole call.
     """
 
     eigenvalues: list[complex]
@@ -95,6 +154,8 @@ class EigenReport:
     residuals: list[float]
     iterations: int
     converged: bool
+    sectors: str = "full"
+    solve_s: float = 0.0
 
 
 def birman_schwinger_spectrum(
@@ -104,59 +165,90 @@ def birman_schwinger_spectrum(
     tol: float = ARNOLDI_TOL,
     max_iter: int = ARNOLDI_MAX_ITER,
 ) -> EigenReport:
-    """Top-k eigenpairs of T f = -A (Q f) by one implicitly restarted Arnoldi solve.
+    """Top-k eigenpairs of T f = -A (Q f), solved on chiral 2-spinor sectors where Q allows.
 
-    ARPACK's ``eigs`` (Lehoucq, Sorensen & Yang 1998) runs matrix-free on T
-    from a seeded complex start vector, so the result is deterministic for a
+    In the Dirac representation gamma5 = [[0, I], [I, 0]] commutes with every
+    alpha_j, hence with A.  If Q commutes with it too (exactly: Q = [[a, b],
+    [b, a]] in 2x2 blocks, as for every q I - alpha.A of ``from_em``), T is
+    block diagonal on the chiral components f+- = (u +- l)/sqrt(2) of
+    f = (u, l), with T+- = -+S (a +- b) and S = (sigma.D)^{-1}:
+
+    - a = 0 (purely magnetic): T- = T+, so one solve of T+ gives both copies
+      of every eigenvalue (``sectors="+ copied"``);
+    - b = 0 (purely scalar): T- = -T+, so one solve of T+ is negated for the
+      - sector (``"+ negated"``);
+    - otherwise both sectors are solved (``"+-"``).
+
+    A Q that mixes chiralities (a file potential with a beta-type term, say)
+    is solved on 4-spinors (``"full"``).  Every solve is one ARPACK ``eigs``
+    run (Lehoucq, Sorensen & Yang 1998) at the full ``k``, matrix-free, from
+    a seeded complex start vector, so the result is deterministic for a
     fixed seed.  Convergence is judged on the relative residual
     ||T v - lambda v|| / |lambda| <= ``tol``, which makes the reported
     spectrum exactly covariant under scaling Q -> c Q; ``max_iter`` bounds
-    the restarts.  The restarted basis keeps ~30 Krylov vectors, so both
-    copies of a twofold fixed-point eigenvalue (the upper/lower block
-    embeddings) come out of the one solve.  If ARPACK stops before every
-    pair converges, the converged pairs are returned with ``converged=False``.
+    the restarts.  The sector pairs are merged in one pinned order (|lambda|
+    descending, then Re lambda descending, then sector + before -), trimmed
+    to k, and only the kept ones are embedded back as u = (f+ + f-)/sqrt(2),
+    l = (f+ - f-)/sqrt(2).  A multiple eigenvalue that comes from the two
+    sectors is thus reported with its multiplicity, which a single Krylov
+    solve finds only through rounding.  If ARPACK stops before every pair
+    converges, the converged pairs are returned with ``converged=False``.
     """
-    # Lazy: a module-level scipy.sparse import doubles every CLI command's import time and RSS.
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
-
     if k < 1:
         raise ValueError("need k >= 1 eigenpairs")
+    started = time.perf_counter()
     grid = Q.grid
-    n = grid.npoints * 4
     if not np.any(Q.values):
-        return EigenReport([], [], [], 0, True)  # T = 0; ARPACK rejects a zero start vector
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    base_matvec = _birman_schwinger_matvec(Q)
-    matvecs = 0
+        return EigenReport([], [], [], 0, True, "none")  # T = 0; ARPACK rejects a zero start vector
+    # A view (solve, eigenvalue sign, lower-component sign) reports a solve's pairs
+    # in one sector; lower sign 0 marks a 4-spinor solve, whose vectors are used as they are.
+    blocks = _chiral_blocks(Q)
+    if blocks is None:
+        sectors, width, solves, views = "full", 4, [_birman_schwinger_matvec(Q)], [(0, 1, 0)]
+    else:
+        a, b = blocks
+        width = 2
+        if not np.any(a):
+            sectors, solves, views = "+ copied", [_sector_matvec(grid, b, 1)], [(0, 1, 1), (0, 1, -1)]
+        elif not np.any(b):
+            sectors, solves, views = "+ negated", [_sector_matvec(grid, a, 1)], [(0, 1, 1), (0, -1, -1)]
+        else:
+            sectors = "+-"
+            solves = [_sector_matvec(grid, a + b, 1), _sector_matvec(grid, a - b, -1)]
+            views = [(0, 1, 1), (1, 1, -1)]
+    results = [_eigs(matvec, grid.npoints * width, k, seed, tol, max_iter) for matvec in solves]
 
-    def counted(v: np.ndarray) -> np.ndarray:
-        nonlocal matvecs
-        matvecs += 1
-        return base_matvec(v)
-
-    T = LinearOperator((n, n), matvec=counted, dtype=np.complex128)
-    ncv = min(max(2 * k + 1, 30), n - 1)
-    converged = True
-    try:
-        vals, vecs = eigs(T, k=k, which="LM", v0=v0, ncv=ncv, tol=tol, maxiter=max_iter)
-    except ArpackNoConvergence as exc:
-        vals, vecs, converged = exc.eigenvalues, exc.eigenvectors, False
-
+    ranked = sorted(
+        (
+            (sign * complex(lam), order, solve, col, lower)
+            for order, (solve, sign, lower) in enumerate(views)
+            for col, lam in enumerate(results[solve][0])
+        ),
+        key=lambda c: (-abs(c[0]), -c[0].real, c[1]),
+    )[:k]
     eigenvalues, eigenfields, resids = [], [], []
-    for i in np.argsort(-np.abs(vals), kind="stable"):
-        vec = vecs[:, i] / np.linalg.norm(vecs[:, i])
-        lam = complex(vals[i])
-        resids.append(float(np.linalg.norm(base_matvec(vec) - lam * vec)))
+    solve_residual = {}  # the copied or negated view of a pair has the same residual
+    for lam, _, solve, col, lower in ranked:
+        vecs = results[solve][1]
+        vec = vecs[:, col] / np.linalg.norm(vecs[:, col])
+        if (solve, col) not in solve_residual:
+            lam_solve = complex(results[solve][0][col])
+            solve_residual[solve, col] = float(np.linalg.norm(solves[solve](vec) - lam_solve * vec))
+        vec = vec.reshape(grid.N, grid.N, grid.N, width)
+        if lower:
+            vec = np.concatenate((vec, lower * vec), axis=-1)
+        fld = SpinorField(grid, vec, POSITION)
         eigenvalues.append(lam)
-        fld = SpinorField(grid, vec.reshape(grid.N, grid.N, grid.N, 4), POSITION)
         eigenfields.append((1.0 / l2_norm(fld)) * fld)
+        resids.append(solve_residual[solve, col])
     return EigenReport(
         eigenvalues=eigenvalues,
         eigenfields=eigenfields,
         residuals=resids,
-        iterations=matvecs,
-        converged=converged,
+        iterations=sum(r[2] for r in results),
+        converged=all(r[3] for r in results),
+        sectors=sectors,
+        solve_s=time.perf_counter() - started,
     )
 
 
@@ -165,11 +257,11 @@ def fixed_point_subspace(
 ) -> tuple[list[complex], list[SpinorField]]:
     """The Ritz pairs of ``report`` with |lambda - 1| <= tol.
 
-    Near the fixed point the discrete operator often carries a (nearly
-    defective) multifold eigenvalue, e.g. the two block embeddings of a Weyl
-    zero mode; individual eigenvectors are then ill-conditioned while the
-    invariant subspace is stable, so the returned fields should be compared
-    against references by subspace projection, not one-by-one.  Given ``Q``,
+    Near the fixed point the discrete operator often carries a multifold
+    eigenvalue, e.g. the two chiral copies of a Weyl zero mode; individual
+    eigenvectors are then not unique while the invariant subspace is, so the
+    returned fields should be compared against references by subspace
+    projection, not one-by-one.  Given ``Q``,
     each field must also pass the direct residual(f, Q) <= 10 tol: this is
     the zero-mode filter.
     """
@@ -382,6 +474,8 @@ def eigenreport_to_json(
         "eigenvalues": [[lam.real, lam.imag] for lam in report.eigenvalues],
         "residuals": report.residuals,
         "iterations": report.iterations,
+        "sectors": report.sectors,
+        "solve_s": report.solve_s,
         "converged": report.converged,
         "eigenfield_files": [],
         "overlaps": [],

@@ -280,6 +280,7 @@ def test_zero_mode_loss_yau_end_to_end(capsys, tmp_path):
     assert "kind=zero_mode" in out
     payload = json.loads((out_dir / "eigenreport.json").read_text())
     assert any(abs(complex(re, im) - 1.0) <= 0.1 for re, im in payload["eigenvalues"])
+    assert payload["sectors"] == "+ copied"  # magnetic Q: one chiral sector solve, copied
     assert payload["eigenfield_files"]
     assert (out_dir / "decay-fit-0.csv").exists()
 

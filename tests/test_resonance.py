@@ -11,8 +11,10 @@ from dirac_zero_lab.field import (
     make_grid,
     random_field,
 )
-from dirac_zero_lab.potential import from_em, loss_yau_potential
+from dirac_zero_lab.potential import PotentialField, from_em, loss_yau, loss_yau_potential
 from dirac_zero_lab.resonance import (
+    _birman_schwinger_matvec,
+    _eigs,
     EigenReport,
     birman_schwinger_spectrum,
     classify_threshold_state,
@@ -43,8 +45,8 @@ def spectrum_ly(q_ly16):
 
 
 @pytest.fixture(scope="module")
-def modes_ly(q_ly16):
-    return find_zero_modes(q_ly16, tol=0.1, k=6)
+def modes_ly(spectrum_ly, q_ly16):
+    return fixed_point_subspace(spectrum_ly, 0.1, q_ly16)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +113,76 @@ def test_spectrum_scales_linearly(q_ly16, spectrum_ly):
 
 
 def test_spectrum_finds_both_doublet_copies(spectrum_ly, ly16):
-    # the fixed point is twofold (upper/lower block embeddings); one solve finds both
+    # the fixed point is twofold (the two chiral sectors); one sector solve gives both
     near = [i for i, lam in enumerate(spectrum_ly.eigenvalues) if abs(lam - 1.0) <= 0.1]
     assert len(near) >= 2
     fields = [spectrum_ly.eigenfields[i] for i in near]
     assert subspace_overlap(fields, ly16.zero_mode) >= 0.95
+
+
+def _sector_of(fld):
+    """0 for an embedded + sector field (u = l), 1 for a - sector field (u = -l)."""
+    u, lower = fld.values[..., :2], fld.values[..., 2:]
+    if np.array_equal(u, lower):
+        return 0
+    assert np.array_equal(u, -lower), "field is not a chiral embedding"
+    return 1
+
+
+def _potentials_8():
+    g = make_grid(8.0, 16)
+    scalar = -((1.0 + g.radius2) ** (-1.0))
+    return g, {
+        "+ copied": loss_yau_potential(g),
+        "+ negated": from_em(scalar, None, g),
+        "+-": from_em(0.5 * scalar, 0.3 * loss_yau(g).vector_potential, g),
+    }
+
+
+@pytest.mark.parametrize("sectors", ["+ copied", "+ negated", "+-"])
+def test_sector_report_matches_four_spinor_reference(sectors):
+    g, potentials = _potentials_8()
+    Q = potentials[sectors]
+    rep = birman_schwinger_spectrum(Q, k=6)
+    assert rep.sectors == sectors
+    assert rep.converged and all(r <= 1e-8 for r in rep.residuals)
+    ref = _eigs(_birman_schwinger_matvec(Q), g.npoints * 4, 12, 20240301)[0]
+    for lam in rep.eigenvalues:
+        assert min(abs(lam - r) for r in ref) <= 1e-8
+    # the pinned order: |lambda| descending, then Re lambda descending, then sector + before -
+    keys = [(-abs(lam), -lam.real, _sector_of(f)) for lam, f in zip(rep.eigenvalues, rep.eigenfields)]
+    assert keys == sorted(keys)
+
+
+def test_sector_report_is_deterministic():
+    _, potentials = _potentials_8()
+    first = birman_schwinger_spectrum(potentials["+-"], k=6)
+    again = birman_schwinger_spectrum(potentials["+-"], k=6)
+    assert first.eigenvalues == again.eigenvalues
+    assert first.iterations == again.iterations
+
+
+def test_scalar_double_eigenvalue_reported_twice():
+    # T- = -T+ for a scalar Q, and +-0.33196 are double; a single 4-spinor
+    # Krylov solve at k=4 reported each once, then +-0.3284
+    g = make_grid(8.0, 16)
+    rep = birman_schwinger_spectrum(from_em(-((1.0 + g.radius2) ** (-1.0)), None, g), k=4)
+    assert rep.sectors == "+ negated"
+    for target in (0.33196, -0.33196):
+        copies = [lam for lam in rep.eigenvalues if abs(lam - target) <= 1e-5]
+        assert len(copies) == 2 and abs(copies[0] - copies[1]) <= 1e-8
+
+
+def test_chirality_mixing_potential_takes_four_spinor_path():
+    # beta = diag(1, 1, -1, -1) anticommutes with gamma5, so no chiral split applies
+    g = make_grid(8.0, 16)
+    beta = np.diag([1.0, 1.0, -1.0, -1.0])
+    m = (1.0 + g.radius2) ** (-1.0)
+    Q = PotentialField(g, 0.5 * (loss_yau_potential(g).values + m[..., None, None] * beta))
+    rep = birman_schwinger_spectrum(Q, k=4)
+    assert rep.sectors == "full"
+    assert len(rep.eigenvalues) == 4
+    assert rep.converged and all(r <= 1e-8 for r in rep.residuals)
 
 
 def test_spectrum_rejects_bad_k(q_ly16):
@@ -329,6 +396,8 @@ def test_eigenreport_json_and_fields(tmp_path, spectrum_ly, ly16):
     )
     on_disk = json.loads(path.read_text())
     assert on_disk["eigenvalues"] == payload["eigenvalues"]
+    assert on_disk["sectors"] == "+ copied"
+    assert on_disk["solve_s"] > 0.0
     assert len(on_disk["eigenfield_files"]) == len(spectrum_ly.eigenfields)
     assert len(on_disk["overlaps"]) == len(spectrum_ly.eigenfields)
     from dirac_zero_lab.field import load_field
