@@ -6,8 +6,8 @@ boundedness as stability of randomized L^2 norm estimates while the box
 grows at fixed resolution, and divergence as monotone growth.
 
 The kernel factors as weight * convolution * weight, so an application is
-evaluated as an exact zero-padded linear convolution over the primary box
-(identical, to rounding, to the N^6 direct sum; see ``nw_apply_direct``).
+evaluated as an exact zero-padded linear convolution over the primary box,
+equal to rounding to the N^6 direct sum (the tests hold that reference).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "NormSweepReport",
     "nw_classify",
     "nw_apply",
-    "nw_apply_direct",
     "estimate_norm",
     "scale_sweep",
     "lemma_a_conjugated_norm",
@@ -38,7 +37,6 @@ __all__ = [
 STABILITY_THRESHOLD = 0.10  # "stable": top two scales within 10%
 GROWTH_THRESHOLD = 0.50  # "growing": >= 50% overall increase
 MONOTONE_SLACK = 0.02  # allowed non-monotonicity between consecutive scales
-DIRECT_GUARD_N = 16
 
 
 def _exactable(x) -> bool:
@@ -101,9 +99,13 @@ def _convolution_kernel_fft(grid: GridSpec, exponent: float) -> np.ndarray:
     The z = 0 entry is zeroed (diagonal omitted), matching the direct sum.
     """
     _, zz = _padded_offsets(grid)
-    kernel = zz ** (-exponent / 2.0)
+    kernel = np.power(zz, -exponent / 2.0, out=zz)
     kernel[0, 0, 0] = 0.0  # diagonal omitted, whatever the exponent sign
-    return np.fft.rfftn(kernel)
+    # rfftn's own axis order (2, then 1, then 0), with the complex axes in place
+    spec = np.fft.rfft(kernel, axis=2)
+    for axis in (1, 0):
+        np.fft.fft(spec, axis=axis, out=spec)
+    return spec
 
 
 def _linear_convolve(kernel_hat: np.ndarray, psi: np.ndarray, N: int) -> np.ndarray:
@@ -151,27 +153,6 @@ def nw_apply(spec: NwKernelSpec, phi: np.ndarray, grid: GridSpec) -> np.ndarray:
     if not np.all(np.isfinite(phi)):
         raise ValueError("input function must be finite")
     return _NwOperator(spec, grid).apply(phi)
-
-
-def nw_apply_direct(
-    spec: NwKernelSpec, phi: np.ndarray, grid: GridSpec, guard: int = DIRECT_GUARD_N
-) -> np.ndarray:
-    """Reference N^6 direct summation (small grids only)."""
-    if grid.N > guard:
-        raise ValueError(f"direct summation guarded to N <= {guard}")
-    phi = np.asarray(phi)
-    pts = grid.position_mesh.reshape(-1, 3)
-    r = np.maximum(np.sqrt(np.einsum("mj,mj->m", pts, pts)), grid.h / 2.0)
-    wl = r ** (-float(spec.a))
-    wr = r ** (-float(spec.b))
-    src = wr * phi.reshape(-1)
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = np.einsum("xyj,xyj->xy", diff, diff)
-    np.fill_diagonal(d2, 1.0)
-    gmat = d2 ** (-float(spec.convolution_exponent) / 2.0)
-    np.fill_diagonal(gmat, 0.0)
-    out = grid.cell_volume * wl * (gmat @ src)
-    return out.reshape(grid.N, grid.N, grid.N)
 
 
 @dataclass(frozen=True)
@@ -247,10 +228,14 @@ def estimate_norm(
 class NormSweepReport:
     spec: NwKernelSpec
     scales: tuple[float, ...]
-    norm_estimates: tuple[float, ...]
+    estimates: tuple[NormEstimate, ...]
     growth_class: str  # stable | growing | inconclusive
     criterion_class: str  # bounded | unbounded
     agreement: str  # agree | disagree | inconclusive
+
+    @property
+    def norm_estimates(self) -> tuple[float, ...]:
+        return tuple(e.value for e in self.estimates)
 
     def rows(self) -> list[dict]:
         return [
@@ -260,11 +245,13 @@ class NormSweepReport:
                 "d": self.spec.d,
                 "p": str(self.spec.p),
                 "scale": s,
-                "norm_estimate": e,
+                "norm_estimate": e.value,
+                "iterations": e.iterations,
+                "converged": e.converged,
                 "growth_class": self.growth_class,
                 "criterion_class": self.criterion_class,
             }
-            for s, e in zip(self.scales, self.norm_estimates)
+            for s, e in zip(self.scales, self.estimates)
         ]
 
 
@@ -300,8 +287,8 @@ def scale_sweep(
         if abs(n - round(n)) > 1e-9 or round(n) % 2:
             raise ValueError(f"scale L={L} is not an even multiple of the template spacing {h}")
         grid = GridSpec(L, int(round(n)))
-        estimates.append(estimate_norm(spec, grid, iterations, seed).value)
-    growth = _classify_growth(estimates)
+        estimates.append(estimate_norm(spec, grid, iterations, seed))
+    growth = _classify_growth([e.value for e in estimates])
     criterion = nw_classify(spec)
     if growth == "inconclusive":
         agreement = "inconclusive"
@@ -312,7 +299,7 @@ def scale_sweep(
     return NormSweepReport(
         spec=spec,
         scales=tuple(scales),
-        norm_estimates=tuple(estimates),
+        estimates=tuple(estimates),
         growth_class=growth,
         criterion_class=criterion,
         agreement=agreement,

@@ -5,6 +5,7 @@ from dirac_zero_lab.field import (
     FREQUENCY,
     POSITION,
     SpinorField,
+    _padded_convolve,
     forward_fourier,
     inverse_fourier,
     l2_norm,
@@ -135,6 +136,41 @@ def test_parseval():
     g = make_grid(6.0, 12)
     f = random_field(g, seed=1)
     assert l2_norm(forward_fourier(f)) == pytest.approx(l2_norm(f), rel=1e-12)
+
+
+def padded_convolve_reference(values, N, apply_kernel):
+    """Zero-fill the (2N)^3 box, full rfftn/irfftn (real) or fftn/ifftn, crop."""
+    shape, axes = (2 * N,) * 3, (0, 1, 2)
+    pad = np.zeros(shape + values.shape[3:], dtype=values.dtype)
+    pad[:N, :N, :N] = values
+    if np.iscomplexobj(values):
+        conv = np.fft.ifftn(apply_kernel(np.fft.fftn(pad, axes=axes)), axes=axes)
+    else:
+        conv = np.fft.irfftn(apply_kernel(np.fft.rfftn(pad, axes=axes)), s=shape, axes=axes)
+    return conv[:N, :N, :N]
+
+
+@pytest.mark.parametrize("N", [4, 8, 16])
+@pytest.mark.parametrize("trailing", [(), (4,)])
+def test_pruned_padded_convolve_is_bit_identical_to_full_padding(N, trailing):
+    rng = np.random.default_rng(N + len(trailing))
+    values = rng.standard_normal((N, N, N) + trailing)
+    if trailing:
+        values = values + 1j * rng.standard_normal(values.shape)
+    # a non-symmetric kernel transform, mixing the spinor components when present
+    last = 2 * N if trailing else N + 1  # fftn or rfftn layout
+    kernel_hat = rng.standard_normal((2 * N, 2 * N, last))
+    kernel_hat = kernel_hat * np.exp(1j * rng.uniform(0, 2 * np.pi, kernel_hat.shape))
+
+    def apply_kernel(spec):  # in place as in kernelnorm, or a new array as in freeop
+        if not trailing:
+            return np.multiply(spec, kernel_hat, out=spec)
+        return kernel_hat[..., None] * spec[..., ::-1] + spec
+
+    out = _padded_convolve(values, N, apply_kernel)
+    ref = padded_convolve_reference(values, N, apply_kernel)
+    assert out.shape == ref.shape
+    assert np.array_equal(out, ref)
 
 
 def test_space_tag_enforced():
