@@ -274,9 +274,9 @@ def cmd_zero_mode(args) -> int:
     Q = _build_potential(args, grid)
     if Q.grid != grid:
         raise ValueError(f"the potential's grid {Q.grid} differs from the run grid {grid}; pass its --L and --N")
+    report = resonance.birman_schwinger_spectrum(Q, k=args.k, seed=cfg.seed)  # rejects a bad --k before any output
     cfg.write_beside_outputs()
     tol = cfg.tolerances["zero_mode"]
-    report = resonance.birman_schwinger_spectrum(Q, k=args.k, seed=cfg.seed)
     reference = potential.loss_yau(grid).zero_mode if args.potential == "loss-yau" else None
     resonance.eigenreport_to_json(
         report,

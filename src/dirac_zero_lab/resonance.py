@@ -1,7 +1,7 @@
 """Zero-mode detection and threshold classification.
 
 A zero mode of alpha.D + Q is a fixed point of T = -A (Q .), so the search
-looks for eigenvalue one of T with matrix-free ARPACK ``eigs`` solves.  When
+looks for eigenvalue one of T by matrix-free restarted Arnoldi solves.  When
 Q commutes with gamma5 = [[0, I], [I, 0]] (every q I - alpha.A does), T
 splits into two chiral 2-spinor (Weyl) blocks T+- = -+S (a +- b), S =
 (sigma.D)^{-1}: one solve serves both sectors of a purely magnetic Q (copied)
@@ -18,6 +18,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 import numpy as np
 
@@ -109,44 +110,75 @@ def _sector_matvec(grid: GridSpec, m: np.ndarray, sign: int):
 
 
 def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter: int = ARNOLDI_MAX_ITER):
-    """Top-k (by modulus) eigenpairs of the n x n operator ``matvec`` by ARPACK ``eigs``.
+    """Top-k (by modulus) eigenpairs of the n x n operator ``matvec`` by thick-restart Arnoldi.
 
-    Starts from a seeded complex vector; returns (eigenvalues, eigenvector
-    columns, matvec count, converged).  If ARPACK stops early, the pairs
-    that did converge come back with ``converged=False``.
+    An ncv-step Arnoldi factorization from a seeded complex vector; pair
+    theta of H converges when |beta y_ncv| <= tol max(|theta|, eps^(2/3)),
+    as in ARPACK.  Until the top k all pass, the (ncv + k) // 2 leading Ritz
+    vectors are kept and extended again (Krylov-Schur restart, Stewart 2001).
+    Returns (eigenvalues, eigenvector columns, matvec count, converged,
+    restarts); after ``max_iter`` restarts, only the converged pairs.
     """
-    # Lazy: a module-level scipy.sparse import doubles every CLI command's import time and RSS.
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
-
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    matvecs = 0
+    m = min(max(2 * k + 1, 30), n - 1)
+    V = np.empty((m + 1, n), dtype=np.complex128)  # the basis, one vector per row
+    H = np.zeros((m + 1, m), dtype=np.complex128)
+    V[0] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    V[0] /= np.linalg.norm(V[0])
 
-    def counted(v: np.ndarray) -> np.ndarray:
-        nonlocal matvecs
-        matvecs += 1
-        return matvec(v)
+    def orthogonalize(w, j):
+        """Gram-Schmidt of w against V[:j], again if DGKS asks: (coefficients, norm, 0 if w was in their span)."""
+        h, start = np.zeros(j, dtype=np.complex128), np.linalg.norm(w)
+        beta = start
+        for _ in range(2):
+            c = np.conj(V[:j] @ np.conj(w))
+            w -= c @ V[:j]
+            h, prev, beta = h + c, beta, np.linalg.norm(w)
+            if beta >= 0.717 * prev:
+                break
+        return h, beta if beta > 64 * np.finfo(float).eps * start else 0.0
 
-    T = LinearOperator((n, n), matvec=counted, dtype=np.complex128)
-    ncv = min(max(2 * k + 1, 30), n - 1)
-    try:
-        vals, vecs = eigs(T, k=k, which="LM", v0=v0, ncv=ncv, tol=tol, maxiter=max_iter)
-        converged = True
-    except ArpackNoConvergence as exc:
-        vals, vecs, converged = exc.eigenvalues, exc.eigenvectors, False
-    return vals, vecs, matvecs, converged
+    p = matvecs = 0
+    for restart in range(max_iter):
+        for j in range(p, m):
+            w = matvec(V[j])
+            matvecs += 1
+            H[: j + 1, j], H[j + 1, j] = orthogonalize(w, j + 1)
+            if H[j + 1, j] == 0:  # an invariant subspace (T rank-deficient, say): go on as ARPACK's getv0 does
+                w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                orthogonalize(w, j + 1)
+            V[j + 1] = w / np.linalg.norm(w)
+        theta, Y = np.linalg.eig(H[:m])
+        order = np.argsort(-np.abs(theta), kind="stable")
+        theta, Y = theta[order], Y[:, order]
+        ok = np.abs(H[m] @ Y[:, :k]) <= tol * np.maximum(np.abs(theta[:k]), np.finfo(float).eps ** (2 / 3))
+        if ok.all() or restart == max_iter - 1:
+            return theta[:k][ok], (Y[:, :k][:, ok].T @ V[:m]).T, matvecs, bool(ok.all()), restart
+        p = (m + k) // 2
+        Qp = np.linalg.qr(Y[:, :p])[0]
+        H[:p, :p], H[p, :p], H[p + 1 :], H[:, p:] = Qp.conj().T @ H[:m] @ Qp, H[m] @ Qp, 0.0, 0.0
+        V[:p], V[p] = Qp.T @ V[:m], V[m]
+
+
+def _pinned_order(x, y) -> int:
+    """Report order of candidates (lambda, sector, ...); parts that agree to 1e-10 |lambda| are tied."""
+    tie = 1e-10 * max(abs(x[0]), abs(y[0]))
+    for a, b in ((abs(x[0]), abs(y[0])), (x[0].real, y[0].real), (x[0].imag, y[0].imag)):
+        if abs(a - b) > tie:
+            return -1 if a > b else 1
+    return x[1] - y[1]
 
 
 @dataclass
 class EigenReport:
     """Top eigenpairs of the fixed-point operator, in the order of :func:`birman_schwinger_spectrum`.
 
-    ``residuals`` holds ||T f - lambda f||_2 / ||f||_2 per reported pair
-    (ARPACK's own convergence test is the |lambda|-relative form, which is
-    what makes the spectrum exactly covariant under Q -> c Q).
-    ``iterations`` counts the solver's matvecs over every sector solved;
-    ``sectors`` says what was solved ("+ copied", "+ negated", "+-", "full",
-    or "none" for Q = 0) and ``solve_s`` the wall time of the whole call.
+    ``residuals`` holds ||T f - lambda f||_2 / ||f||_2 per reported pair (the
+    solver's test is the |lambda|-relative form, which makes the spectrum
+    exactly covariant under Q -> c Q).  ``iterations``, ``restarts`` and
+    ``nconv`` count its matvecs, thick restarts and converged pairs over every
+    sector solved; ``sectors`` says what was solved ("+ copied", "+ negated",
+    "+-", "full", or "none" for Q = 0), ``solve_s`` the whole call's wall time.
     """
 
     eigenvalues: list[complex]
@@ -156,6 +188,8 @@ class EigenReport:
     converged: bool
     sectors: str = "full"
     solve_s: float = 0.0
+    restarts: int = 0
+    nconv: int = 0
 
 
 def birman_schwinger_spectrum(
@@ -180,34 +214,35 @@ def birman_schwinger_spectrum(
     - otherwise both sectors are solved (``"+-"``).
 
     A Q that mixes chiralities (a file potential with a beta-type term, say)
-    is solved on 4-spinors (``"full"``).  Every solve is one ARPACK ``eigs``
-    run (Lehoucq, Sorensen & Yang 1998) at the full ``k``, matrix-free, from
-    a seeded complex start vector, so the result is deterministic for a
-    fixed seed.  Convergence is judged on the relative residual
-    ||T v - lambda v|| / |lambda| <= ``tol``, which makes the reported
-    spectrum exactly covariant under scaling Q -> c Q; ``max_iter`` bounds
-    the restarts.  The sector pairs are merged in one pinned order (|lambda|
-    descending, then Re lambda descending, then sector + before -), trimmed
-    to k, and only the kept ones are embedded back as u = (f+ + f-)/sqrt(2),
+    is solved on 4-spinors (``"full"``).  Every solve is one numpy
+    thick-restart Arnoldi run (Stewart, SIAM J. Matrix Anal. Appl. 23, 2001)
+    at the full ``k`` <= n - 2, matrix-free, from a seeded complex start
+    vector, so the result is deterministic for a fixed seed.  Convergence is
+    judged on the relative residual ||T v - lambda v|| / |lambda| <= ``tol``,
+    which makes the reported spectrum exactly covariant under scaling
+    Q -> c Q; ``max_iter`` bounds the restarts.  The sector pairs are merged
+    in one pinned order (|lambda| descending; ties to 1e-10 |lambda| by Re
+    lambda, then Im lambda descending, then sector + before -), trimmed to
+    k, and only the kept ones are embedded back as u = (f+ + f-)/sqrt(2),
     l = (f+ - f-)/sqrt(2).  A multiple eigenvalue that comes from the two
     sectors is thus reported with its multiplicity, which a single Krylov
-    solve finds only through rounding.  If ARPACK stops before every pair
-    converges, the converged pairs are returned with ``converged=False``.
+    solve finds only through rounding.  If the solver stops before every
+    pair converges, the converged pairs are returned with ``converged=False``.
     """
-    if k < 1:
-        raise ValueError("need k >= 1 eigenpairs")
     started = time.perf_counter()
     grid = Q.grid
+    blocks = _chiral_blocks(Q)
+    width = 4 if blocks is None else 2
+    if not 1 <= k <= grid.npoints * width - 2:
+        raise ValueError(f"need 1 <= k <= {grid.npoints * width - 2} eigenpairs on this grid, got k = {k}")
     if not np.any(Q.values):
-        return EigenReport([], [], [], 0, True, "none")  # T = 0; ARPACK rejects a zero start vector
+        return EigenReport([], [], [], 0, True, "none")  # T = 0: nothing to solve
     # A view (solve, eigenvalue sign, lower-component sign) reports a solve's pairs
     # in one sector; lower sign 0 marks a 4-spinor solve, whose vectors are used as they are.
-    blocks = _chiral_blocks(Q)
     if blocks is None:
-        sectors, width, solves, views = "full", 4, [_birman_schwinger_matvec(Q)], [(0, 1, 0)]
+        sectors, solves, views = "full", [_birman_schwinger_matvec(Q)], [(0, 1, 0)]
     else:
         a, b = blocks
-        width = 2
         if not np.any(a):
             sectors, solves, views = "+ copied", [_sector_matvec(grid, b, 1)], [(0, 1, 1), (0, 1, -1)]
         elif not np.any(b):
@@ -224,7 +259,7 @@ def birman_schwinger_spectrum(
             for order, (solve, sign, lower) in enumerate(views)
             for col, lam in enumerate(results[solve][0])
         ),
-        key=lambda c: (-abs(c[0]), -c[0].real, c[1]),
+        key=cmp_to_key(_pinned_order),
     )[:k]
     eigenvalues, eigenfields, resids = [], [], []
     solve_residual = {}  # the copied or negated view of a pair has the same residual
@@ -249,6 +284,8 @@ def birman_schwinger_spectrum(
         converged=all(r[3] for r in results),
         sectors=sectors,
         solve_s=time.perf_counter() - started,
+        restarts=sum(r[4] for r in results),
+        nconv=sum(len(r[0]) for r in results),
     )
 
 
@@ -474,6 +511,8 @@ def eigenreport_to_json(
         "eigenvalues": [[lam.real, lam.imag] for lam in report.eigenvalues],
         "residuals": report.residuals,
         "iterations": report.iterations,
+        "restarts": report.restarts,
+        "nconv": report.nconv,
         "sectors": report.sectors,
         "solve_s": report.solve_s,
         "converged": report.converged,

@@ -104,15 +104,21 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
     assert not (tmp_path / "run").exists()
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported inside the eigensolver only; commands that never solve skip its import cost
+def test_cli_import_loads_no_scipy(tmp_path):
+    # the package needs numpy only: neither the import nor a full eigensolve loads scipy
     import dirac_zero_lab
 
     src = os.path.dirname(os.path.dirname(dirac_zero_lab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, dirac_zero_lab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    probe = f"import sys, dirac_zero_lab.cli; print({loaded})"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env).stdout
     assert out.strip() == "[]"
+    argv = ["zero-mode", "--potential", "loss-yau", "--L", "8", "--N", "16", "--out", str(tmp_path / "zm")]
+    probe = f"import sys; from dirac_zero_lab.cli import main; main({argv!r}); print({loaded})"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env).stdout
+    assert "zero modes at tolerance 0.1: 2" in out  # the eigensolve ran
+    assert out.strip().splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +289,18 @@ def test_zero_mode_loss_yau_end_to_end(capsys, tmp_path):
     assert payload["sectors"] == "+ copied"  # magnetic Q: one chiral sector solve, copied
     assert payload["eigenfield_files"]
     assert (out_dir / "decay-fit-0.csv").exists()
+
+
+def test_zero_mode_out_of_range_k_is_usage_error(capsys, tmp_path):
+    # a chiral sector at N = 4 has 128 unknowns, so k may be at most 126
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(
+        capsys, "zero-mode", "--L", "4", "--N", "4", "--k", "127", "--out", str(out_dir)
+    )
+    assert code == 2
+    assert "k <= 126" in err
+    assert "Traceback" not in err and out == ""
+    assert not out_dir.exists()
 
 
 def test_zero_mode_unknown_potential(capsys, tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+from functools import cmp_to_key
 
 import numpy as np
 import pytest
 
+from dirac_zero_lab.clifford import alpha
 from dirac_zero_lab.field import (
     POSITION,
     SpinorField,
@@ -15,6 +17,7 @@ from dirac_zero_lab.potential import PotentialField, from_em, loss_yau, loss_yau
 from dirac_zero_lab.resonance import (
     _birman_schwinger_matvec,
     _eigs,
+    _pinned_order,
     EigenReport,
     birman_schwinger_spectrum,
     classify_threshold_state,
@@ -129,6 +132,19 @@ def _sector_of(fld):
     return 1
 
 
+def _assert_pinned_order(rep):
+    """|lambda| descending; parts within 1e-10 |lambda| tie, then Re, Im descending, sector + before -."""
+    rows = [(lam, _sector_of(f)) for lam, f in zip(rep.eigenvalues, rep.eigenfields)]
+    for (x, sx), (y, sy) in zip(rows, rows[1:]):
+        tie = 1e-10 * abs(x)
+        for a, b in ((abs(x), abs(y)), (x.real, y.real), (x.imag, y.imag)):
+            if abs(a - b) > tie:
+                assert a > b, (x, y)
+                break
+        else:
+            assert sx <= sy, (x, y)
+
+
 def _potentials_8():
     g = make_grid(8.0, 16)
     scalar = -((1.0 + g.radius2) ** (-1.0))
@@ -149,9 +165,7 @@ def test_sector_report_matches_four_spinor_reference(sectors):
     ref = _eigs(_birman_schwinger_matvec(Q), g.npoints * 4, 12, 20240301)[0]
     for lam in rep.eigenvalues:
         assert min(abs(lam - r) for r in ref) <= 1e-8
-    # the pinned order: |lambda| descending, then Re lambda descending, then sector + before -
-    keys = [(-abs(lam), -lam.real, _sector_of(f)) for lam, f in zip(rep.eigenvalues, rep.eigenfields)]
-    assert keys == sorted(keys)
+    _assert_pinned_order(rep)
 
 
 def test_sector_report_is_deterministic():
@@ -188,6 +202,113 @@ def test_chirality_mixing_potential_takes_four_spinor_path():
 def test_spectrum_rejects_bad_k(q_ly16):
     with pytest.raises(ValueError):
         birman_schwinger_spectrum(q_ly16, k=0)
+    # a chiral sector at N = 4 has n = 2 * 64 unknowns, and the solver needs k <= n - 2
+    g = make_grid(4.0, 4)
+    assert len(birman_schwinger_spectrum(loss_yau_potential(g), k=126).eigenvalues) == 126
+    with pytest.raises(ValueError, match="k <= 126"):
+        birman_schwinger_spectrum(loss_yau_potential(g), k=127)
+
+
+# ---------------------------------------------------------------------------
+# the thick-restart Arnoldi solver, against independent references
+# ---------------------------------------------------------------------------
+
+
+def _nonnormal(n, seed, lead=()):
+    """U T U^H with T upper triangular: eigenvalues on the diagonal (``lead`` first, the rest in the unit disk)."""
+    rng = np.random.default_rng(seed)
+    diag = rng.uniform(0.0, 1.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    diag[: len(lead)] = lead
+    T = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1) / np.sqrt(n)
+    T[np.diag_indices(n)] = diag
+    U = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    return U @ T @ U.conj().T
+
+
+def test_eigs_dense_nonnormal_matches_eigvals():
+    A = _nonnormal(300, 0)
+    ref = np.linalg.eigvals(A)
+    ref = ref[np.argsort(-np.abs(ref))][:6]
+    vals, vecs, _, converged, _ = _eigs(lambda v: A @ v, 300, 6, 1, tol=1e-12)
+    assert converged and len(vals) == 6
+    for lam in ref:
+        assert np.min(np.abs(vals - lam)) <= 1e-10 * abs(lam)
+    for lam, vec in zip(vals, vecs.T):
+        assert np.linalg.norm(A @ vec - lam * vec) <= 1e-11 * abs(lam) * np.linalg.norm(vec)
+
+
+def test_eigs_rank_deficient_operator():
+    # the Krylov space is exhausted after a few steps; the solve goes on from fresh vectors
+    rng = np.random.default_rng(3)
+    n = 200
+    U, W = (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)) for _ in range(2))
+    B = U @ np.diag([2.0, -1.0 + 0.5j, 0.3j]) @ W.conj().T / n
+    vals, vecs, _, converged, _ = _eigs(lambda v: B @ v, n, 6, 1)
+    assert converged and len(vals) == 6
+    ref = np.linalg.eigvals(B)
+    ref = ref[np.argsort(-np.abs(ref))][:3]
+    assert np.allclose(vals[:3], ref, rtol=1e-10, atol=0)
+    assert np.all(np.abs(vals[3:]) <= 1e-12)
+    for lam, vec in zip(vals, vecs.T):
+        assert np.linalg.norm(B @ vec - lam * vec) / np.linalg.norm(vec) <= 1e-12
+
+
+def test_eigs_stopped_early_returns_only_converged_pairs():
+    # two well-separated leading eigenvalues above a clustered bulk: one cycle converges only 3
+    A = _nonnormal(300, 4, lead=(3.0, -2.0))
+    vals, vecs, matvecs, converged, restarts = _eigs(lambda v: A @ v, 300, 6, 1, max_iter=1)
+    assert not converged and restarts == 0 and matvecs == 30
+    assert 1 <= len(vals) < 6 and vecs.shape == (300, len(vals))
+    assert abs(vals[0] - 3.0) <= 1e-10
+    for lam, vec in zip(vals, vecs.T):
+        assert np.linalg.norm(A @ vec - lam * vec) <= 2e-8 * abs(lam) * np.linalg.norm(vec)
+
+
+def test_eigs_is_deterministic():
+    A = _nonnormal(300, 0)
+    first = _eigs(lambda v: A @ v, 300, 6, 7)
+    again = _eigs(lambda v: A @ v, 300, 6, 7)
+    assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
+    assert first[2:] == again[2:]
+
+
+def _point_potential():
+    """Q = -alpha_3 delta at the origin of the (L=4, N=8) grid: T has rank 2 on each chiral sector."""
+    g = make_grid(4.0, 8)
+    vals = np.zeros((8, 8, 8, 4, 4), dtype=complex)
+    vals[4, 4, 4] = -alpha(3)
+    assert g.radius2[4, 4, 4] == 0.0
+    return PotentialField(g, vals)
+
+
+def test_point_supported_potential_reproduces_reference():
+    # reference: the ARPACK eigs solve this solver replaced, same seed and ncv
+    rep = birman_schwinger_spectrum(_point_potential(), k=6)
+    assert rep.sectors == "+ copied" and rep.converged
+    lam = -0.025286282354780372 + 0.03576020344812588j
+    expected = [lam, lam, lam.conjugate(), lam.conjugate(), 0.0, 0.0]
+    assert np.allclose(rep.eigenvalues, expected, rtol=0, atol=1e-12)
+    assert all(r <= 1e-12 for r in rep.residuals)
+    # the conjugate pair is pinned: Im lambda descending, then sector + before -
+    assert [_sector_of(f) for f in rep.eigenfields[:4]] == [0, 1, 0, 1]
+    _assert_pinned_order(rep)
+
+
+def test_pinned_order_ties_conjugates_by_imaginary_part():
+    # moduli and real parts that differ at rounding level tie; Im then sector decides
+    lam = 0.0477 + 0.6848j
+    noisy = [
+        (lam.conjugate() * (1 + 3e-16), 0),
+        (lam.conjugate(), 1),
+        (lam * (1 - 2e-16), 1),
+        (lam, 0),
+        (-0.9 + 0j, 0),
+        (0.3 + 0.3j, 0),
+    ]
+    ranked = sorted(noisy, key=cmp_to_key(_pinned_order))
+    assert [(round(c[0].imag, 4), c[1]) for c in ranked] == [
+        (0.0, 0), (0.6848, 0), (0.6848, 1), (-0.6848, 0), (-0.6848, 1), (0.3, 0)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +519,9 @@ def test_eigenreport_json_and_fields(tmp_path, spectrum_ly, ly16):
     assert on_disk["eigenvalues"] == payload["eigenvalues"]
     assert on_disk["sectors"] == "+ copied"
     assert on_disk["solve_s"] > 0.0
+    # one sector solve: its thick restarts, and the k pairs it converged
+    assert on_disk["restarts"] == spectrum_ly.restarts >= 1
+    assert on_disk["nconv"] == spectrum_ly.nconv == 6
     assert len(on_disk["eigenfield_files"]) == len(spectrum_ly.eigenfields)
     assert len(on_disk["overlaps"]) == len(spectrum_ly.eigenfields)
     from dirac_zero_lab.field import load_field
