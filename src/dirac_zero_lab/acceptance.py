@@ -19,7 +19,7 @@ import numpy as np
 from . import bootstrap as bs
 from . import clifford, field, freeop, kernelnorm, potential, resonance
 
-DEFAULT_SEED = 20240301
+DEFAULT_SEED = resonance.DEFAULT_SEED
 DEFAULT_L = 16.0
 DEFAULT_N = 32
 
@@ -281,14 +281,13 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     ly = potential.loss_yau(grid)
     Q = potential.loss_yau_potential(grid)
     rep = resonance.birman_schwinger_spectrum(Q, k=6, seed=seed)
-    near = [lam for lam in rep.eigenvalues if abs(lam - 1.0) <= 0.1]
+    near, fields = resonance.fixed_point_subspace(rep, tol=0.1)
     res.add(
         "eigenvalue within 0.1 of 1",
         len(near) >= 1,
         f"eigenvalues {[f'{l.real:+.4f}{l.imag:+.4f}j' for l in rep.eigenvalues[:4]]}",
     )
 
-    _, fields = resonance.fixed_point_subspace(rep, tol=0.1)
     overlap = resonance.subspace_overlap(fields, ly.zero_mode)
     res.add(
         "eigenspace overlap with the magnetic zero mode >= 0.95",
@@ -416,7 +415,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
         any_modes += len(modes)
         for mode in modes:
             cls = resonance.classify_threshold_state(mode, Q)
-            kinds.append(f"{name}: {cls.kind} (sigma {cls.sigma:.2f})")
+            kinds.append(f"{name}: {cls.kind} (sigma {cls.fit.sigma:.2f})")
             mu_ok = mu_ok and all(v == "finite-trend" for v in cls.mu_check.values())
     bad = [k for k in kinds if "resonance_candidate" in k or "inconclusive" in k]
     res.add(

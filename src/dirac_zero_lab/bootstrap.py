@@ -16,7 +16,7 @@ from fractions import Fraction
 from .field import SpinorField, l2_norm
 from .freeop import apply_a_spectral
 from .potential import PotentialField, apply_potential
-from .resonance import decay_fit, residual
+from .resonance import RESIDUAL_GATE, decay_fit, residual
 
 __all__ = [
     "BootstrapStep",
@@ -35,7 +35,6 @@ CLAMP_RHO = Fraction(5, 2)
 TERMINAL_STATEMENT = (
     "f lies in the weighted space L^{2,mu} for every mu < 1/2, hence <x>^mu f is in H^1"
 )
-EMPIRICAL_RESIDUAL_GATE = 0.75
 
 
 def _as_fraction(x, name: str) -> Fraction:
@@ -164,18 +163,15 @@ class EmpiricalBootstrapResult:
 def empirical_bootstrap(
     f: SpinorField,
     Q: PotentialField,
-    rho,
     rounds: int = 3,
-    gate: float = EMPIRICAL_RESIDUAL_GATE,
+    gate: float = RESIDUAL_GATE,
     shells=None,
 ) -> EmpiricalBootstrapResult:
     """Iterate f -> -A(Q f) on grid data and track the fitted decay exponent.
 
     The iteration is only meaningful near a kernel state, so fields failing
-    the residual gate are reported, not iterated.  ``rho`` is accepted for
-    symmetry with the exact trace; the grid iteration itself does not use it.
+    the residual gate are reported, not iterated.
     """
-    _as_fraction(rho, "rho")
     if l2_norm(f) == 0.0:
         return EmpiricalBootstrapResult(
             gate_passed=True,

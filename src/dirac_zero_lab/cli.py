@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
@@ -23,41 +22,42 @@ from . import clifford, field, freeop, kernelnorm, potential, resonance
 
 OUTPUT_ROOT_ENV = "DZL_OUTPUT_ROOT"
 
-DEFAULT_TOLERANCES = {
-    "symbol_product": 1e-14,
-    "ah0": 1e-10,
-    "pairing": 1e-8,
-    # The gap at (L=12, N=24) is ~0.17, a floor of the periodic multiplier (the
-    # quadrature converges to the continuum); acceptance asserts a failing 0.05.
-    "quadrature": 0.25,
-    "zero_mode": 0.1,
+# The settings each command reads, with their defaults.  A command takes a
+# flag or a --config key only for its own row (plus out), and its
+# run-config.cfg records exactly that row (plus out).
+SETTINGS = {
+    "verify-freeop": {
+        "L": 12.0,
+        "N": 24,
+        "seed": acc.DEFAULT_SEED,
+        "tol.ah0": 1e-10,
+        "tol.pairing": 1e-8,
+        # The gap at (L=12, N=24) is ~0.17, a floor of the periodic multiplier (the
+        # quadrature converges to the continuum); acceptance asserts a failing 0.05.
+        "tol.quadrature": 0.25,
+        "tol.symbol_product": 1e-14,
+    },
+    "nw-sweep": {"L": acc.DEFAULT_L, "N": acc.DEFAULT_N, "seed": acc.DEFAULT_SEED},
+    "bootstrap": {},
+    "zero-mode": {
+        "L": acc.DEFAULT_L,
+        "N": acc.DEFAULT_N,
+        "seed": acc.DEFAULT_SEED,
+        "tol.zero_mode": resonance.ZERO_MODE_TOL,
+    },
+    "acceptance": {"seed": acc.DEFAULT_SEED},
 }
 
-
-@dataclass
-class RunConfig:
-    L: float = acc.DEFAULT_L
-    N: int = acc.DEFAULT_N
-    seed: int = acc.DEFAULT_SEED
-    out_dir: str | None = None
-    tolerances: dict = dc_field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-
-    def lines(self) -> list[str]:
-        rows = [
-            f"L = {self.L}",
-            f"N = {self.N}",
-            f"seed = {self.seed}",
-            f"out = {self.out_dir or ''}",
-        ]
-        rows.extend(f"tol.{k} = {v!r}" for k, v in sorted(self.tolerances.items()))
-        return rows
-
-    def write_beside_outputs(self, name: str = "run-config.cfg") -> None:
-        if self.out_dir is None:
-            return
-        os.makedirs(self.out_dir, exist_ok=True)
-        with open(os.path.join(self.out_dir, name), "w") as fh:
-            fh.write("\n".join(self.lines()) + "\n")
+# (flag, help) of the settings that have a flag; tol.symbol_product is set by --config only.
+FLAGS = {
+    "L": ("--L", "box half-width"),
+    "N": ("--N", "points per axis, even"),
+    "seed": ("--seed", "seed of the run's random data and start vectors"),
+    "tol.ah0": ("--tol-ah0", "ah0-identity tolerance"),
+    "tol.pairing": ("--tol-pairing", "pairing-identity tolerance"),
+    "tol.quadrature": ("--tol-quadrature", "spectral-vs-quadrature tolerance"),
+    "tol.zero_mode": ("--tol", "zero-mode eigenvalue tolerance"),
+}
 
 
 class UsageError(Exception):
@@ -81,44 +81,45 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _build_config(args, **defaults) -> RunConfig:
-    """Precedence: flag > --config file > DZL_OUTPUT_ROOT > per-command ``defaults``."""
-    cfg = RunConfig(**defaults)
+def _settings(args, out: str | None = None) -> dict:
+    """The command's settings plus ``out``: flag > --config file > DZL_OUTPUT_ROOT > default."""
+    row = SETTINGS[args.command]
+    cfg = dict(row, out=out)
     if os.environ.get(OUTPUT_ROOT_ENV):
-        cfg.out_dir = os.path.join(os.environ[OUTPUT_ROOT_ENV], getattr(args, "command", "run"))
-    if getattr(args, "config", None):
+        cfg["out"] = os.path.join(os.environ[OUTPUT_ROOT_ENV], args.command)
+    if args.config:
         for key, val in _parse_config_file(args.config).items():
-            if key in ("L", "N", "seed"):
-                setattr(cfg, key, float(val) if key == "L" else int(val))
-            elif key == "out":
-                cfg.out_dir = val or cfg.out_dir
-            elif key.startswith("tol."):
-                if key[4:] not in DEFAULT_TOLERANCES:
-                    raise UsageError(f"unknown tolerance {key!r}; known: {', '.join(DEFAULT_TOLERANCES)}")
-                cfg.tolerances[key[4:]] = float(val)
+            if key == "out":
+                cfg["out"] = val or cfg["out"]
+            elif key in row:
+                cfg[key] = type(row[key])(val)
             else:
-                raise UsageError(f"unknown config key {key!r}; known: L, N, seed, out, tol.<name>")
-    for name in ("L", "N", "seed"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, val)
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    for name, dest in (("tol_ah0", "ah0"), ("tol_pairing", "pairing"), ("tol_quadrature", "quadrature"), ("tol", "zero_mode")):
-        val = getattr(args, name, None)
-        if val is not None:
-            cfg.tolerances[dest] = val
-    if cfg.N % 2 or cfg.N < 4 or cfg.L <= 0:
-        raise UsageError(f"invalid grid: L={cfg.L}, N={cfg.N}")
+                kind = "tolerance" if key.startswith("tol.") else "config key"
+                raise UsageError(f"unknown {kind} {key!r} for {args.command}; known: {', '.join([*row, 'out'])}")
+    for key in row:
+        if vars(args).get(key) is not None:
+            cfg[key] = vars(args)[key]
+    if args.out:
+        cfg["out"] = args.out
     return cfg
 
 
-def _emit_json(cfg: RunConfig, name: str, payload: dict) -> None:
-    if cfg.out_dir is None:
+def _emit(cfg: dict, name: str, text: str) -> None:
+    if cfg["out"] is None:
         return
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, name), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    os.makedirs(cfg["out"], exist_ok=True)
+    with open(os.path.join(cfg["out"], name), "w") as fh:
+        fh.write(text)
+
+
+def _emit_json(cfg: dict, name: str, payload: dict) -> None:
+    _emit(cfg, name, json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _emit_settings(cfg: dict) -> None:
+    """run-config.cfg: the settings the run read and ``out``, tolerances last."""
+    keys = sorted(cfg, key=lambda key: key.startswith("tol."))
+    _emit(cfg, "run-config.cfg", "".join(f"{key} = {cfg[key]}\n" for key in keys))
 
 
 # ---------------------------------------------------------------------------
@@ -143,31 +144,30 @@ def cmd_clifford_check(args) -> int:
 
 
 def cmd_verify_freeop(args) -> int:
-    cfg = _build_config(args, L=12.0, N=24)
-    cfg.write_beside_outputs()
-    grid = field.make_grid(cfg.L, cfg.N)
-    tol = cfg.tolerances
+    cfg = _settings(args)
+    grid = field.make_grid(cfg["L"], cfg["N"])
+    _emit_settings(cfg)
     failures = []
     lines = []
     dev = freeop.symbol_product_max_deviation(grid)
-    lines.append(("symbol-product", dev, tol["symbol_product"]))
+    lines.append(("symbol-product", dev, cfg["tol.symbol_product"]))
     worst = 0.0
     for i in range(8):
-        f = field.random_field(grid, cfg.seed + i, band_limit=2.0, mean_zero=True)
+        f = field.random_field(grid, cfg["seed"] + i, band_limit=2.0, mean_zero=True)
         worst = max(worst, freeop.verify_ah0_identity(f))
-    lines.append(("ah0-identity", worst, tol["ah0"]))
-    g = field.random_field(grid, cfg.seed + 50)
-    phi = acc.annulus_test_field(grid, cfg.seed + 60)
+    lines.append(("ah0-identity", worst, cfg["tol.ah0"]))
+    g = field.random_field(grid, cfg["seed"] + 50)
+    phi = acc.annulus_test_field(grid, cfg["seed"] + 60)
     lhs, rhs = freeop.verify_pairing_identity(g, phi)
     scale = abs(lhs) + abs(rhs) + field.l2_norm(g) * field.l2_norm(phi)
-    lines.append(("pairing-identity", abs(lhs - rhs) / scale, tol["pairing"]))
+    lines.append(("pairing-identity", abs(lhs - rhs) / scale, cfg["tol.pairing"]))
     vals = np.zeros((grid.N,) * 3 + (4,), dtype=complex)
     vals[..., 0] = np.exp(-grid.radius2)
     bump = field.SpinorField(grid, vals, field.POSITION)
     rel = field.l2_norm(
         freeop.apply_a_quadrature(bump) - freeop.apply_a_spectral(bump, warn_threshold=np.inf)
     ) / field.l2_norm(bump)
-    lines.append(("spectral-vs-quadrature", rel, tol["quadrature"]))
+    lines.append(("spectral-vs-quadrature", rel, cfg["tol.quadrature"]))
     for name, value, bound in lines:
         ok = value <= bound
         if not ok:
@@ -192,27 +192,24 @@ def _parse_number(text: str):
 
 
 def cmd_nw_sweep(args) -> int:
-    cfg = _build_config(args)
-    cfg.write_beside_outputs()
+    cfg = _settings(args)
     try:
-        spec = kernelnorm.NwKernelSpec(
-            a=_parse_number(args.a), b=_parse_number(args.b), d=args.d, p=_parse_number(args.p)
-        )
+        spec = kernelnorm.NwKernelSpec(a=_parse_number(args.a), b=_parse_number(args.b), p=_parse_number(args.p))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     scales = [float(s) for s in args.scales.split(",")]
-    template = field.make_grid(cfg.L, cfg.N)
-    report = kernelnorm.scale_sweep(spec, scales, template, seed=cfg.seed)
+    template = field.make_grid(cfg["L"], cfg["N"])
+    _emit_settings(cfg)
+    report = kernelnorm.scale_sweep(spec, scales, template, seed=cfg["seed"])
     for scale, est in zip(report.scales, report.norm_estimates):
         print(f"L={scale}: norm estimate {est:.6f}")
     print(
         f"growth={report.growth_class} criterion={report.criterion_class} "
         f"agreement={report.agreement}"
     )
-    if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
+    if cfg["out"]:
         kernelnorm.sweep_rows_to_csv(
-            [report], os.path.join(cfg.out_dir, "nw-sweep.csv"), extra={"seed": cfg.seed}
+            [report], os.path.join(cfg["out"], "nw-sweep.csv"), extra={"seed": cfg["seed"]}
         )
     if report.agreement == "agree":
         return 0
@@ -232,8 +229,8 @@ def cmd_bootstrap(args) -> int:
         trace = bs.bootstrap_trace(args.rho)
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
-    cfg = _build_config(args)
-    cfg.write_beside_outputs()
+    cfg = _settings(args)
+    _emit_settings(cfg)
     payload = trace.to_json_dict()
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -269,51 +266,47 @@ def _build_potential(args, grid: field.GridSpec) -> potential.PotentialField:
 
 
 def cmd_zero_mode(args) -> int:
-    cfg = _build_config(args, out_dir="dzl-zero-mode")
-    grid = field.make_grid(cfg.L, cfg.N)
+    cfg = _settings(args, out="dzl-zero-mode")
+    grid = field.make_grid(cfg["L"], cfg["N"])
     Q = _build_potential(args, grid)
     if Q.grid != grid:
         raise ValueError(f"the potential's grid {Q.grid} differs from the run grid {grid}; pass its --L and --N")
-    report = resonance.birman_schwinger_spectrum(Q, k=args.k, seed=cfg.seed)  # rejects a bad --k before any output
-    cfg.write_beside_outputs()
-    tol = cfg.tolerances["zero_mode"]
+    report = resonance.birman_schwinger_spectrum(Q, k=args.k, seed=cfg["seed"])  # rejects a bad --k before any output
+    _emit_settings(cfg)
+    tol, out = cfg["tol.zero_mode"], cfg["out"]
     reference = potential.loss_yau(grid).zero_mode if args.potential == "loss-yau" else None
     resonance.eigenreport_to_json(
         report,
-        os.path.join(cfg.out_dir, "eigenreport.json"),
-        field_dir=os.path.join(cfg.out_dir, "eigenfields"),
+        os.path.join(out, "eigenreport.json"),
+        field_dir=os.path.join(out, "eigenfields"),
         reference=reference,
     )
     _, modes = resonance.fixed_point_subspace(report, tol, Q)
     print(f"eigenvalues: {[f'{l.real:+.4f}{l.imag:+.4f}j' for l in report.eigenvalues]}")
     print(f"zero modes at tolerance {tol}: {len(modes)}")
-    if not modes:
-        return 0
-    exit_code = 0
+    exit_code = 0  # 3 if any mode is a resonance candidate, else 1 if any is inconclusive or unclassified
     for i, mode in enumerate(modes):
-        cls = resonance.classify_threshold_state(mode, Q)
         try:
-            fit = resonance.decay_fit(mode)
-            resonance.decay_table_to_csv(fit, os.path.join(cfg.out_dir, f"decay-fit-{i}.csv"))
+            cls = resonance.classify_threshold_state(mode, Q)
         except ValueError as exc:
-            print(f"mode {i}: decay table skipped ({exc})")
+            print(f"mode {i}: unclassified ({exc})")
+            exit_code = max(exit_code, 1)
+            continue
+        resonance.decay_table_to_csv(cls.fit, os.path.join(out, f"decay-fit-{i}.csv"))
         print(
-            f"mode {i}: kind={cls.kind} sigma={cls.sigma:.3f}+-{cls.sigma_stderr:.3f} "
+            f"mode {i}: kind={cls.kind} sigma={cls.fit.sigma:.3f}+-{cls.fit.stderr:.3f} "
             f"residual={cls.residual:.3e} mu_check={cls.mu_check}"
         )
-        if cls.kind == "resonance_candidate":
-            exit_code = 3
-        elif cls.kind == "inconclusive" and exit_code == 0:
-            exit_code = 1
+        exit_code = max(exit_code, {"inconclusive": 1, "resonance_candidate": 3}.get(cls.kind, 0))
     return exit_code
 
 
 def cmd_acceptance(args) -> int:
-    cfg = _build_config(args)
-    cfg.write_beside_outputs()
+    cfg = _settings(args)
+    _emit_settings(cfg)
     only = args.only.split(",") if args.only else None
     try:
-        results = acc.run_acceptance(only=only, seed=cfg.seed)
+        results = acc.run_acceptance(only=only, seed=cfg["seed"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     payload = {
@@ -332,14 +325,6 @@ def cmd_acceptance(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _add_grid_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--L", type=float, default=None, help="box half-width")
-    p.add_argument("--N", type=int, default=None, help="points per axis (even)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", type=str, default=None, help="output directory")
-    p.add_argument("--config", type=str, default=None, help="key = value config file")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dirac-zero-lab",
@@ -347,46 +332,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("clifford-check", help="verify the Dirac matrix algebra")
+    def command(name, func, text):
+        """A subcommand with flags for the settings it reads, and --out and --config if it has outputs."""
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        if name in SETTINGS:
+            for key, default in SETTINGS[name].items():
+                if key in FLAGS:
+                    flag, doc = FLAGS[key]
+                    p.add_argument(flag, dest=key, type=type(default), default=None, help=f"{doc} (default {default})")
+            p.add_argument("--out", type=str, default=None, help="output directory")
+            p.add_argument("--config", type=str, default=None, help="key = value config file")
+        return p
+
+    p = command("clifford-check", cmd_clifford_check, "verify the Dirac matrix algebra")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_clifford_check)
 
-    p = sub.add_parser("verify-freeop", help="run the inverse-operator identity checks")
-    _add_grid_args(p)
-    p.add_argument("--tol-ah0", type=float, default=None)
-    p.add_argument("--tol-pairing", type=float, default=None)
-    p.add_argument("--tol-quadrature", type=float, default=None)
-    p.set_defaults(func=cmd_verify_freeop)
+    command("verify-freeop", cmd_verify_freeop, "run the inverse-operator identity checks")
 
-    p = sub.add_parser("nw-sweep", help="norm-growth sweep for a weighted kernel")
-    _add_grid_args(p)
+    p = command("nw-sweep", cmd_nw_sweep, "norm-growth sweep for a weighted kernel")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--d", type=int, default=3)
     p.add_argument("--p", default="2")
     p.add_argument("--scales", default="8,16,32")
-    p.set_defaults(func=cmd_nw_sweep)
 
-    p = sub.add_parser("bootstrap", help="exact decay-iteration trace")
-    _add_grid_args(p)
+    p = command("bootstrap", cmd_bootstrap, "exact decay-iteration trace")
     p.add_argument("--rho", required=True, help="rational decay exponent, e.g. 8/5")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bootstrap)
 
-    p = sub.add_parser("zero-mode", help="fixed-point spectrum and classification")
-    _add_grid_args(p)
+    p = command("zero-mode", cmd_zero_mode, "fixed-point spectrum and classification")
     p.add_argument("--potential", default="loss-yau", help="zero|loss-yau|scalar-decay|em|file:PATH")
     p.add_argument("--amp", type=float, default=0.1)
     p.add_argument("--rho", type=float, default=2.0)
     p.add_argument("--a-scale", type=float, default=1.0)
     p.add_argument("--k", type=int, default=6)
-    p.add_argument("--tol", type=float, default=None, help="zero-mode eigenvalue tolerance")
-    p.set_defaults(func=cmd_zero_mode)
 
-    p = sub.add_parser("acceptance", help="run the acceptance criteria suite")
-    _add_grid_args(p)
+    p = command("acceptance", cmd_acceptance, "run the acceptance criteria suite")
     p.add_argument("--only", default=None, help="comma-separated criterion numbers or names")
-    p.set_defaults(func=cmd_acceptance)
     return parser
 
 

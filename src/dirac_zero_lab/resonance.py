@@ -32,7 +32,7 @@ from .field import (
     shell_profile,
     sobolev_norm,
 )
-from .freeop import _dot_contract, _multiply, _sigma_coeffs, _symbol, apply_a_spectral, apply_h0
+from .freeop import _dot_contract, _multiply, _sigma_coeffs, _symbol, apply_h0
 from .potential import PotentialField, apply_potential
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
 ARNOLDI_TOL = 1e-8
 ARNOLDI_MAX_ITER = 500
 ZERO_MODE_TOL = 0.1
+DEFAULT_SEED = 20240301  # the seeded start vector of every solve
 SIGMA_MARGIN = 0.1  # zero_mode needs sigma >= 3/2 + margin
 MU_GROWTH_THRESHOLD = 0.10  # finite-trend: partial quantity grows <= 10% from L/2 to L
 RESIDUAL_GATE = 0.75  # classification gate on residual(f, Q)
@@ -74,19 +75,6 @@ def residual(f: SpinorField, Q: PotentialField) -> float:
     return l2_norm(h0f + qf) / max(norm_f, l2_norm(h0f))
 
 
-def _birman_schwinger_matvec(Q: PotentialField):
-    grid = Q.grid
-    shape = (grid.N, grid.N, grid.N, 4)
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        f = SpinorField(grid, v.reshape(shape), POSITION)
-        qf = apply_potential(Q, f)
-        out = apply_a_spectral(qf, warn_threshold=np.inf).values.ravel()
-        return np.negative(out, out=out)
-
-    return matvec
-
-
 def _chiral_blocks(Q: PotentialField):
     """(a, b) with Q = [[a, b], [b, a]] if Q commutes with gamma5 = [[0, I], [I, 0]] exactly, else None."""
     v = Q.values
@@ -97,8 +85,11 @@ def _chiral_blocks(Q: PotentialField):
 
 
 def _sector_matvec(grid: GridSpec, m: np.ndarray, sign: int):
-    """T_sign v = -sign S (m v) on chiral 2-spinors, S = (sigma.D)^{-1} the 2-spinor block of A."""
-    shape = (grid.N, grid.N, grid.N, 2)
+    """T_sign v = -sign S (m v) on chiral 2-spinors, S = (sigma.D)^{-1} the 2-spinor block of A.
+
+    A 4x4 ``m`` acts on 4-spinors instead, where sign +1 gives T v = -A (m v).
+    """
+    shape = (grid.N, grid.N, grid.N, m.shape[-1])
     symbol = _symbol(grid, True)
     m = np.ascontiguousarray(m)
 
@@ -195,7 +186,7 @@ class EigenReport:
 def birman_schwinger_spectrum(
     Q: PotentialField,
     k: int = 6,
-    seed: int = 20240301,
+    seed: int = DEFAULT_SEED,
     tol: float = ARNOLDI_TOL,
     max_iter: int = ARNOLDI_MAX_ITER,
 ) -> EigenReport:
@@ -240,7 +231,7 @@ def birman_schwinger_spectrum(
     # A view (solve, eigenvalue sign, lower-component sign) reports a solve's pairs
     # in one sector; lower sign 0 marks a 4-spinor solve, whose vectors are used as they are.
     if blocks is None:
-        sectors, solves, views = "full", [_birman_schwinger_matvec(Q)], [(0, 1, 0)]
+        sectors, solves, views = "full", [_sector_matvec(grid, Q.values, 1)], [(0, 1, 0)]
     else:
         a, b = blocks
         if not np.any(a):
@@ -328,7 +319,7 @@ def subspace_overlap(fields, reference: SpinorField) -> float:
 
 
 def find_zero_modes(
-    Q: PotentialField, tol: float = ZERO_MODE_TOL, k: int = 6, seed: int = 20240301
+    Q: PotentialField, tol: float = ZERO_MODE_TOL, k: int = 6, seed: int = DEFAULT_SEED
 ) -> list[SpinorField]:
     """Eigenfields with |lambda - 1| <= tol, re-validated by the direct residual."""
     return fixed_point_subspace(birman_schwinger_spectrum(Q, k=k, seed=seed), tol, Q)[1]
@@ -349,7 +340,7 @@ def real_eigenvalues(report: EigenReport) -> list[float]:
     ]
 
 
-def coupling_thresholds(Q: PotentialField, k: int = 6, seed: int = 20240301) -> list[float]:
+def coupling_thresholds(Q: PotentialField, k: int = 6, seed: int = DEFAULT_SEED) -> list[float]:
     """Couplings tau with tau Q supporting a fixed point: tau = 1 / lambda.
 
     Only :func:`real_eigenvalues` count; sorted by |tau|.
@@ -407,8 +398,7 @@ def decay_fit(f: SpinorField, shells=None) -> DecayFit:
 @dataclass(frozen=True)
 class ThresholdClassification:
     kind: str  # zero_mode | resonance_candidate | inconclusive
-    sigma: float
-    sigma_stderr: float
+    fit: DecayFit
     mu_check: dict
     residual: float
 
@@ -460,8 +450,7 @@ def classify_threshold_state(
     checks = {float(mu): mu_trend(f, float(mu)) for mu in mus}
     return ThresholdClassification(
         kind=kind,
-        sigma=fit.sigma,
-        sigma_stderr=fit.stderr,
+        fit=fit,
         mu_check=checks,
         residual=res,
     )

@@ -170,7 +170,7 @@ def test_empirical_zero_field(grid16, q_ly16):
     from dirac_zero_lab.field import SpinorField
 
     zero = SpinorField(grid16, np.zeros((32, 32, 32, 4), dtype=complex))
-    res = empirical_bootstrap(zero, q_ly16, F(2), rounds=2)
+    res = empirical_bootstrap(zero, q_ly16, rounds=2)
     assert res.gate_passed
     assert res.rounds == ((0, 0.0), (1, 0.0), (2, 0.0))
     assert res.step_changes == (0.0, 0.0)
@@ -178,14 +178,14 @@ def test_empirical_zero_field(grid16, q_ly16):
 
 def test_empirical_gate_rejects_random_field(grid16, q_ly16):
     f = random_field(grid16, seed=55)
-    res = empirical_bootstrap(f, q_ly16, F(2), rounds=2)
+    res = empirical_bootstrap(f, q_ly16, rounds=2)
     assert not res.gate_passed
     assert res.rounds == ()
     assert res.initial_residual > 0.75
 
 
 def test_empirical_fixed_point_on_magnetic_mode(grid16, ly16, q_ly16, grid24, ly24):
-    res = empirical_bootstrap(ly16.zero_mode, q_ly16, F(2), rounds=3)
+    res = empirical_bootstrap(ly16.zero_mode, q_ly16, rounds=3)
     assert res.gate_passed
     # measured: the first iterate moves by ~0.22 at (16, 32) and the steps shrink
     assert res.step_changes[0] <= 0.30
@@ -197,10 +197,6 @@ def test_empirical_fixed_point_on_magnetic_mode(grid16, ly16, q_ly16, grid24, ly
     # bigger box: smaller first step
     from dirac_zero_lab.potential import loss_yau_potential
 
-    res24 = empirical_bootstrap(ly24.zero_mode, loss_yau_potential(grid24), F(2), rounds=1)
+    res24 = empirical_bootstrap(ly24.zero_mode, loss_yau_potential(grid24), rounds=1)
     assert res24.step_changes[0] < res.step_changes[0]
 
-
-def test_empirical_requires_rational_rho(grid16, ly16, q_ly16):
-    with pytest.raises(TypeError):
-        empirical_bootstrap(ly16.zero_mode, q_ly16, 1.6, rounds=1)

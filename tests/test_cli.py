@@ -303,6 +303,22 @@ def test_zero_mode_out_of_range_k_is_usage_error(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+def test_zero_mode_small_box_mode_is_unclassified(capsys, tmp_path):
+    # at (8, 16) the default decay shells are too few to fit: each detected
+    # mode is reported unclassified and the run is inconclusive, not an error
+    out_dir = tmp_path / "ly8"
+    code, out, err = run_cli(
+        capsys, "zero-mode", "--potential", "loss-yau", "--L", "8", "--N", "16", "--out", str(out_dir)
+    )
+    assert code == 1
+    assert "zero modes at tolerance 0.1: 2" in out
+    assert "mode 0: unclassified (need at least 4 shells (5 edges), got 3)" in out
+    assert "mode 1: unclassified" in out
+    assert err == ""
+    assert (out_dir / "eigenreport.json").exists()
+    assert not list(out_dir.glob("decay-fit-*.csv"))
+
+
 def test_zero_mode_unknown_potential(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, "zero-mode", "--potential", "whatever")
@@ -332,8 +348,9 @@ def test_zero_mode_exit_three_on_resonance_candidate(capsys, tmp_path, monkeypat
         )
 
     def fake_classify(f, Q, **kwargs):
+        fit = resonance.DecayFit(sigma=1.0, stderr=0.1, slope=1.0, edges=(1.0, 2.0), masses=(1.0,))
         return resonance.ThresholdClassification(
-            kind="resonance_candidate", sigma=1.0, sigma_stderr=0.1, mu_check={}, residual=0.01
+            kind="resonance_candidate", fit=fit, mu_check={}, residual=0.01
         )
 
     monkeypatch.setattr(cli.resonance, "birman_schwinger_spectrum", fake_spectrum)
@@ -397,3 +414,93 @@ def test_acceptance_unknown_selector(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# settings: each command accepts, defaults and records only what it reads
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("L", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-freeop"], ["nw-sweep", "--a", "1", "--b", "1/2"], ["zero-mode", "--potential", "zero"]],
+    ids=["verify-freeop", "nw-sweep", "zero-mode"],
+)
+def test_invalid_grid_writes_nothing(capsys, tmp_path, argv, L):
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, *argv, "--L", L, "--N", "16", "--out", str(out_dir))
+    assert code == 2
+    assert "box half-width must be positive" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["bootstrap", "--rho", "2", "--seed", "5"], None),
+        (["bootstrap", "--rho", "2", "--L", "3"], None),
+        (["bootstrap", "--rho", "2", "--N", "8"], None),
+        (["acceptance", "--only", "7", "--L", "8"], None),
+        (["acceptance", "--only", "7", "--N", "16"], None),
+        (["nw-sweep", "--a", "1", "--b", "1/2", "--d", "3"], None),
+        (["nw-sweep", "--a", "1", "--b", "1/2"], "tol.zero_mode = 0.1"),
+        (["bootstrap", "--rho", "2"], "tol.quadrature = 0.25"),
+        (["acceptance", "--only", "7"], "tol.ah0 = 1e-10"),
+        (["zero-mode", "--potential", "zero", "--L", "4", "--N", "4"], "tol.ah0 = 1e-10"),
+        (["verify-freeop", "--L", "4", "--N", "4"], "tol.zero_mode = 0.1"),
+        (["bootstrap", "--rho", "2"], "seed = 5"),
+        (["acceptance", "--only", "7"], "L = 8"),
+    ],
+)
+def test_unread_setting_is_usage_error(capsys, tmp_path, argv, config):
+    out_dir = tmp_path / "run"
+    if config is not None:
+        (tmp_path / "lab.cfg").write_text(config + "\n")
+        argv = [*argv, "--config", str(tmp_path / "lab.cfg")]
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    if config is not None:
+        key = config.split(" = ")[0]
+        assert f"unknown {'tolerance' if key.startswith('tol.') else 'config key'} {key!r}" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flags, keys",
+    [
+        (
+            ["verify-freeop"],
+            ["--L", "8", "--N", "16", "--seed", "7", "--tol-ah0", "1e-9"],
+            ["L", "N", "seed", "out", "tol.ah0", "tol.pairing", "tol.quadrature", "tol.symbol_product"],
+        ),
+        (
+            ["nw-sweep", "--a", "1", "--b", "1/2", "--scales", "4,8"],
+            ["--L", "4", "--N", "8", "--seed", "7"],
+            ["L", "N", "seed", "out"],
+        ),
+        (["bootstrap", "--rho", "2"], [], ["out"]),
+        (
+            ["zero-mode", "--potential", "zero"],
+            ["--L", "4", "--N", "4", "--tol", "0.2"],
+            ["L", "N", "seed", "out", "tol.zero_mode"],
+        ),
+        (["acceptance", "--only", "7"], ["--seed", "7"], ["seed", "out"]),
+    ],
+    ids=["verify-freeop", "nw-sweep", "bootstrap", "zero-mode", "acceptance"],
+)
+def test_run_config_records_the_settings_read(capsys, tmp_path, argv, flags, keys):
+    from dirac_zero_lab.cli import SETTINGS
+
+    first, second = tmp_path / "first", tmp_path / "second"
+    code, _, _ = run_cli(capsys, *argv, *flags, "--out", str(first))
+    written = (first / "run-config.cfg").read_text().splitlines()
+    assert [line.split(" = ")[0] for line in written] == keys
+    assert set(keys) == {*SETTINGS[argv[0]], "out"}
+    # the record alone, passed back through --config, reproduces the run
+    again, _, _ = run_cli(capsys, *argv, "--config", str(first / "run-config.cfg"), "--out", str(second))
+    assert again == code
+    rewritten = (second / "run-config.cfg").read_text().splitlines()
+    assert [l for l in rewritten if not l.startswith("out =")] == [l for l in written if not l.startswith("out =")]

@@ -15,9 +15,9 @@ from dirac_zero_lab.field import (
 )
 from dirac_zero_lab.potential import PotentialField, from_em, loss_yau, loss_yau_potential
 from dirac_zero_lab.resonance import (
-    _birman_schwinger_matvec,
     _eigs,
     _pinned_order,
+    _sector_matvec,
     EigenReport,
     birman_schwinger_spectrum,
     classify_threshold_state,
@@ -162,7 +162,7 @@ def test_sector_report_matches_four_spinor_reference(sectors):
     rep = birman_schwinger_spectrum(Q, k=6)
     assert rep.sectors == sectors
     assert rep.converged and all(r <= 1e-8 for r in rep.residuals)
-    ref = _eigs(_birman_schwinger_matvec(Q), g.npoints * 4, 12, 20240301)[0]
+    ref = _eigs(_sector_matvec(g, Q.values, 1), g.npoints * 4, 12, 20240301)[0]
     for lam in rep.eigenvalues:
         assert min(abs(lam - r) for r in ref) <= 1e-8
     _assert_pinned_order(rep)
@@ -442,7 +442,7 @@ def test_default_shell_edges_geometric(grid16):
 def test_classify_magnetic_mode(ly16, q_ly16):
     cls = classify_threshold_state(ly16.zero_mode, q_ly16)
     assert cls.kind == "zero_mode"
-    assert cls.sigma == pytest.approx(2.0, abs=0.15)
+    assert cls.fit.sigma == pytest.approx(2.0, abs=0.15)
     assert cls.mu_check[0.4] == "finite-trend"
     assert cls.mu_check[0.45] == "finite-trend"
 
