@@ -42,7 +42,7 @@ def _as_fraction(x, name: str) -> Fraction:
         raise TypeError(f"{name} must be exact (int, Fraction or 'p/q' string), got float")
     try:
         return Fraction(x)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise TypeError(f"{name} must be rational, got {x!r}") from exc
 
 

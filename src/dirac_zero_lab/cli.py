@@ -60,10 +60,6 @@ FLAGS = {
 }
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_config_file(path: str) -> dict:
     values: dict[str, str] = {}
     try:
@@ -73,11 +69,11 @@ def _parse_config_file(path: str) -> dict:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise UsageError(f"malformed config line: {raw.rstrip()}")
+                    raise ValueError(f"malformed config line: {raw.rstrip()}")
                 key, val = (part.strip() for part in line.split("=", 1))
                 values[key] = val
     except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     return values
 
 
@@ -95,7 +91,7 @@ def _settings(args, out: str | None = None) -> dict:
                 cfg[key] = type(row[key])(val)
             else:
                 kind = "tolerance" if key.startswith("tol.") else "config key"
-                raise UsageError(f"unknown {kind} {key!r} for {args.command}; known: {', '.join([*row, 'out'])}")
+                raise ValueError(f"unknown {kind} {key!r} for {args.command}; known: {', '.join([*row, 'out'])}")
     for key in row:
         if vars(args).get(key) is not None:
             cfg[key] = vars(args)[key]
@@ -146,33 +142,21 @@ def cmd_clifford_check(args) -> int:
 def cmd_verify_freeop(args) -> int:
     cfg = _settings(args)
     grid = field.make_grid(cfg["L"], cfg["N"])
-    _emit_settings(cfg)
-    failures = []
-    lines = []
-    dev = freeop.symbol_product_max_deviation(grid)
-    lines.append(("symbol-product", dev, cfg["tol.symbol_product"]))
-    worst = 0.0
-    for i in range(8):
-        f = field.random_field(grid, cfg["seed"] + i, band_limit=2.0, mean_zero=True)
-        worst = max(worst, freeop.verify_ah0_identity(f))
-    lines.append(("ah0-identity", worst, cfg["tol.ah0"]))
-    g = field.random_field(grid, cfg["seed"] + 50)
-    phi = acc.annulus_test_field(grid, cfg["seed"] + 60)
-    lhs, rhs = freeop.verify_pairing_identity(g, phi)
-    scale = abs(lhs) + abs(rhs) + field.l2_norm(g) * field.l2_norm(phi)
-    lines.append(("pairing-identity", abs(lhs - rhs) / scale, cfg["tol.pairing"]))
+    seed = cfg["seed"]
     vals = np.zeros((grid.N,) * 3 + (4,), dtype=complex)
     vals[..., 0] = np.exp(-grid.radius2)
     bump = field.SpinorField(grid, vals, field.POSITION)
-    rel = field.l2_norm(
-        freeop.apply_a_quadrature(bump) - freeop.apply_a_spectral(bump, warn_threshold=np.inf)
-    ) / field.l2_norm(bump)
-    lines.append(("spectral-vs-quadrature", rel, cfg["tol.quadrature"]))
+    # criteria 2 and 3's checks, on this command's grid, seeds and field counts
+    lines = [
+        ("symbol-product", freeop.symbol_product_max_deviation(grid), cfg["tol.symbol_product"]),
+        ("ah0-identity", acc.ah0_identity_worst(grid, range(seed, seed + 8)), cfg["tol.ah0"]),
+        ("pairing-identity", acc.pairing_discrepancy(grid, seed + 50, seed + 60), cfg["tol.pairing"]),
+        ("spectral-vs-quadrature", acc.quadrature_gap(bump), cfg["tol.quadrature"]),
+    ]
+    _emit_settings(cfg)
     for name, value, bound in lines:
-        ok = value <= bound
-        if not ok:
-            failures.append(name)
-        print(f"[{'ok' if ok else 'FAIL'}] {name}: {value:.3e} (tolerance {bound:.3e})")
+        print(f"[{'ok' if value <= bound else 'FAIL'}] {name}: {value:.3e} (tolerance {bound:.3e})")
+    failures = [name for name, value, bound in lines if not value <= bound]
     _emit_json(
         cfg,
         "verify-freeop.json",
@@ -188,19 +172,16 @@ def _parse_number(text: str):
     try:
         return Fraction(text) if "/" in text or text.lstrip("+-").isdigit() else float(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad numeric value {text!r}") from exc
+        raise ValueError(f"bad numeric value {text!r}") from exc
 
 
 def cmd_nw_sweep(args) -> int:
     cfg = _settings(args)
-    try:
-        spec = kernelnorm.NwKernelSpec(a=_parse_number(args.a), b=_parse_number(args.b), p=_parse_number(args.p))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec = kernelnorm.NwKernelSpec(a=_parse_number(args.a), b=_parse_number(args.b), p=_parse_number(args.p))
     scales = [float(s) for s in args.scales.split(",")]
     template = field.make_grid(cfg["L"], cfg["N"])
+    report = kernelnorm.scale_sweep(spec, scales, template, seed=cfg["seed"])  # rejects bad scales first
     _emit_settings(cfg)
-    report = kernelnorm.scale_sweep(spec, scales, template, seed=cfg["seed"])
     for scale, est in zip(report.scales, report.norm_estimates):
         print(f"L={scale}: norm estimate {est:.6f}")
     print(
@@ -211,24 +192,15 @@ def cmd_nw_sweep(args) -> int:
         kernelnorm.sweep_rows_to_csv(
             [report], os.path.join(cfg["out"], "nw-sweep.csv"), extra={"seed": cfg["seed"]}
         )
-    if report.agreement == "agree":
-        return 0
-    if report.agreement == "inconclusive":
-        d = Fraction(spec.d)
-        boundary = (
-            isinstance(spec.a, (int, Fraction))
-            and isinstance(spec.p, (int, Fraction))
-            and (Fraction(spec.a) == d / Fraction(spec.p) or Fraction(spec.b) == d / spec.q)
-        )
-        return 0 if boundary else 1
-    return 1
+    # a spec on the criterion's edge may grow too slowly to classify: inconclusive is no failure there
+    return 0 if report.agreement == "agree" or (report.agreement == "inconclusive" and spec.on_boundary) else 1
 
 
 def cmd_bootstrap(args) -> int:
     try:
         trace = bs.bootstrap_trace(args.rho)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
+    except TypeError as exc:  # rho that is not rational
+        raise ValueError(str(exc)) from exc
     cfg = _settings(args)
     _emit_settings(cfg)
     payload = trace.to_json_dict()
@@ -255,14 +227,14 @@ def _build_potential(args, grid: field.GridSpec) -> potential.PotentialField:
         return potential.loss_yau_potential(grid)
     if name == "scalar-decay":
         if args.rho <= 1:
-            raise UsageError(f"scalar-decay needs rho > 1, got {args.rho}")
+            raise ValueError(f"scalar-decay needs rho > 1, got {args.rho}")
         profile = args.amp * (1.0 + grid.radius2) ** (-args.rho / 2.0)
         return potential.from_em(profile, None, grid)
     if name == "em":
         ly = potential.loss_yau(grid)
         q = args.amp * (1.0 + grid.radius2) ** (-args.rho / 2.0) if args.amp else None
         return potential.from_em(q, args.a_scale * ly.vector_potential, grid)
-    raise UsageError(f"unknown potential {name!r}")
+    raise ValueError(f"unknown potential {name!r}")
 
 
 def cmd_zero_mode(args) -> int:
@@ -303,12 +275,9 @@ def cmd_zero_mode(args) -> int:
 
 def cmd_acceptance(args) -> int:
     cfg = _settings(args)
-    _emit_settings(cfg)
     only = args.only.split(",") if args.only else None
-    try:
-        results = acc.run_acceptance(only=only, seed=cfg["seed"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    results = acc.run_acceptance(only=only, seed=cfg["seed"])
+    _emit_settings(cfg)
     payload = {
         f"criterion_{r.index}": {
             "title": r.title,
@@ -380,10 +349,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # bad input of any kind: usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

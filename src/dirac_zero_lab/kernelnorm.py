@@ -72,19 +72,21 @@ class NwKernelSpec:
         """Exponent of the |x - y| factor: d - (a + b)."""
         return self.d - (self.a + self.b)
 
+    def _criterion_sides(self):
+        """(a, d/p) and (b, d/q), as Fractions where both entries are rational, else as floats."""
+        for x, dual in ((self.a, self.p), (self.b, self.q)):
+            exact = _exactable(x) and _exactable(dual)
+            yield (Fraction(x), Fraction(self.d) / Fraction(dual)) if exact else (float(x), self.d / float(dual))
+
+    @property
+    def on_boundary(self) -> bool:
+        """a = d/p or b = d/q: the criterion's edge, where the sweep's growth may stay inconclusive."""
+        return any(x == edge for x, edge in self._criterion_sides())
+
 
 def nw_classify(spec: NwKernelSpec) -> str:
     """'bounded' iff a < d/p and b < d/q (strict; exact for rational inputs)."""
-    if _exactable(spec.a) and _exactable(spec.p):
-        a_ok = Fraction(spec.a) < Fraction(spec.d) / Fraction(spec.p)
-    else:
-        a_ok = float(spec.a) < spec.d / float(spec.p)
-    q = spec.q
-    if _exactable(spec.b) and isinstance(q, Fraction):
-        b_ok = Fraction(spec.b) < Fraction(spec.d) / q
-    else:
-        b_ok = float(spec.b) < spec.d / float(q)
-    return "bounded" if (a_ok and b_ok) else "unbounded"
+    return "bounded" if all(x < edge for x, edge in spec._criterion_sides()) else "unbounded"
 
 
 def _regularized_radius(grid: GridSpec) -> np.ndarray:
@@ -312,8 +314,8 @@ def lemma_a_conjugated_norm(t: float, grid: GridSpec, seed: int = 0, iterations:
     For t in [-1, 0] the kernel 1 / (4 pi <x>_reg^{t+1} |x-y|^2 <y>_reg^{-t})
     dominates it pointwise.  Evaluated with the module's |.|-regularized
     weights, its norm is ``estimate_norm(NwKernelSpec(a=t+1, b=-t), ...) /
-    (4 pi)``; acceptance criterion 4's dominating-bound check computes that
-    beside this estimate.
+    (4 pi)``; acceptance criterion 4's dominating-bound check compares the
+    two.
     """
     w_up = grid.bracket ** float(t)
     w_down = grid.bracket ** float(-t - 1.0)

@@ -98,21 +98,26 @@ def from_em(q, A, grid: GridSpec) -> PotentialField:
     """Electromagnetic coupling q(x) I_4 - alpha.A(x) from real scalar/vector data.
 
     ``q`` is a real (N, N, N) array or None; ``A`` a real (N, N, N, 3) array
-    or None.  The result added to alpha.D gives alpha.(D - A) + q I.
+    or None.  The result added to alpha.D gives alpha.(D - A) + q I.  It is
+    Hermitian by construction, so the inputs are checked (real and finite),
+    not the result.
     """
     shape = (grid.N, grid.N, grid.N)
+
+    def real_finite(x, what: str, tail: tuple) -> np.ndarray:
+        arr = np.asarray(x)
+        if np.iscomplexobj(arr) and np.any(arr.imag != 0):
+            raise ValueError(f"{what} potential must be real-valued")
+        arr = np.broadcast_to(arr.real.astype(float), shape + tail)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{what} potential is not finite on the lattice")
+        return arr
+
     vals = np.zeros(shape + (4, 4), dtype=np.complex128)
     if q is not None:
-        q_arr = np.asarray(q)
-        if np.iscomplexobj(q_arr) and np.any(q_arr.imag != 0):
-            raise ValueError("scalar potential must be real-valued")
-        q_arr = np.broadcast_to(q_arr.real.astype(float), shape)
-        vals += q_arr[..., None, None] * np.eye(4)
+        vals += real_finite(q, "scalar", ())[..., None, None] * np.eye(4)
     if A is not None:
-        a_arr = np.asarray(A)
-        if np.iscomplexobj(a_arr) and np.any(a_arr.imag != 0):
-            raise ValueError("vector potential must be real-valued")
-        a_arr = np.broadcast_to(a_arr.real.astype(float), shape + (3,))
+        a_arr = real_finite(A, "vector", (3,))
         for j in range(3):
             vals -= a_arr[..., j, None, None] * ALPHA[j]
     return PotentialField(grid, vals)

@@ -108,7 +108,8 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
     as in ARPACK.  Until the top k all pass, the (ncv + k) // 2 leading Ritz
     vectors are kept and extended again (Krylov-Schur restart, Stewart 2001).
     Returns (eigenvalues, eigenvector columns, matvec count, converged,
-    restarts); after ``max_iter`` restarts, only the converged pairs.
+    restarts); after ``max_iter`` restarts, only the converged pairs.  A
+    non-finite Krylov vector (an overflowing operator) raises ValueError.
     """
     rng = np.random.default_rng(seed)
     m = min(max(2 * k + 1, 30), n - 1)
@@ -120,6 +121,8 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
     def orthogonalize(w, j):
         """Gram-Schmidt of w against V[:j], again if DGKS asks: (coefficients, norm, 0 if w was in their span)."""
         h, start = np.zeros(j, dtype=np.complex128), np.linalg.norm(w)
+        if not np.isfinite(start):
+            raise ValueError(f"the operator returned a Krylov vector of norm {start}; is the potential too large?")
         beta = start
         for _ in range(2):
             c = np.conj(V[:j] @ np.conj(w))

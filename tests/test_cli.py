@@ -54,6 +54,16 @@ def test_verify_freeop_default_grid_passes(capsys, tmp_path):
     assert (out_dir / "verify-freeop.json").exists()
 
 
+def test_verify_freeop_empty_annulus_is_usage_error(capsys, tmp_path):
+    # at N = 4 the pairing check's annulus test field holds no frequency
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, "verify-freeop", "--L", "4", "--N", "4", "--out", str(out_dir))
+    assert code == 2
+    assert "annulus" in err and "N=4" in err
+    assert "Traceback" not in err and out == ""
+    assert not out_dir.exists()
+
+
 def test_verify_freeop_impossible_tolerance_fails(capsys):
     code, out, _ = run_cli(capsys, "verify-freeop", "--N", "16", "--L", "8", "--tol-ah0", "1e-30")
     assert code == 1
@@ -143,6 +153,22 @@ def test_nw_sweep_unbounded_agrees(capsys):
     assert "growth=growing" in out
 
 
+def test_nw_sweep_float_boundary_spec_inconclusive_exits_zero(capsys):
+    # the boundary spec (3/2, 0) in float spelling: inconclusive growth is allowed there
+    code, out, _ = run_cli(capsys, "nw-sweep", "--a", "1.5", "--b", "0", "--p", "2.0")
+    assert "agreement=inconclusive" in out
+    assert code == 0
+
+
+def test_nw_sweep_bad_scales_write_nothing(capsys, tmp_path):
+    out_dir = tmp_path / "nw"
+    code, out, err = run_cli(capsys, "nw-sweep", "--a", "1", "--b", "1/2", "--scales", "4,8", "--out", str(out_dir))
+    assert code == 2
+    assert "three strictly increasing scales" in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_nw_sweep_rejects_nonpositive_exponent_sum(capsys):
     code, _, err = run_cli(capsys, "nw-sweep", "--a", "1", "--b", "-2")
     assert code == 2
@@ -179,6 +205,12 @@ def test_bootstrap_rejects_long_range(capsys):
     code, _, err = run_cli(capsys, "bootstrap", "--rho", "1")
     assert code == 2
     assert "exceed 1" in err
+
+
+def test_bootstrap_rejects_zero_denominator(capsys):
+    code, out, err = run_cli(capsys, "bootstrap", "--rho", "1/0")
+    assert code == 2
+    assert "rho must be rational" in err and out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +335,23 @@ def test_zero_mode_out_of_range_k_is_usage_error(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "amp, message",
+    [("nan", "scalar potential is not finite"), ("1e308", "Krylov vector of norm inf")],
+)
+def test_zero_mode_non_finite_potential_is_usage_error(capsys, tmp_path, amp, message):
+    # nan is rejected where the potential is built; 1e308 overflows the solver's first matvec
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(
+        capsys, "zero-mode", "--potential", "scalar-decay", "--amp", amp, "--L", "4", "--N", "8",
+        "--out", str(out_dir),
+    )
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err and out == ""
+    assert not out_dir.exists()
+
+
 def test_zero_mode_small_box_mode_is_unclassified(capsys, tmp_path):
     # at (8, 16) the default decay shells are too few to fit: each detected
     # mode is reported unclassified and the run is inconclusive, not an error
@@ -412,6 +461,15 @@ def test_acceptance_unknown_selector(capsys):
     assert code == 2
 
 
+def test_acceptance_bad_selector_runs_and_writes_nothing(capsys, tmp_path):
+    out_dir = tmp_path / "acc"
+    code, out, err = run_cli(capsys, "acceptance", "--only", "1,99", "--out", str(out_dir))
+    assert code == 2
+    assert "no criterion 99" in err
+    assert "criterion" not in out
+    assert not out_dir.exists()
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
 
@@ -477,8 +535,8 @@ def test_unread_setting_is_usage_error(capsys, tmp_path, argv, config):
             ["L", "N", "seed", "out", "tol.ah0", "tol.pairing", "tol.quadrature", "tol.symbol_product"],
         ),
         (
-            ["nw-sweep", "--a", "1", "--b", "1/2", "--scales", "4,8"],
-            ["--L", "4", "--N", "8", "--seed", "7"],
+            ["nw-sweep", "--a", "1", "--b", "1/2", "--scales", "4,8,16"],
+            ["--L", "4", "--N", "4", "--seed", "7"],
             ["L", "N", "seed", "out"],
         ),
         (["bootstrap", "--rho", "2"], [], ["out"]),

@@ -53,6 +53,17 @@ def test_classification_boundary_is_exact_for_rationals():
     assert nw_classify(NwKernelSpec(a=0, b=Fraction(3, 2), d=3, p=2)) == "unbounded"
 
 
+@pytest.mark.parametrize("a", [Fraction(3, 2), 1.5])
+@pytest.mark.parametrize("p", [2, 2.0])
+def test_boundary_spellings_classify_alike(a, p):
+    for spec in (NwKernelSpec(a=a, b=0, p=p), NwKernelSpec(a=0, b=a, p=p)):
+        assert nw_classify(spec) == "unbounded"
+        assert spec.on_boundary
+    inside = NwKernelSpec(a=a - 0.5, b=a - 1, p=p)
+    assert nw_classify(inside) == "bounded"
+    assert not inside.on_boundary
+
+
 # ---------------------------------------------------------------------------
 # kernel application
 # ---------------------------------------------------------------------------

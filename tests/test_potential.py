@@ -94,6 +94,14 @@ def test_from_em_rejects_complex_inputs():
         from_em(None, np.full((8, 8, 8, 3), 1j), g)
 
 
+def test_from_em_rejects_non_finite_inputs():
+    g = make_grid(4.0, 8)
+    with pytest.raises(ValueError, match="scalar potential is not finite"):
+        from_em(np.full((8, 8, 8), np.nan), None, g)
+    with pytest.raises(ValueError, match="vector potential is not finite"):
+        from_em(None, np.full((8, 8, 8, 3), np.inf), g)
+
+
 # ---------------------------------------------------------------------------
 # the magnetic zero-mode construction
 # ---------------------------------------------------------------------------
