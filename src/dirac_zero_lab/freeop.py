@@ -6,7 +6,12 @@ multiply to 1).  It applies alpha.c = [[0, sigma.c], [sigma.c, 0]],
 sigma.c = [[c3, c1 - i c2], [c1 + i c2, -c3]], elementwise: c = xi for
 alpha.D, c = xi / |xi|^2 for A, whose xi = 0 mode is annihilated (the symbol
 is singular there; the removed mass is surfaced as a warning).  The symbols
-are cached per grid: one FFT pair plus O(N^3) products per call.
+are cached per grid.  The path works component-major: the field is copied once
+into a (w, N, N, N) buffer, each contiguous (N, N, N) component is transformed
+in place, contracted with the symbol and inverted in place, and the result is
+handed back interleaved.  numpy transforms every line on its own, so this is
+bit-identical to one joint transform over the box axes of the (N, N, N, w)
+field, and cheaper.
 The quadrature route sums the convolution kernel (i/4pi) alpha.(x-y)/|x-y|^3
 over the primary box with the odd-kernel principal-value rule (diagonal term
 omitted), as an exact zero-padded FFT convolution on the (2N)^3 lattice at
@@ -60,14 +65,18 @@ def _sigma_coeffs(c1, c2, c3) -> tuple:
     return c3, c1 - 1j * c2, c1 + 1j * c2
 
 
-def _dot_contract(coeffs, v: np.ndarray) -> np.ndarray:
-    """(sigma.c) v on 2-spinors, (alpha.c) v on 4-spinors; ``coeffs`` = :func:`_sigma_coeffs` of c."""
+def _dot_contract(coeffs, v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """(sigma.c) v on 2-spinors, (alpha.c) v on 4-spinors, the components on ``axis``.
+
+    ``coeffs`` = :func:`_sigma_coeffs` of c, broadcast against one component.
+    """
     c3, cm, cp = coeffs
     out = np.empty(v.shape, np.complex128)
-    for dst, src in ((0, 0),) if v.shape[-1] == 2 else ((0, 2), (2, 0)):
-        a, b = v[..., src], v[..., src + 1]
-        out[..., dst] = c3 * a + cm * b
-        out[..., dst + 1] = cp * a - c3 * b
+    v_c, out_c = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)
+    for dst, src in ((0, 0),) if len(v_c) == 2 else ((0, 2), (2, 0)):
+        a, b = v_c[src], v_c[src + 1]
+        out_c[dst] = c3 * a + cm * b
+        out_c[dst + 1] = cp * a - c3 * b
     return out
 
 
@@ -87,10 +96,30 @@ def _symbol(grid: GridSpec, inverse: bool) -> tuple:
 
 
 def _multiply(coeffs, values: np.ndarray) -> np.ndarray:
-    """F^{-1} (sigma.c or alpha.c) F values over the box axes, transforming into owned buffers."""
-    spec = np.fft.fftn(values, axes=_AXES, out=np.empty(values.shape, np.complex128))
-    out = _dot_contract(coeffs, spec)
-    return np.fft.ifftn(out, axes=_AXES, out=out)
+    """F^{-1} (sigma.c or alpha.c) F values over the box axes of an (N, N, N, w) field.
+
+    The field is copied once into a component-major buffer for
+    :func:`_multiply_planar`; ``values`` is left as it is.
+    """
+    return _multiply_planar(coeffs, np.moveaxis(values, -1, 0).astype(np.complex128, order="C"))
+
+
+def _multiply_planar(coeffs, planar: np.ndarray) -> np.ndarray:
+    """:func:`_multiply` of a C-contiguous complex (w, N, N, N) buffer, which it overwrites.
+
+    Each component is transformed in place, the contraction writes a second
+    buffer whose components are inverted in place, and the interleaved
+    (N, N, N, w) result is copied back into the first buffer's memory: three
+    full-size buffers with the caller's input, as a joint transform needs.
+    """
+    for comp in planar:
+        np.fft.fftn(comp, out=comp)
+    out = _dot_contract(coeffs, planar, axis=0)
+    for comp in out:
+        np.fft.ifftn(comp, out=comp)
+    result = planar.reshape(planar.shape[1:] + planar.shape[:1])
+    result[...] = np.moveaxis(out, 0, -1)
+    return result
 
 
 def apply_h0(f: SpinorField) -> SpinorField:

@@ -32,7 +32,7 @@ from .field import (
     shell_profile,
     sobolev_norm,
 )
-from .freeop import _dot_contract, _multiply, _sigma_coeffs, _symbol, apply_h0
+from .freeop import _dot_contract, _multiply_planar, _sigma_coeffs, _symbol, apply_h0
 from .potential import PotentialField, apply_potential
 
 __all__ = [
@@ -88,14 +88,20 @@ def _sector_matvec(grid: GridSpec, m: np.ndarray, sign: int):
     """T_sign v = -sign S (m v) on chiral 2-spinors, S = (sigma.D)^{-1} the 2-spinor block of A.
 
     A 4x4 ``m`` acts on 4-spinors instead, where sign +1 gives T v = -A (m v).
+    The product m v is written straight into the component-major buffer that
+    :func:`freeop._multiply_planar` transforms, and ``v`` is only read.
     """
-    shape = (grid.N, grid.N, grid.N, m.shape[-1])
+    width = m.shape[-1]
+    shape = (grid.N, grid.N, grid.N, width)
     symbol = _symbol(grid, True)
-    m = np.ascontiguousarray(m)
+    m = np.moveaxis(m, -2, 0).copy()  # (a, N, N, N, b): m v comes out component-major
+    if sign > 0:
+        np.negative(m, out=m)  # negation commutes exactly with the products and the FFT
 
     def matvec(v: np.ndarray) -> np.ndarray:
-        out = _multiply(symbol, np.einsum("...ab,...b->...a", m, v.reshape(shape))).ravel()
-        return np.negative(out, out=out) if sign > 0 else out
+        planar = np.empty((width,) + shape[:3], np.complex128)
+        np.einsum("a...b,...b->a...", m, v.reshape(shape), out=planar)
+        return _multiply_planar(symbol, planar).ravel()
 
     return matvec
 
@@ -120,10 +126,11 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
 
     def orthogonalize(w, j):
         """Gram-Schmidt of w against V[:j], again if DGKS asks: (coefficients, norm, 0 if w was in their span)."""
-        h, start = np.zeros(j, dtype=np.complex128), np.linalg.norm(w)
+        with np.errstate(over="ignore"):  # an overflowing operator is reported here, not warned about
+            start = np.linalg.norm(w)
         if not np.isfinite(start):
             raise ValueError(f"the operator returned a Krylov vector of norm {start}; is the potential too large?")
-        beta = start
+        h, beta = np.zeros(j, dtype=np.complex128), start
         for _ in range(2):
             c = np.conj(V[:j] @ np.conj(w))
             w -= c @ V[:j]

@@ -339,16 +339,19 @@ def test_zero_mode_out_of_range_k_is_usage_error(capsys, tmp_path):
     "amp, message",
     [("nan", "scalar potential is not finite"), ("1e308", "Krylov vector of norm inf")],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_zero_mode_non_finite_potential_is_usage_error(capsys, tmp_path, amp, message):
-    # nan is rejected where the potential is built; 1e308 overflows the solver's first matvec
+    # nan is rejected where the potential is built; 1e308 overflows the solver's
+    # first matvec, which is reported by the one error line and no numpy warning
     out_dir = tmp_path / "run"
     code, out, err = run_cli(
         capsys, "zero-mode", "--potential", "scalar-decay", "--amp", amp, "--L", "4", "--N", "8",
         "--out", str(out_dir),
     )
     assert code == 2
-    assert message in err
-    assert "Traceback" not in err and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    assert out == ""
     assert not out_dir.exists()
 
 

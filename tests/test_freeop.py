@@ -16,6 +16,9 @@ from dirac_zero_lab.field import (
 )
 from dirac_zero_lab.freeop import (
     ZeroModeAnnihilationWarning,
+    _dot_contract,
+    _multiply,
+    _symbol,
     apply_a_quadrature,
     apply_a_spectral,
     apply_h0,
@@ -145,6 +148,33 @@ def test_multipliers_match_dense_reference_across_grids(op):
             lower = SpinorField(g, np.concatenate([np.zeros_like(phi), phi], axis=-1))
             out, ref = pauli_derivative(phi, g), dense_multiplier(lower, inverse=False)[..., :2]
         assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def joint_multiply(coeffs, values):
+    """Reference: one joint transform pair over the box axes of the interleaved (N, N, N, w) field."""
+    return np.fft.ifftn(_dot_contract(coeffs, np.fft.fftn(values, axes=(0, 1, 2))), axes=(0, 1, 2))
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("width", [2, 4])
+@pytest.mark.parametrize("N", [8, 12])
+def test_component_major_multiply_is_bit_identical_to_joint_transform(N, width, inverse):
+    # numpy transforms each line on its own, so per-component transforms give the same bits
+    g = make_grid(6.0, N)
+    rng = np.random.default_rng(10 * N + width)
+    v = rng.standard_normal((N, N, N, width)) + 1j * rng.standard_normal((N, N, N, width))
+    before = v.copy()
+    coeffs = _symbol(g, inverse)
+    out = _multiply(coeffs, v)
+    assert np.array_equal(out, joint_multiply(coeffs, v))
+    assert np.array_equal(v, before)  # the input is copied, never transformed in place
+    assert out.shape == v.shape and out.flags.c_contiguous
+
+
+def test_pauli_derivative_is_bit_identical_to_joint_transform():
+    g = make_grid(6.0, 12)
+    phi = random_field(g, seed=5).values[..., 2:]  # a strided 2-spinor view
+    assert np.array_equal(pauli_derivative(phi, g), joint_multiply(_symbol(g, False), phi))
 
 
 def test_h0_a_composition_is_identity_on_mean_zero_fields():

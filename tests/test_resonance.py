@@ -13,6 +13,7 @@ from dirac_zero_lab.field import (
     make_grid,
     random_field,
 )
+from dirac_zero_lab.freeop import _dot_contract, _symbol
 from dirac_zero_lab.potential import PotentialField, from_em, loss_yau, loss_yau_potential
 from dirac_zero_lab.resonance import (
     _eigs,
@@ -207,6 +208,43 @@ def test_spectrum_rejects_bad_k(q_ly16):
     assert len(birman_schwinger_spectrum(loss_yau_potential(g), k=126).eigenvalues) == 126
     with pytest.raises(ValueError, match="k <= 126"):
         birman_schwinger_spectrum(loss_yau_potential(g), k=127)
+
+
+def _random_block(g, width, seed):
+    """A strided width x width block of a random 4x4 lattice matrix field, as _chiral_blocks returns."""
+    rng = np.random.default_rng(seed)
+    shape = (g.N,) * 3 + (4, 4)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[..., :width, :width]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("width", [2, 4])
+def test_sector_matvec_is_bit_identical_to_joint_transform(width, sign):
+    # T v = -sign S (m v), S the inverse symbol: the sign folded into m gives the
+    # bits of an interleaved einsum, one joint transform pair and an explicit negation
+    g = make_grid(6.0, 12)
+    m = _random_block(g, width, seed=width)
+    rng = np.random.default_rng(sign + 2)
+    v = rng.standard_normal(g.npoints * width) + 1j * rng.standard_normal(g.npoints * width)
+    mv = np.einsum("...ab,...b->...a", m, v.reshape((g.N,) * 3 + (width,)))
+    ref = np.fft.ifftn(_dot_contract(_symbol(g, True), np.fft.fftn(mv, axes=(0, 1, 2))), axes=(0, 1, 2))
+    ref = ref.ravel()
+    if sign > 0:
+        ref = np.negative(ref)
+    assert np.array_equal(_sector_matvec(g, m, sign)(v), ref)
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_sector_matvec_leaves_its_argument_alone(width):
+    # the transforms run in place, but never on the caller's Krylov row
+    g = make_grid(4.0, 8)
+    n = g.npoints * width
+    rng = np.random.default_rng(width)
+    V = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    before = V.copy()
+    out = _sector_matvec(g, _random_block(g, width, seed=5), 1)(V[1])
+    assert np.array_equal(V, before)
+    assert out.shape == (n,) and out.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
