@@ -238,7 +238,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
         spec = kernelnorm.NwKernelSpec(a=t + 1.0, b=-t)
         # at t = -1 and t = 0 it is the (0, 1) and (1, 0) spec, swept above on this grid (scale 16) and seed
         swept = sweeps.get((spec.a, spec.b))
-        nw = swept.norm_estimates[1] if swept else kernelnorm.estimate_norm(spec, grid16, 40, seed).value
+        nw = swept.norm_estimates[1] if swept else kernelnorm.estimate_norm(spec, grid16, seed=seed).value
         nw_est = nw / (4.0 * np.pi)
         dom_ok = dom_ok and a_est <= 1.10 * nw_est
         ddetails.append(f"t={t}: {a_est:.4f} <= 1.1*{nw_est:.4f}")
@@ -481,7 +481,7 @@ CRITERION_KEYWORDS = {
 }
 
 
-def run_acceptance(only=None, seed: int = DEFAULT_SEED, printer=print) -> list[CriterionResult]:
+def run_acceptance(only=None, seed: int = DEFAULT_SEED) -> list[CriterionResult]:
     """Run all (or selected) criteria, printing one line per check; a bad selector runs none."""
     indices = set() if only else set(CRITERIA)
     for item in only or ():
@@ -501,8 +501,8 @@ def run_acceptance(only=None, seed: int = DEFAULT_SEED, printer=print) -> list[C
         result.elapsed = time.time() - t0
         results.append(result)
         status = "PASS" if result.passed else "FAIL"
-        printer(f"[{status}] criterion {idx}: {result.title} ({result.elapsed:.1f}s)")
+        print(f"[{status}] criterion {idx}: {result.title} ({result.elapsed:.1f}s)")
         for check in result.checks:
             mark = "ok" if check.passed else "FAIL"
-            printer(f"    [{mark}] {check.name}: {check.detail}")
+            print(f"    [{mark}] {check.name}: {check.detail}")
     return results

@@ -160,17 +160,11 @@ class EmpiricalBootstrapResult:
     step_changes: tuple[float, ...]  # ||f_{i+1} - f_i|| / ||f_i|| per round
 
 
-def empirical_bootstrap(
-    f: SpinorField,
-    Q: PotentialField,
-    rounds: int = 3,
-    gate: float = RESIDUAL_GATE,
-    shells=None,
-) -> EmpiricalBootstrapResult:
+def empirical_bootstrap(f: SpinorField, Q: PotentialField, rounds: int = 3) -> EmpiricalBootstrapResult:
     """Iterate f -> -A(Q f) on grid data and track the fitted decay exponent.
 
     The iteration is only meaningful near a kernel state, so fields failing
-    the residual gate are reported, not iterated.
+    the residual gate RESIDUAL_GATE are reported, not iterated.
     """
     if l2_norm(f) == 0.0:
         return EmpiricalBootstrapResult(
@@ -180,18 +174,18 @@ def empirical_bootstrap(
             step_changes=tuple(0.0 for _ in range(rounds)),
         )
     res = residual(f, Q)
-    if res > gate:
+    if res > RESIDUAL_GATE:
         return EmpiricalBootstrapResult(
             gate_passed=False, initial_residual=res, rounds=(), step_changes=()
         )
     current = f
-    fitted = [(0, decay_fit(current, shells).sigma)]
+    fitted = [(0, decay_fit(current).sigma)]
     changes = []
     for i in range(1, rounds + 1):
         nxt = -1.0 * apply_a_spectral(apply_potential(Q, current), warn_threshold=float("inf"))
         changes.append(l2_norm(nxt - current) / l2_norm(current))
         current = nxt
-        fitted.append((i, decay_fit(current, shells).sigma))
+        fitted.append((i, decay_fit(current).sigma))
     return EmpiricalBootstrapResult(
         gate_passed=True,
         initial_residual=res,

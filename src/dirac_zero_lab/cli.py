@@ -71,6 +71,8 @@ def _parse_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ValueError(f"malformed config line: {raw.rstrip()}")
                 key, val = (part.strip() for part in line.split("=", 1))
+                if key in values:
+                    raise ValueError(f"config key {key!r} is given twice in {path}")
                 values[key] = val
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
@@ -78,7 +80,10 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _settings(args, out: str | None = None) -> dict:
-    """The command's settings plus ``out``: flag > --config file > DZL_OUTPUT_ROOT > default."""
+    """The command's settings plus ``out``: flag > --config file > DZL_OUTPUT_ROOT > default.
+
+    Every tolerance must be finite and non-negative.
+    """
     row = SETTINGS[args.command]
     cfg = dict(row, out=out)
     if os.environ.get(OUTPUT_ROOT_ENV):
@@ -97,6 +102,9 @@ def _settings(args, out: str | None = None) -> dict:
             cfg[key] = vars(args)[key]
     if args.out:
         cfg["out"] = args.out
+    for key, val in cfg.items():
+        if key.startswith("tol.") and not (np.isfinite(val) and val >= 0):
+            raise ValueError(f"tolerance {key} must be finite and non-negative, got {val}")
     return cfg
 
 

@@ -37,6 +37,8 @@ __all__ = [
 STABILITY_THRESHOLD = 0.10  # "stable": top two scales within 10%
 GROWTH_THRESHOLD = 0.50  # "growing": >= 50% overall increase
 MONOTONE_SLACK = 0.02  # allowed non-monotonicity between consecutive scales
+POWER_ITERATIONS = 40  # iteration cap of every power-iteration norm estimate
+POWER_RTOL = 1e-4  # power iteration stops once consecutive estimates agree to this
 
 
 def _exactable(x) -> bool:
@@ -165,7 +167,7 @@ class NormEstimate:
     seed: int
 
 
-def _power_iteration(apply_fwd, apply_adj, start, seed, iterations, rtol=1e-4) -> NormEstimate:
+def _power_iteration(apply_fwd, apply_adj, start, seed, iterations) -> NormEstimate:
     """sqrt of the top eigenvalue of K^adj K by power iteration (L^2 operator norm).
 
     ``start`` is the seeded start vector; it becomes the iterate's buffer and
@@ -184,7 +186,7 @@ def _power_iteration(apply_fwd, apply_adj, start, seed, iterations, rtol=1e-4) -
         if nu == 0.0:
             return NormEstimate(0.0, it, True, seed)
         np.divide(u, nu, out=v)
-        if est_prev > 0 and abs(est - est_prev) <= rtol * est:
+        if est_prev > 0 and abs(est - est_prev) <= POWER_RTOL * est:
             converged = True
             est_prev = est
             break
@@ -211,7 +213,7 @@ def _random_trials_norm(op: _NwOperator, p: float, seed: int, trials: int) -> No
 
 
 def estimate_norm(
-    spec: NwKernelSpec, grid: GridSpec, iterations: int = 40, seed: int = 0
+    spec: NwKernelSpec, grid: GridSpec, iterations: int = POWER_ITERATIONS, seed: int = 0
 ) -> NormEstimate:
     """Empirical L^p operator norm on the box.
 
@@ -271,25 +273,28 @@ def _classify_growth(estimates: list[float]) -> str:
     return "inconclusive"
 
 
-def scale_sweep(
-    spec: NwKernelSpec,
-    scales,
-    template: GridSpec,
-    seed: int = 0,
-    iterations: int = 40,
-) -> NormSweepReport:
-    """Norm estimates across box sizes at the template's fixed spacing h."""
+def scale_sweep(spec: NwKernelSpec, scales, template: GridSpec, seed: int = 0) -> NormSweepReport:
+    """Norm estimates across box sizes at the template's fixed spacing h.
+
+    Every scale is checked before the first estimate: finite, positive,
+    larger than the one before it, an even multiple of h and at least 2h
+    (4 points per axis).
+    """
     scales = [float(s) for s in scales]
-    if len(scales) < 3 or any(b <= a for a, b in zip(scales, scales[1:])):
-        raise ValueError("need at least three strictly increasing scales")
+    if len(scales) < 3:
+        raise ValueError(f"need at least three strictly increasing scales, got {len(scales)}")
     h = template.h
-    estimates = []
-    for L in scales:
+    points = []
+    for prev, L in zip([0.0, *scales], scales):
+        if not (np.isfinite(L) and L > prev):
+            need = "positive" if prev == 0.0 else f"larger than the scale {prev} before it (strictly increasing)"
+            raise ValueError(f"scale L={L} must be finite and {need}")
         n = 2.0 * L / h
-        if abs(n - round(n)) > 1e-9 or round(n) % 2:
-            raise ValueError(f"scale L={L} is not an even multiple of the template spacing {h}")
-        grid = GridSpec(L, int(round(n)))
-        estimates.append(estimate_norm(spec, grid, iterations, seed))
+        if abs(n - round(n)) > 1e-9 or round(n) % 2 or round(n) < 4:
+            raise ValueError(f"scale L={L} is not an even multiple of the template spacing {h}, or is below 2h")
+        points.append(int(round(n)))
+    # a grid caches its meshes, so each one is built only for its own estimate
+    estimates = [estimate_norm(spec, GridSpec(L, n), seed=seed) for L, n in zip(scales, points)]
     growth = _classify_growth([e.value for e in estimates])
     criterion = nw_classify(spec)
     if growth == "inconclusive":
@@ -308,7 +313,7 @@ def scale_sweep(
     )
 
 
-def lemma_a_conjugated_norm(t: float, grid: GridSpec, seed: int = 0, iterations: int = 40) -> NormEstimate:
+def lemma_a_conjugated_norm(t: float, grid: GridSpec, seed: int = 0) -> NormEstimate:
     """Power-iteration norm of the weight-conjugated inverse operator <x>^{-t-1} A <x>^t.
 
     For t in [-1, 0] the kernel 1 / (4 pi <x>_reg^{t+1} |x-y|^2 <y>_reg^{-t})
@@ -331,7 +336,7 @@ def lemma_a_conjugated_norm(t: float, grid: GridSpec, seed: int = 0, iterations:
     n = grid.npoints * 4
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     # A is self-adjoint, so the adjoint of w_down A w_up swaps the weights
-    return _power_iteration(conjugated(w_up, w_down), conjugated(w_down, w_up), start, seed, iterations)
+    return _power_iteration(conjugated(w_up, w_down), conjugated(w_down, w_up), start, seed, POWER_ITERATIONS)
 
 
 def sweep_rows_to_csv(reports, path, extra: dict | None = None) -> None:

@@ -61,7 +61,9 @@ ZERO_MODE_TOL = 0.1
 DEFAULT_SEED = 20240301  # the seeded start vector of every solve
 SIGMA_MARGIN = 0.1  # zero_mode needs sigma >= 3/2 + margin
 MU_GROWTH_THRESHOLD = 0.10  # finite-trend: partial quantity grows <= 10% from L/2 to L
+MU_CHECKS = (0.4, 0.45)  # the weights mu < 1/2 whose trends a classification reports
 RESIDUAL_GATE = 0.75  # classification gate on residual(f, Q)
+SHELL_RATIO = np.sqrt(2.0)  # outer / inner radius of each default decay-fit shell
 REAL_EIGENVALUE_TOL = 0.05  # |Im| / |lambda| below this counts as real
 
 
@@ -193,13 +195,7 @@ class EigenReport:
     nconv: int = 0
 
 
-def birman_schwinger_spectrum(
-    Q: PotentialField,
-    k: int = 6,
-    seed: int = DEFAULT_SEED,
-    tol: float = ARNOLDI_TOL,
-    max_iter: int = ARNOLDI_MAX_ITER,
-) -> EigenReport:
+def birman_schwinger_spectrum(Q: PotentialField, k: int = 6, seed: int = DEFAULT_SEED) -> EigenReport:
     """Top-k eigenpairs of T f = -A (Q f), solved on chiral 2-spinor sectors where Q allows.
 
     In the Dirac representation gamma5 = [[0, I], [I, 0]] commutes with every
@@ -219,13 +215,13 @@ def birman_schwinger_spectrum(
     thick-restart Arnoldi run (Stewart, SIAM J. Matrix Anal. Appl. 23, 2001)
     at the full ``k`` <= n - 2, matrix-free, from a seeded complex start
     vector, so the result is deterministic for a fixed seed.  Convergence is
-    judged on the relative residual ||T v - lambda v|| / |lambda| <= ``tol``,
-    which makes the reported spectrum exactly covariant under scaling
-    Q -> c Q; ``max_iter`` bounds the restarts.  The sector pairs are merged
-    in one pinned order (|lambda| descending; ties to 1e-10 |lambda| by Re
-    lambda, then Im lambda descending, then sector + before -), trimmed to
-    k, and only the kept ones are embedded back as u = (f+ + f-)/sqrt(2),
-    l = (f+ - f-)/sqrt(2).  A multiple eigenvalue that comes from the two
+    judged on the relative residual ||T v - lambda v|| / |lambda| <=
+    ARNOLDI_TOL, which makes the reported spectrum exactly covariant under
+    scaling Q -> c Q; ARNOLDI_MAX_ITER bounds the restarts.  The sector
+    pairs are merged in one pinned order (|lambda| descending; ties to
+    1e-10 |lambda| by Re lambda, then Im lambda descending, then sector +
+    before -), trimmed to k, and only the kept ones are embedded back as
+    u = (f+ + f-)/sqrt(2), l = (f+ - f-)/sqrt(2).  A multiple eigenvalue that comes from the two
     sectors is thus reported with its multiplicity, which a single Krylov
     solve finds only through rounding.  If the solver stops before every
     pair converges, the converged pairs are returned with ``converged=False``.
@@ -252,7 +248,7 @@ def birman_schwinger_spectrum(
             sectors = "+-"
             solves = [_sector_matvec(grid, a + b, 1), _sector_matvec(grid, a - b, -1)]
             views = [(0, 1, 1), (1, 1, -1)]
-    results = [_eigs(matvec, grid.npoints * width, k, seed, tol, max_iter) for matvec in solves]
+    results = [_eigs(matvec, grid.npoints * width, k, seed) for matvec in solves]
 
     ranked = sorted(
         (
@@ -370,12 +366,12 @@ class DecayFit:
     masses: tuple[float, ...]
 
 
-def default_shell_edges(grid: GridSpec, ratio: float = np.sqrt(2.0)) -> list[float]:
-    """Geometric shell edges from ~2h out to the box half-width."""
+def default_shell_edges(grid: GridSpec) -> list[float]:
+    """Geometric shell edges, in steps of SHELL_RATIO, from ~2h out to the box half-width."""
     start = max(2.0 * grid.h, 1.0)
     edges = [grid.L]
-    while edges[-1] / ratio > start:
-        edges.append(edges[-1] / ratio)
+    while edges[-1] / SHELL_RATIO > start:
+        edges.append(edges[-1] / SHELL_RATIO)
     return sorted(edges)
 
 
@@ -420,44 +416,38 @@ def _h1_partial_quantity(f: SpinorField, mu: float) -> float:
     return sobolev_norm(weighted, 1.0).value
 
 
-def mu_trend(f: SpinorField, mu: float, threshold: float = MU_GROWTH_THRESHOLD) -> str:
+def mu_trend(f: SpinorField, mu: float) -> str:
     """Compare the weighted-H^1 partial quantity on the L/2 sub-box and the full box."""
     sub = restrict_to_subbox(f, 2)
     p_small = _h1_partial_quantity(sub, mu)
     p_full = _h1_partial_quantity(f, mu)
     if p_small == 0:
         return "finite-trend" if p_full == 0 else "diverging"
-    return "finite-trend" if p_full <= (1.0 + threshold) * p_small else "diverging"
+    return "finite-trend" if p_full <= (1.0 + MU_GROWTH_THRESHOLD) * p_small else "diverging"
 
 
-def classify_threshold_state(
-    f: SpinorField,
-    Q: PotentialField,
-    gate: float = RESIDUAL_GATE,
-    mus=(0.4, 0.45),
-    shells=None,
-) -> ThresholdClassification:
+def classify_threshold_state(f: SpinorField, Q: PotentialField) -> ThresholdClassification:
     """Zero-mode / resonance-candidate call from decay plus weighted-norm trends.
 
     sigma > 3/2 within margin is the L^2-membership proxy (zero mode); decay
     consistent with the borderline space but not L^2 flags a resonance
     candidate, which the no-resonance property suite treats as a failure to
-    investigate.
+    investigate.  The mu trends are those of MU_CHECKS.
     """
     res = residual(f, Q)
-    if res > gate:
+    if res > RESIDUAL_GATE:
         raise ValueError(
-            f"residual {res:.3g} exceeds the classification gate {gate}; "
+            f"residual {res:.3g} exceeds the classification gate {RESIDUAL_GATE}; "
             "the field is not close to a kernel state of this potential"
         )
-    fit = decay_fit(f, shells)
+    fit = decay_fit(f)
     if fit.sigma >= 1.5 + SIGMA_MARGIN:
         kind = "zero_mode"
     elif fit.sigma > 1.5 - SIGMA_MARGIN:
         kind = "inconclusive"
     else:
         kind = "resonance_candidate"
-    checks = {float(mu): mu_trend(f, float(mu)) for mu in mus}
+    checks = {mu: mu_trend(f, mu) for mu in MU_CHECKS}
     return ThresholdClassification(
         kind=kind,
         fit=fit,

@@ -114,6 +114,40 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_config_key_given_twice_is_usage_error(capsys, tmp_path):
+    # a later line must not silently override an earlier one
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("L = 8\nN = 16\nL = 12\n")
+    code, out, err = run_cli(capsys, "verify-freeop", "--config", str(cfg), "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert "config key 'L' is given twice" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["zero-mode", "--potential", "zero", "--L", "4", "--N", "4", "--tol", "nan"], None),
+        (["zero-mode", "--potential", "zero", "--L", "4", "--N", "4", "--tol=-1"], None),
+        (["zero-mode", "--potential", "zero", "--L", "4", "--N", "4"], "tol.zero_mode = -0.5"),
+        (["verify-freeop", "--L", "8", "--N", "16", "--tol-ah0", "nan"], None),
+        (["verify-freeop", "--L", "8", "--N", "16", "--tol-quadrature", "inf"], None),
+        (["verify-freeop", "--L", "8", "--N", "16"], "tol.symbol_product = nan"),
+    ],
+)
+def test_tolerance_must_be_finite_and_non_negative(capsys, tmp_path, argv, config):
+    out_dir = tmp_path / "run"
+    if config is not None:
+        (tmp_path / "lab.cfg").write_text(config + "\n")
+        argv = [*argv, "--config", str(tmp_path / "lab.cfg")]
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert "must be finite and non-negative" in err
+    assert not out_dir.exists()
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     # the package needs numpy only: neither the import nor a full eigensolve loads scipy
     import dirac_zero_lab
@@ -166,6 +200,30 @@ def test_nw_sweep_bad_scales_write_nothing(capsys, tmp_path):
     assert code == 2
     assert "three strictly increasing scales" in err
     assert out == ""
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "scales, message",
+    [
+        ("8,16,inf", "scale L=inf must be finite"),
+        ("8,16,nan", "scale L=nan must be finite"),
+        ("-8,8,16", "scale L=-8.0 must be finite"),
+        ("1,2,4", "scale L=1.0 is not an even multiple"),
+    ],
+)
+def test_nw_sweep_checks_every_scale_before_any_estimate(capsys, tmp_path, monkeypatch, scales, message):
+    from dirac_zero_lab import kernelnorm
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("a norm was estimated before every scale was checked")
+
+    monkeypatch.setattr(kernelnorm, "estimate_norm", no_estimate)
+    out_dir = tmp_path / "nw"
+    code, out, err = run_cli(capsys, "nw-sweep", "--a", "1", "--b", "1/2", f"--scales={scales}", "--out", str(out_dir))
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert message in err
     assert not out_dir.exists()
 
 
