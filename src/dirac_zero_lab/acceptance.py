@@ -177,11 +177,10 @@ NW_BOUNDARY = [(Fraction(3, 2), 0), (0, Fraction(3, 2))]
 
 def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     res = CriterionResult(4, "Weighted-kernel boundedness: criterion vs growth")
-    template = field.make_grid(DEFAULT_L, DEFAULT_N)  # h = 1
     sweeps = {}
     for a, b in [spec for spec, _ in NW_MATRIX] + NW_BOUNDARY:
         spec = kernelnorm.NwKernelSpec(a=a, b=b, d=3, p=2)
-        sweeps[a, b] = kernelnorm.scale_sweep(spec, [8, 16, 32], template, seed=seed)
+        sweeps[a, b] = kernelnorm.scale_sweep(spec, [8, 16, 32], 1.0, seed=seed)
 
     agree = True
     details = []
@@ -204,12 +203,12 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     # Conjugated-norm stability needs larger boxes before the estimates settle;
     # h = 2 keeps the largest grid affordable.
     lemma_scales = [8.0, 16.0, 32.0, 64.0]
-    h2_template = field.make_grid(8.0, 8)  # h = 2
+    h = 2.0
     estimates = {}
     for t in (-1.0, 0.0, 0.5):
         vals = []
         for L in lemma_scales:
-            g = field.GridSpec(L, int(2 * L / h2_template.h))
+            g = field.GridSpec(L, int(2 * L / h))
             vals.append(kernelnorm.lemma_a_conjugated_norm(t, g, seed=seed).value)
         estimates[t] = vals
     for t in (-1.0, 0.0):

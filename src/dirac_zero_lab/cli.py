@@ -37,7 +37,7 @@ SETTINGS = {
         "tol.quadrature": 0.25,
         "tol.symbol_product": 1e-14,
     },
-    "nw-sweep": {"L": acc.DEFAULT_L, "N": acc.DEFAULT_N, "seed": acc.DEFAULT_SEED},
+    "nw-sweep": {"h": 1.0, "seed": acc.DEFAULT_SEED},
     "bootstrap": {},
     "zero-mode": {
         "L": acc.DEFAULT_L,
@@ -52,6 +52,7 @@ SETTINGS = {
 FLAGS = {
     "L": ("--L", "box half-width"),
     "N": ("--N", "points per axis, even"),
+    "h": ("--h", "lattice spacing of every scale's grid"),
     "seed": ("--seed", "seed of the run's random data and start vectors"),
     "tol.ah0": ("--tol-ah0", "ah0-identity tolerance"),
     "tol.pairing": ("--tol-pairing", "pairing-identity tolerance"),
@@ -187,8 +188,7 @@ def cmd_nw_sweep(args) -> int:
     cfg = _settings(args)
     spec = kernelnorm.NwKernelSpec(a=_parse_number(args.a), b=_parse_number(args.b), p=_parse_number(args.p))
     scales = [float(s) for s in args.scales.split(",")]
-    template = field.make_grid(cfg["L"], cfg["N"])
-    report = kernelnorm.scale_sweep(spec, scales, template, seed=cfg["seed"])  # rejects bad scales first
+    report = kernelnorm.scale_sweep(spec, scales, cfg["h"], seed=cfg["seed"])  # rejects bad scales first
     _emit_settings(cfg)
     for scale, est in zip(report.scales, report.norm_estimates):
         print(f"L={scale}: norm estimate {est:.6f}")
@@ -226,6 +226,10 @@ def cmd_bootstrap(args) -> int:
 
 
 def _build_potential(args, grid: field.GridSpec) -> potential.PotentialField:
+    flags = {"--amp": (args.amp, "scalar"), "--rho": (args.rho, "scalar"), "--a-scale": (args.a_scale, "vector")}
+    for flag, (value, part) in flags.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{part} potential is not finite: {flag} {value}")
     name = args.potential
     if name.startswith("file:"):
         return potential.load_potential(name[5:])
@@ -240,8 +244,10 @@ def _build_potential(args, grid: field.GridSpec) -> potential.PotentialField:
         return potential.from_em(profile, None, grid)
     if name == "em":
         ly = potential.loss_yau(grid)
-        q = args.amp * (1.0 + grid.radius2) ** (-args.rho / 2.0) if args.amp else None
-        return potential.from_em(q, args.a_scale * ly.vector_potential, grid)
+        with np.errstate(over="ignore"):  # a potential out of float range is rejected by from_em
+            q = args.amp * (1.0 + grid.radius2) ** (-args.rho / 2.0) if args.amp else None
+            vector = args.a_scale * ly.vector_potential
+        return potential.from_em(q, vector, grid)
     raise ValueError(f"unknown potential {name!r}")
 
 
@@ -311,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, text):
         """A subcommand with flags for the settings it reads, and --out and --config if it has outputs."""
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, allow_abbrev=False)  # so --h is no --help, --se no --seed
         p.set_defaults(func=func)
         if name in SETTINGS:
             for key, default in SETTINGS[name].items():

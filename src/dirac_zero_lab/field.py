@@ -19,7 +19,6 @@ __all__ = [
     "FREQUENCY",
     "GridSpec",
     "SpinorField",
-    "NormReport",
     "ShellProfile",
     "make_grid",
     "sample",
@@ -53,6 +52,12 @@ class GridSpec:
             raise ValueError(f"points per axis must be an even integer >= 4, got {N}")
         self.L = L
         self.N = int(N)
+        try:  # a float power raises OverflowError where numpy would return inf
+            volumes = (self.cell_volume, self.freq_cell_volume)
+        except OverflowError:
+            volumes = (np.inf,)
+        if not all(0.0 < v < np.inf for v in volumes):
+            raise ValueError(f"grid (L={L}, N={N}) has a cell volume h^3 or (pi/L)^3 that is not finite and positive")
 
     @property
     def h(self) -> float:
@@ -185,13 +190,6 @@ def _check_compatible(f: SpinorField, g: SpinorField) -> None:
         raise ValueError(f"space mismatch: {f.space} vs {g.space}")
 
 
-@dataclass(frozen=True)
-class NormReport:
-    value: float
-    weight_exponent: float
-    norm_kind: str
-
-
 def sample(fn, grid: GridSpec) -> SpinorField:
     """Sample a position -> C^4 function on the lattice.
 
@@ -307,20 +305,18 @@ def _weighted_value(f: SpinorField, s: float) -> float:
     return float(np.sqrt(total))
 
 
-def weighted_l2_norm(f: SpinorField, s: float) -> NormReport:
+def weighted_l2_norm(f: SpinorField, s: float) -> float:
     """|| <x>^s f ||_2 on the position lattice."""
     if f.space != POSITION:
         raise ValueError("weighted_l2_norm expects a position-space field")
-    kind = "plain-L2" if s == 0 else "weighted-L2"
-    return NormReport(value=_weighted_value(f, s), weight_exponent=float(s), norm_kind=kind)
+    return _weighted_value(f, s)
 
 
-def sobolev_norm(f: SpinorField, s: float) -> NormReport:
+def sobolev_norm(f: SpinorField, s: float) -> float:
     """|| <xi>^s (F f) ||_2, the H^s norm of a position-space field."""
     if f.space != POSITION:
         raise ValueError("sobolev_norm expects a position-space field")
-    fhat = forward_fourier(f)
-    return NormReport(value=_weighted_value(fhat, s), weight_exponent=float(s), norm_kind="sobolev")
+    return _weighted_value(forward_fourier(f), s)
 
 
 def pairing(f: SpinorField, g: SpinorField) -> complex:

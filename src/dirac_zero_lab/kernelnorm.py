@@ -47,7 +47,7 @@ def _exactable(x) -> bool:
 
 @dataclass(frozen=True)
 class NwKernelSpec:
-    """Exponents of the weighted convolution kernel; requires a + b > 0."""
+    """Exponents of the weighted convolution kernel; requires finite a, b with a + b > 0."""
 
     a: float | Fraction
     b: float | Fraction
@@ -55,9 +55,11 @@ class NwKernelSpec:
     p: float | Fraction = 2
 
     def __post_init__(self):
+        if not all(abs(x) <= np.finfo(float).max for x in (self.a, self.b)):
+            raise ValueError(f"kernel exponents must be finite, got a={self.a}, b={self.b}")
         if not (self.a + self.b > 0):
             raise ValueError(f"kernel needs a + b > 0, got a={self.a}, b={self.b}")
-        if not (1 < self.p < float("inf")):
+        if not (1 < self.p <= np.finfo(float).max):
             raise ValueError(f"Lebesgue exponent must lie in (1, inf), got {self.p}")
         if self.d < 1:
             raise ValueError(f"dimension must be positive, got {self.d}")
@@ -122,27 +124,30 @@ def _linear_convolve(kernel_hat: np.ndarray, psi: np.ndarray, N: int) -> np.ndar
     return _padded_convolve(psi, N, lambda psi_hat: np.multiply(psi_hat, kernel_hat, out=psi_hat))
 
 
-class _NwOperator:
-    """K phi = h^3 |x|^{-a} (G * (|y|^{-b} phi)) with precomputed convolution FFT."""
+def _nw_operator(spec: NwKernelSpec, grid: GridSpec):
+    """(apply, adjoint) of K phi = h^3 |x|^{-a} (G * (|y|^{-b} phi)), with G's FFT computed once."""
+    if spec.d != 3:
+        raise ValueError("grid evaluation supports d = 3 only")
+    r = _regularized_radius(grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # a weight or table out of float range is reported below
+        left = r ** (-float(spec.a))
+        right = r ** (-float(spec.b))
+        kernel_hat = _convolution_kernel_fft(grid, float(spec.convolution_exponent))
+    if not all(np.isfinite(x).all() for x in (left, right, kernel_hat)):
+        raise ValueError(f"the kernel of a={spec.a}, b={spec.b} is not finite on the grid (L={grid.L}, N={grid.N})")
+    h3 = grid.cell_volume
 
-    def __init__(self, spec: NwKernelSpec, grid: GridSpec):
-        if spec.d != 3:
-            raise ValueError("grid evaluation supports d = 3 only")
-        self.spec = spec
-        self.grid = grid
-        r = _regularized_radius(grid)
-        self.left = r ** (-float(spec.a))
-        self.right = r ** (-float(spec.b))
-        self.kernel_hat = _convolution_kernel_fft(grid, float(spec.convolution_exponent))
+    # The convolution runs first, so no h^3-weight temporary is alive at its peak memory.
+    def apply(phi: np.ndarray) -> np.ndarray:
+        conv = _linear_convolve(kernel_hat, right * phi, grid.N)
+        return h3 * left * conv
 
-    def apply(self, phi: np.ndarray) -> np.ndarray:
-        conv = _linear_convolve(self.kernel_hat, self.right * phi, self.grid.N)
-        return self.grid.cell_volume * self.left * conv
-
-    def apply_adjoint(self, phi: np.ndarray) -> np.ndarray:
+    def adjoint(phi: np.ndarray) -> np.ndarray:
         # Real symmetric convolution factor: adjoint swaps the weights.
-        conv = _linear_convolve(self.kernel_hat, self.left * phi, self.grid.N)
-        return self.grid.cell_volume * self.right * conv
+        conv = _linear_convolve(kernel_hat, left * phi, grid.N)
+        return h3 * right * conv
+
+    return apply, adjoint
 
 
 def nw_apply(spec: NwKernelSpec, phi: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -156,7 +161,8 @@ def nw_apply(spec: NwKernelSpec, phi: np.ndarray, grid: GridSpec) -> np.ndarray:
         raise ValueError(f"expected scalar field of shape {(grid.N,) * 3}, got {phi.shape}")
     if not np.all(np.isfinite(phi)):
         raise ValueError("input function must be finite")
-    return _NwOperator(spec, grid).apply(phi)
+    apply, _ = _nw_operator(spec, grid)
+    return apply(phi)
 
 
 @dataclass(frozen=True)
@@ -164,40 +170,42 @@ class NormEstimate:
     value: float
     iterations: int
     converged: bool
-    seed: int
 
 
-def _power_iteration(apply_fwd, apply_adj, start, seed, iterations) -> NormEstimate:
+def _power_iteration(apply_fwd, apply_adj, start, iterations) -> NormEstimate:
     """sqrt of the top eigenvalue of K^adj K by power iteration (L^2 operator norm).
 
     ``start`` is the seeded start vector; it becomes the iterate's buffer and
-    is overwritten.  ``seed`` is only recorded.
+    is overwritten.
     """
     v = start
     v /= np.linalg.norm(v)
     est_prev = 0.0
-    converged = False
-    used = 0
     for it in range(1, iterations + 1):
         u = apply_adj(apply_fwd(v))
         est = float(np.sqrt(max(np.real(np.vdot(v, u)), 0.0)))
         nu = np.linalg.norm(u)
-        used = it
         if nu == 0.0:
-            return NormEstimate(0.0, it, True, seed)
+            return NormEstimate(0.0, it, True)
         np.divide(u, nu, out=v)
         if est_prev > 0 and abs(est - est_prev) <= POWER_RTOL * est:
-            converged = True
-            est_prev = est
-            break
+            return NormEstimate(est, it, True)
         est_prev = est
-    return NormEstimate(est_prev, used, converged, seed)
+    return NormEstimate(est_prev, iterations, False)
 
 
-def _random_trials_norm(op: _NwOperator, p: float, seed: int, trials: int) -> NormEstimate:
+def _lp_norm(x: np.ndarray, p: float, h3: float) -> float:
+    """(h^3 sum |x|^p)^{1/p}, with the largest modulus factored out so that no power overflows."""
+    modulus = np.abs(x)
+    top = float(modulus.max())
+    if top == 0.0:
+        return 0.0
+    return top * (h3 * np.sum((modulus / top) ** p)) ** (1.0 / p)
+
+
+def _random_trials_norm(apply, grid: GridSpec, p: float, seed: int, trials: int) -> NormEstimate:
     """Lower-bound proxy for p != 2: max ||K phi||_p / ||phi||_p over seeded trials."""
     rng = np.random.default_rng(seed)
-    grid = op.grid
     h3 = grid.cell_volume
     best = 0.0
     mesh = grid.position_mesh
@@ -206,10 +214,8 @@ def _random_trials_norm(op: _NwOperator, p: float, seed: int, trials: int) -> No
         width = rng.uniform(0.5, grid.L / 2)
         phi = np.exp(-np.sum((mesh - center) ** 2, axis=-1) / (2 * width**2))
         phi += 0.1 * rng.standard_normal(phi.shape)
-        num = (h3 * np.sum(np.abs(op.apply(phi)) ** p)) ** (1.0 / p)
-        den = (h3 * np.sum(np.abs(phi) ** p)) ** (1.0 / p)
-        best = max(best, num / den)
-    return NormEstimate(best, trials, True, seed)
+        best = max(best, _lp_norm(apply(phi), p, h3) / _lp_norm(phi, p, h3))
+    return NormEstimate(best, trials, True)
 
 
 def estimate_norm(
@@ -221,11 +227,11 @@ def estimate_norm(
     iteration count, reproducible by seed).  For p != 2 it falls back to a
     documented lower-bound proxy: randomized trial-function maximization.
     """
-    op = _NwOperator(spec, grid)
+    apply, adjoint = _nw_operator(spec, grid)
     if float(spec.p) == 2.0:
         start = np.random.default_rng(seed).standard_normal((grid.N,) * 3)
-        return _power_iteration(op.apply, op.apply_adjoint, start, seed, iterations)
-    return _random_trials_norm(op, float(spec.p), seed, trials=max(iterations, 8))
+        return _power_iteration(apply, adjoint, start, iterations)
+    return _random_trials_norm(apply, grid, float(spec.p), seed, trials=max(iterations, 8))
 
 
 @dataclass(frozen=True)
@@ -273,26 +279,29 @@ def _classify_growth(estimates: list[float]) -> str:
     return "inconclusive"
 
 
-def scale_sweep(spec: NwKernelSpec, scales, template: GridSpec, seed: int = 0) -> NormSweepReport:
-    """Norm estimates across box sizes at the template's fixed spacing h.
+def scale_sweep(spec: NwKernelSpec, scales, h: float, seed: int = 0) -> NormSweepReport:
+    """Norm estimates across box sizes at the fixed lattice spacing h.
 
-    Every scale is checked before the first estimate: finite, positive,
-    larger than the one before it, an even multiple of h and at least 2h
-    (4 points per axis).
+    h and every scale are checked before the first estimate: h finite and
+    positive; each scale finite, positive, larger than the one before it, an
+    even multiple of h, at least 2h (4 points per axis) and a valid grid.
     """
+    h = float(h)
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"lattice spacing h must be finite and positive, got {h}")
     scales = [float(s) for s in scales]
     if len(scales) < 3:
         raise ValueError(f"need at least three strictly increasing scales, got {len(scales)}")
-    h = template.h
     points = []
     for prev, L in zip([0.0, *scales], scales):
         if not (np.isfinite(L) and L > prev):
             need = "positive" if prev == 0.0 else f"larger than the scale {prev} before it (strictly increasing)"
             raise ValueError(f"scale L={L} must be finite and {need}")
         n = 2.0 * L / h
-        if abs(n - round(n)) > 1e-9 or round(n) % 2 or round(n) < 4:
-            raise ValueError(f"scale L={L} is not an even multiple of the template spacing {h}, or is below 2h")
-        points.append(int(round(n)))
+        if not np.isfinite(n) or abs(n - round(n)) > 1e-9 or round(n) % 2 or round(n) < 4:
+            raise ValueError(f"scale L={L} is not an even multiple of the spacing {h}, or is below 2h")
+        GridSpec(L, round(n))  # the grid's own checks, before any estimate
+        points.append(round(n))
     # a grid caches its meshes, so each one is built only for its own estimate
     estimates = [estimate_norm(spec, GridSpec(L, n), seed=seed) for L, n in zip(scales, points)]
     growth = _classify_growth([e.value for e in estimates])
@@ -336,7 +345,7 @@ def lemma_a_conjugated_norm(t: float, grid: GridSpec, seed: int = 0) -> NormEsti
     n = grid.npoints * 4
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     # A is self-adjoint, so the adjoint of w_down A w_up swaps the weights
-    return _power_iteration(conjugated(w_up, w_down), conjugated(w_down, w_up), start, seed, POWER_ITERATIONS)
+    return _power_iteration(conjugated(w_up, w_down), conjugated(w_down, w_up), start, POWER_ITERATIONS)
 
 
 def sweep_rows_to_csv(reports, path, extra: dict | None = None) -> None:

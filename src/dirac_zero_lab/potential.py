@@ -1,4 +1,4 @@
-"""Hermitian 4x4 matrix potentials: constructors, decay envelopes, Loss-Yau fields.
+"""Hermitian 4x4 matrix potentials: constructors, decay-envelope constants, Loss-Yau fields.
 
 A potential is a pointwise Hermitian 4x4 matrix on the lattice.  The
 electromagnetic constructor realizes q(x) I - alpha.A(x), so adding it to
@@ -18,7 +18,6 @@ from .field import POSITION, GridSpec, SpinorField, _read_dzl1, _write_dzl1
 from .freeop import _dot_contract, _multiply, _sigma_coeffs, _symbol
 
 __all__ = [
-    "DecayEnvelope",
     "PotentialField",
     "LossYauFields",
     "from_matrix_fn",
@@ -37,27 +36,12 @@ __all__ = [
 HERMITICITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DecayEnvelope:
-    """Entrywise bound |q_jk(x)| <= C <x>^{-rho} with rho > 1."""
-
-    C: float
-    rho: float
-
-    def __post_init__(self):
-        if self.rho <= 1:
-            raise ValueError(f"decay exponent must exceed 1, got {self.rho}")
-        if self.C < 0:
-            raise ValueError(f"envelope constant must be nonnegative, got {self.C}")
-
-
 @dataclass
 class PotentialField:
     """Pointwise Hermitian 4x4 matrix field on a grid."""
 
     grid: GridSpec
     values: np.ndarray
-    decay: DecayEnvelope | None = None
 
     def __post_init__(self):
         expected = (self.grid.N, self.grid.N, self.grid.N, 4, 4)
@@ -67,7 +51,7 @@ class PotentialField:
         self.values = vals
 
     def __mul__(self, scalar) -> "PotentialField":
-        return PotentialField(self.grid, self.values * scalar, self.decay)
+        return PotentialField(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
 
@@ -86,12 +70,12 @@ def _check_potential_values(vals: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} is not Hermitian: max |Q - Q^dag| = {dev:.3e}")
 
 
-def from_matrix_fn(fn, grid: GridSpec, decay: DecayEnvelope | None = None) -> PotentialField:
+def from_matrix_fn(fn, grid: GridSpec) -> PotentialField:
     """Sample a position -> Hermitian 4x4 function; Hermiticity is validated."""
     raw = np.asarray(fn(grid.position_mesh), dtype=np.complex128)
     vals = np.broadcast_to(raw, (grid.N, grid.N, grid.N, 4, 4)).copy()
     _check_potential_values(vals, "sampled potential")
-    return PotentialField(grid, vals, decay)
+    return PotentialField(grid, vals)
 
 
 def from_em(q, A, grid: GridSpec) -> PotentialField:

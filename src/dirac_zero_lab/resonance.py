@@ -57,6 +57,7 @@ __all__ = [
 
 ARNOLDI_TOL = 1e-8
 ARNOLDI_MAX_ITER = 500
+ARNOLDI_MIN_BASIS = 30  # the Krylov basis holds max(2k + 1, this) vectors
 ZERO_MODE_TOL = 0.1
 DEFAULT_SEED = 20240301  # the seeded start vector of every solve
 SIGMA_MARGIN = 0.1  # zero_mode needs sigma >= 3/2 + margin
@@ -120,7 +121,7 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
     non-finite Krylov vector (an overflowing operator) raises ValueError.
     """
     rng = np.random.default_rng(seed)
-    m = min(max(2 * k + 1, 30), n - 1)
+    m = min(max(2 * k + 1, ARNOLDI_MIN_BASIS), n - 1)
     V = np.empty((m + 1, n), dtype=np.complex128)  # the basis, one vector per row
     H = np.zeros((m + 1, m), dtype=np.complex128)
     V[0] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -164,8 +165,8 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
 
 
 def _pinned_order(x, y) -> int:
-    """Report order of candidates (lambda, sector, ...); parts that agree to 1e-10 |lambda| are tied."""
-    tie = 1e-10 * max(abs(x[0]), abs(y[0]))
+    """Report order of candidates (lambda, sector, ...); parts that agree to ARNOLDI_TOL |lambda| are tied."""
+    tie = ARNOLDI_TOL * max(abs(x[0]), abs(y[0]))  # no finer than the solver resolves a multiple eigenvalue
     for a, b in ((abs(x[0]), abs(y[0])), (x[0].real, y[0].real), (x[0].imag, y[0].imag)):
         if abs(a - b) > tie:
             return -1 if a > b else 1
@@ -219,7 +220,7 @@ def birman_schwinger_spectrum(Q: PotentialField, k: int = 6, seed: int = DEFAULT
     ARNOLDI_TOL, which makes the reported spectrum exactly covariant under
     scaling Q -> c Q; ARNOLDI_MAX_ITER bounds the restarts.  The sector
     pairs are merged in one pinned order (|lambda| descending; ties to
-    1e-10 |lambda| by Re lambda, then Im lambda descending, then sector +
+    ARNOLDI_TOL |lambda| by Re lambda, then Im lambda descending, then sector +
     before -), trimmed to k, and only the kept ones are embedded back as
     u = (f+ + f-)/sqrt(2), l = (f+ - f-)/sqrt(2).  A multiple eigenvalue that comes from the two
     sectors is thus reported with its multiplicity, which a single Krylov
@@ -413,7 +414,7 @@ def _h1_partial_quantity(f: SpinorField, mu: float) -> float:
     """|| <xi> F(<x>^mu f) ||_2 on the field's own box."""
     w = f.grid.bracket ** mu
     weighted = SpinorField(f.grid, w[..., None] * f.values, POSITION)
-    return sobolev_norm(weighted, 1.0).value
+    return sobolev_norm(weighted, 1.0)
 
 
 def mu_trend(f: SpinorField, mu: float) -> str:

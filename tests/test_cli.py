@@ -475,7 +475,7 @@ def test_zero_mode_exit_three_on_resonance_candidate(capsys, tmp_path, monkeypat
 
 
 def test_cli_outputs_are_bit_for_bit_reproducible(capsys, tmp_path):
-    args = ["nw-sweep", "--a", "1", "--b", "1/2", "--scales", "4,8,16", "--L", "8", "--N", "16"]
+    args = ["nw-sweep", "--a", "1", "--b", "1/2", "--scales", "4,8,16", "--h", "1"]
     code1, _, _ = run_cli(capsys, *args, "--out", str(tmp_path / "one"))
     code2, _, _ = run_cli(capsys, *args, "--out", str(tmp_path / "two"))
     assert code1 == code2
@@ -540,18 +540,84 @@ def test_usage_error_exit_code(capsys):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("L", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize(
-    "argv",
-    [["verify-freeop"], ["nw-sweep", "--a", "1", "--b", "1/2"], ["zero-mode", "--potential", "zero"]],
+    "argv, grid, message",
+    [
+        (["verify-freeop"], ["--L", "{}", "--N", "16"], "box half-width must be positive"),
+        (["nw-sweep", "--a", "1", "--b", "1/2"], ["--h", "{}"], "spacing h must be finite and positive"),
+        (["zero-mode", "--potential", "zero"], ["--L", "{}", "--N", "16"], "box half-width must be positive"),
+    ],
     ids=["verify-freeop", "nw-sweep", "zero-mode"],
 )
-def test_invalid_grid_writes_nothing(capsys, tmp_path, argv, L):
+def test_invalid_grid_writes_nothing(capsys, tmp_path, argv, grid, message, value):
     out_dir = tmp_path / "run"
-    code, _, err = run_cli(capsys, *argv, "--L", L, "--N", "16", "--out", str(out_dir))
+    code, _, err = run_cli(capsys, *argv, *(g.format(value) for g in grid), "--out", str(out_dir))
     assert code == 2
-    assert "box half-width must be positive" in err
+    assert message in err
     assert not out_dir.exists()
+
+
+def _assert_clean_usage_error(code, out, err, out_dir):
+    """Exit 2, one error line on stderr, nothing on stdout and nothing written."""
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert out == ""
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("L", ["1e-300", "1e300"])
+@pytest.mark.parametrize(
+    "command", [["verify-freeop"], ["zero-mode", "--potential", "loss-yau"]], ids=["verify-freeop", "zero-mode"]
+)
+def test_grid_without_finite_cell_volume_is_usage_error(capsys, tmp_path, command, L):
+    # h^3 or (pi/L)^3 over- or underflows: the grid is rejected before any arithmetic or warning
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, *command, "--L", L, "--N", "8", "--out", str(out_dir))
+    _assert_clean_usage_error(code, out, err, out_dir)
+    assert "cell volume" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--a", "inf", "--b", "1/2"], "must be finite"),
+        (["--a", "1e400", "--b", "1/2"], "must be finite"),
+        (["--a", "1", "--b", "inf"], "must be finite"),
+        (["--a", "1e300", "--b", "1/2"], "not finite on the grid"),
+        (["--a", "1", "--b", "1e300"], "not finite on the grid"),
+        (["--a", "1", "--b", "1/2", "--p", "3", "--h", "1e-300"], "cell volume"),
+    ],
+)
+def test_nw_sweep_unevaluable_kernel_is_usage_error(capsys, tmp_path, flags, message):
+    out_dir = tmp_path / "nw"
+    code, out, err = run_cli(capsys, "nw-sweep", *flags, "--scales", "2,3,4", "--out", str(out_dir))
+    _assert_clean_usage_error(code, out, err, out_dir)
+    assert message in err
+
+
+def test_nw_sweep_huge_p_runs_without_warning(capsys, tmp_path):
+    # the p != 2 proxy raised |K phi| to the power p = 1e300 and overflowed
+    code, out, err = run_cli(capsys, "nw-sweep", "--a", "1", "--b", "1/2", "--p", "1e300", "--scales", "2,3,4")
+    assert code in (0, 1) and err == ""
+    assert "criterion=unbounded" in out and "nan" not in out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--potential", "em", "--a-scale", "inf"],
+        ["--potential", "scalar-decay", "--rho", "inf"],
+        ["--potential", "em", "--rho=-1000"],
+        ["--potential", "em", "--a-scale", "1e308"],
+    ],
+)
+def test_zero_mode_potential_flag_out_of_float_range_is_usage_error(capsys, tmp_path, flags):
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, "zero-mode", *flags, "--L", "4", "--N", "8", "--out", str(out_dir))
+    _assert_clean_usage_error(code, out, err, out_dir)
+    assert "potential is not finite" in err
 
 
 @pytest.mark.parametrize(
@@ -570,6 +636,12 @@ def test_invalid_grid_writes_nothing(capsys, tmp_path, argv, L):
         (["verify-freeop", "--L", "4", "--N", "4"], "tol.zero_mode = 0.1"),
         (["bootstrap", "--rho", "2"], "seed = 5"),
         (["acceptance", "--only", "7"], "L = 8"),
+        (["nw-sweep", "--a", "1", "--b", "1/2", "--L", "16"], None),
+        (["nw-sweep", "--a", "1", "--b", "1/2", "--N", "32"], None),
+        (["nw-sweep", "--a", "1", "--b", "1/2"], "N = 32"),
+        (["verify-freeop", "--L", "4", "--N", "4"], "h = 1"),
+        (["verify-freeop", "--L", "4", "--N", "4", "--h", "1"], None),  # a prefix of --help, not --help
+        (["bootstrap", "--rho", "2", "--js"], None),  # a prefix of --json, not --json
     ],
 )
 def test_unread_setting_is_usage_error(capsys, tmp_path, argv, config):
@@ -597,8 +669,8 @@ def test_unread_setting_is_usage_error(capsys, tmp_path, argv, config):
         ),
         (
             ["nw-sweep", "--a", "1", "--b", "1/2", "--scales", "4,8,16"],
-            ["--L", "4", "--N", "4", "--seed", "7"],
-            ["L", "N", "seed", "out"],
+            ["--h", "2", "--seed", "7"],
+            ["h", "seed", "out"],
         ),
         (["bootstrap", "--rho", "2"], [], ["out"]),
         (

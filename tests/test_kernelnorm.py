@@ -26,11 +26,21 @@ def test_spec_requires_positive_exponent_sum():
         NwKernelSpec(a=1, b=-2)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), 1e400, Fraction(10**400)])
+def test_spec_requires_finite_exponents(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        NwKernelSpec(a=bad, b=1)
+    with pytest.raises(ValueError, match="must be finite"):
+        NwKernelSpec(a=1, b=bad)
+
+
 def test_spec_requires_valid_lebesgue_exponent():
     with pytest.raises(ValueError):
         NwKernelSpec(a=1, b=1, p=1)
     with pytest.raises(ValueError):
         NwKernelSpec(a=1, b=1, p=float("inf"))
+    with pytest.raises(ValueError):
+        NwKernelSpec(a=1, b=1, p=Fraction(10**400))  # beyond the float range
 
 
 def test_dual_exponent():
@@ -163,6 +173,22 @@ def test_estimate_norm_reproducible():
     assert a.iterations == b.iterations
 
 
+@pytest.mark.parametrize("a, b", [(1e300, 1), (1, 1e300), (-1, 1e300), (1e300, -1)])
+def test_kernel_out_of_float_range_is_value_error(a, b):
+    # finite exponents whose weights or kernel table overflow: a ValueError, no RuntimeWarning
+    g = make_grid(4.0, 8)
+    with pytest.raises(ValueError, match="not finite on the grid"):
+        estimate_norm(NwKernelSpec(a=a, b=b), g, seed=1)
+
+
+def test_estimate_norm_huge_p_proxy_stays_finite():
+    # |K phi|^p overflowed for p = 1e300; with the largest modulus factored out
+    # the proxy is the sup-norm ratio
+    g = make_grid(4.0, 8)
+    est = estimate_norm(NwKernelSpec(a=1, b=Fraction(1, 2), p=1e300), g, iterations=8, seed=4)
+    assert np.isfinite(est.value) and est.value > 0
+
+
 def test_estimate_norm_p_not_two_proxy():
     g = make_grid(6.0, 12)
     spec = NwKernelSpec(a=1, b=Fraction(1, 2), p=3)
@@ -179,27 +205,45 @@ def test_estimate_norm_p_not_two_proxy():
 
 
 def test_scale_sweep_validates_inputs():
-    template = make_grid(8.0, 16)
     spec = NwKernelSpec(a=1, b=1)
     with pytest.raises(ValueError, match="three"):
-        scale_sweep(spec, [8, 16], template)
+        scale_sweep(spec, [8, 16], 1.0)
     with pytest.raises(ValueError, match="multiple"):
-        scale_sweep(spec, [8, 15.3, 32], template)
+        scale_sweep(spec, [8, 15.3, 32], 1.0)
     with pytest.raises(ValueError, match="increasing"):
-        scale_sweep(spec, [8, 32, 16], template)
+        scale_sweep(spec, [8, 32, 16], 1.0)
+
+
+@pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -1.0])
+def test_scale_sweep_rejects_bad_spacing_before_any_estimate(monkeypatch, h):
+    from dirac_zero_lab import kernelnorm
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("a norm was estimated before the spacing was checked")
+
+    monkeypatch.setattr(kernelnorm, "estimate_norm", no_estimate)
+    with pytest.raises(ValueError, match="spacing h must be finite and positive"):
+        scale_sweep(NwKernelSpec(a=1, b=1), [8, 16, 32], h)
+
+
+def test_scale_sweep_checks_each_grid_before_any_estimate(monkeypatch):
+    # at h = 1e-300 the scales are even multiples of h, but no grid has a finite-positive cell volume
+    from dirac_zero_lab import kernelnorm
+
+    monkeypatch.setattr(kernelnorm, "estimate_norm", lambda *a, **k: pytest.fail("estimated before the check"))
+    with pytest.raises(ValueError, match="cell volume"):
+        scale_sweep(NwKernelSpec(a=1, b=1), [2, 3, 4], 1e-300)
 
 
 def test_scale_sweep_bounded_spec_is_stable():
-    template = make_grid(16.0, 32)
-    rep = scale_sweep(NwKernelSpec(a=1, b=Fraction(1, 2)), [8, 16, 32], template, seed=11)
+    rep = scale_sweep(NwKernelSpec(a=1, b=Fraction(1, 2)), [8, 16, 32], 1.0, seed=11)
     assert rep.growth_class == "stable"
     assert rep.criterion_class == "bounded"
     assert rep.agreement == "agree"
 
 
 def test_scale_sweep_unbounded_spec_grows():
-    template = make_grid(16.0, 32)
-    rep = scale_sweep(NwKernelSpec(a=2, b=1), [8, 16, 32], template, seed=11)
+    rep = scale_sweep(NwKernelSpec(a=2, b=1), [8, 16, 32], 1.0, seed=11)
     assert rep.growth_class == "growing"
     assert rep.criterion_class == "unbounded"
     assert rep.agreement == "agree"
@@ -208,8 +252,7 @@ def test_scale_sweep_unbounded_spec_grows():
 
 
 def test_scale_sweep_boundary_spec_inconclusive_is_acceptable():
-    template = make_grid(16.0, 32)
-    rep = scale_sweep(NwKernelSpec(a=Fraction(3, 2), b=0), [8, 16, 32], template, seed=11)
+    rep = scale_sweep(NwKernelSpec(a=Fraction(3, 2), b=0), [8, 16, 32], 1.0, seed=11)
     assert rep.criterion_class == "unbounded"
     assert rep.growth_class == "inconclusive"
     assert rep.agreement == "inconclusive"
@@ -263,8 +306,7 @@ def test_conjugated_norm_dominated_by_nw_kernel():
 
 
 def test_sweep_csv_rows(tmp_path):
-    template = make_grid(8.0, 16)
-    rep = scale_sweep(NwKernelSpec(a=1, b=Fraction(1, 2)), [4, 8, 16], template, seed=12)
+    rep = scale_sweep(NwKernelSpec(a=1, b=Fraction(1, 2)), [4, 8, 16], 1.0, seed=12)
     path = tmp_path / "sweep.csv"
     sweep_rows_to_csv([rep], path, extra={"seed": 12})
     with open(path) as fh:

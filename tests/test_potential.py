@@ -5,7 +5,6 @@ from dirac_zero_lab.clifford import ALPHA
 from dirac_zero_lab.field import l2_norm, make_grid
 from dirac_zero_lab.freeop import apply_h0
 from dirac_zero_lab.potential import (
-    DecayEnvelope,
     PotentialField,
     apply_potential,
     decay_envelope,
@@ -40,9 +39,8 @@ def test_from_matrix_fn_scalar_decay_envelope():
         w = (1.0 + np.sum(x**2, axis=-1)) ** (-1.0)
         return w[..., None, None] * np.eye(4)
 
-    Q = from_matrix_fn(fn, g, decay=DecayEnvelope(C=1.0, rho=2.0))
+    Q = from_matrix_fn(fn, g)
     assert decay_envelope(Q, 2.0) == pytest.approx(1.0, rel=1e-12)
-    assert Q.decay.C == 1.0
 
 
 def test_from_matrix_fn_rejects_non_hermitian():
@@ -55,13 +53,6 @@ def test_from_matrix_fn_rejects_non_hermitian():
 
     with pytest.raises(ValueError, match="Hermitian"):
         from_matrix_fn(fn, g)
-
-
-def test_decay_envelope_validation():
-    with pytest.raises(ValueError):
-        DecayEnvelope(C=1.0, rho=1.0)
-    with pytest.raises(ValueError):
-        DecayEnvelope(C=-1.0, rho=2.0)
 
 
 def test_from_em_zero():
