@@ -3,7 +3,7 @@
 Modules
 -------
 clifford    exact Pauli/Dirac matrices and contraction identities
-field       periodic grid, spinor fields, transforms, norms, pairings
+field       periodic grid, spinor fields, transforms, norms
 freeop      alpha.D and its inverse A (multiplier and quadrature forms)
 kernelnorm  empirical operator-norm sweeps for weighted kernels
 potential   Hermitian matrix potentials and the magnetic zero-mode example

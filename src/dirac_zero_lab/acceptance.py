@@ -495,9 +495,9 @@ def run_acceptance(only=None, seed: int = DEFAULT_SEED) -> list[CriterionResult]
             raise ValueError(f"unknown criterion selector {item!r}")
     results = []
     for idx in sorted(indices):
-        t0 = time.time()
+        t0 = time.perf_counter()
         result = CRITERIA[idx](seed=seed)
-        result.elapsed = time.time() - t0
+        result.elapsed = time.perf_counter() - t0
         results.append(result)
         status = "PASS" if result.passed else "FAIL"
         print(f"[{status}] criterion {idx}: {result.title} ({result.elapsed:.1f}s)")

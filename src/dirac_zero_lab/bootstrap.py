@@ -13,19 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import SpinorField, l2_norm
-from .freeop import apply_a_spectral
-from .potential import PotentialField, apply_potential
-from .resonance import RESIDUAL_GATE, decay_fit, residual
-
 __all__ = [
     "BootstrapStep",
     "BootstrapTrace",
-    "EmpiricalBootstrapResult",
     "map_weight_through_q",
     "map_weight_through_a",
     "bootstrap_trace",
-    "empirical_bootstrap",
 ]
 
 START_EXPONENT = Fraction(-3, 2)
@@ -151,44 +144,3 @@ def bootstrap_trace(rho) -> BootstrapTrace:
         boundary_flag=boundary,
     )
 
-
-@dataclass(frozen=True)
-class EmpiricalBootstrapResult:
-    gate_passed: bool
-    initial_residual: float
-    rounds: tuple[tuple[int, float], ...]  # (round, fitted decay exponent)
-    step_changes: tuple[float, ...]  # ||f_{i+1} - f_i|| / ||f_i|| per round
-
-
-def empirical_bootstrap(f: SpinorField, Q: PotentialField, rounds: int = 3) -> EmpiricalBootstrapResult:
-    """Iterate f -> -A(Q f) on grid data and track the fitted decay exponent.
-
-    The iteration is only meaningful near a kernel state, so fields failing
-    the residual gate RESIDUAL_GATE are reported, not iterated.
-    """
-    if l2_norm(f) == 0.0:
-        return EmpiricalBootstrapResult(
-            gate_passed=True,
-            initial_residual=0.0,
-            rounds=tuple((i, 0.0) for i in range(rounds + 1)),
-            step_changes=tuple(0.0 for _ in range(rounds)),
-        )
-    res = residual(f, Q)
-    if res > RESIDUAL_GATE:
-        return EmpiricalBootstrapResult(
-            gate_passed=False, initial_residual=res, rounds=(), step_changes=()
-        )
-    current = f
-    fitted = [(0, decay_fit(current).sigma)]
-    changes = []
-    for i in range(1, rounds + 1):
-        nxt = -1.0 * apply_a_spectral(apply_potential(Q, current), warn_threshold=float("inf"))
-        changes.append(l2_norm(nxt - current) / l2_norm(current))
-        current = nxt
-        fitted.append((i, decay_fit(current).sigma))
-    return EmpiricalBootstrapResult(
-        gate_passed=True,
-        initial_residual=res,
-        rounds=tuple(fitted),
-        step_changes=tuple(changes),
-    )

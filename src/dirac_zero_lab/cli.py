@@ -83,7 +83,7 @@ def _parse_config_file(path: str) -> dict:
 def _settings(args, out: str | None = None) -> dict:
     """The command's settings plus ``out``: flag > --config file > DZL_OUTPUT_ROOT > default.
 
-    Every tolerance must be finite and non-negative.
+    Every tolerance must be finite and non-negative, and so must the seed.
     """
     row = SETTINGS[args.command]
     cfg = dict(row, out=out)
@@ -106,6 +106,8 @@ def _settings(args, out: str | None = None) -> dict:
     for key, val in cfg.items():
         if key.startswith("tol.") and not (np.isfinite(val) and val >= 0):
             raise ValueError(f"tolerance {key} must be finite and non-negative, got {val}")
+    if cfg.get("seed", 0) < 0:
+        raise ValueError(f"seed must be non-negative, got {cfg['seed']}")
     return cfg
 
 

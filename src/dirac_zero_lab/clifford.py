@@ -12,8 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "pauli",
-    "alpha",
     "alpha_dot",
     "invert_alpha_dot",
     "check_clifford",
@@ -46,20 +44,6 @@ ALPHA = tuple(
 _I4 = _freeze(np.eye(4, dtype=np.complex128))
 
 
-def pauli(j: int) -> np.ndarray:
-    """Return the 2x2 Pauli matrix sigma_j, j in {1, 2, 3}."""
-    if j not in (1, 2, 3):
-        raise IndexError(f"Pauli index must be 1, 2 or 3, got {j}")
-    return PAULI[j - 1].copy()
-
-
-def alpha(j: int) -> np.ndarray:
-    """Return the 4x4 Dirac matrix alpha_j = [[0, sigma_j], [sigma_j, 0]]."""
-    if j not in (1, 2, 3):
-        raise IndexError(f"Dirac matrix index must be 1, 2 or 3, got {j}")
-    return ALPHA[j - 1].copy()
-
-
 def _as_vector(v) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):
@@ -90,12 +74,6 @@ class CliffordReport:
 
     deviations: tuple[tuple[int, int, float], ...]
     max_deviation: float
-
-    def deviation(self, j: int, k: int) -> float:
-        for jj, kk, d in self.deviations:
-            if (jj, kk) == (j, k):
-                return d
-        raise KeyError((j, k))
 
 
 def check_clifford(matrices=None) -> CliffordReport:

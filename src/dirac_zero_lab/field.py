@@ -1,4 +1,4 @@
-"""Periodic 3D grid, 4-spinor fields, Fourier transforms, norms and pairings.
+"""Periodic 3D grid, 4-spinor fields, Fourier transforms and norms.
 
 The box is [-L, L)^3 sampled at N points per axis (N even), so x = 0 is a
 lattice point and the frequency lattice is (pi/L) * {-N/2, ..., N/2 - 1}^3.
@@ -21,14 +21,11 @@ __all__ = [
     "SpinorField",
     "ShellProfile",
     "make_grid",
-    "sample",
     "random_field",
     "forward_fourier",
     "inverse_fourier",
     "l2_norm",
-    "weighted_l2_norm",
     "sobolev_norm",
-    "pairing",
     "shell_profile",
     "restrict_to_subbox",
     "save_field",
@@ -160,9 +157,6 @@ class SpinorField:
             raise ValueError(f"unknown space tag {self.space!r}")
         self.values = vals
 
-    def copy(self) -> "SpinorField":
-        return SpinorField(self.grid, self.values.copy(), self.space)
-
     def _measure(self) -> float:
         return self.grid.cell_volume if self.space == POSITION else self.grid.freq_cell_volume
 
@@ -179,31 +173,12 @@ class SpinorField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SpinorField":
-        return SpinorField(self.grid, -self.values, self.space)
-
 
 def _check_compatible(f: SpinorField, g: SpinorField) -> None:
     if f.grid != g.grid:
         raise ValueError(f"grid mismatch: {f.grid} vs {g.grid}")
     if f.space != g.space:
         raise ValueError(f"space mismatch: {f.space} vs {g.space}")
-
-
-def sample(fn, grid: GridSpec) -> SpinorField:
-    """Sample a position -> C^4 function on the lattice.
-
-    ``fn`` is called with the full coordinate mesh (shape (N, N, N, 3)) and
-    must return an array broadcastable to (N, N, N, 4).  Non-finite values
-    (e.g. an unregularized singularity at the lattice origin) are rejected.
-    """
-    raw = np.asarray(fn(grid.position_mesh), dtype=np.complex128)
-    vals = np.broadcast_to(raw, (grid.N, grid.N, grid.N, 4)).copy()
-    if not np.all(np.isfinite(vals.view(float))):
-        bad = np.argwhere(~np.isfinite(vals).all(axis=-1))[0]
-        point = grid.position_mesh[tuple(bad)]
-        raise ValueError(f"sampled function is not finite at lattice point {point}")
-    return SpinorField(grid, vals, POSITION)
 
 
 def random_field(
@@ -298,37 +273,14 @@ def l2_norm(f: SpinorField) -> float:
     return float(np.sqrt(np.sum(_pointwise_square(f.values)) * f._measure()))
 
 
-def _weighted_value(f: SpinorField, s: float) -> float:
-    r2 = f.grid.radius2 if f.space == POSITION else f.grid.freq_radius2
-    weight = (1.0 + r2) ** s  # <.>^{2s}
-    total = np.sum(weight * _pointwise_square(f.values)) * f._measure()
-    return float(np.sqrt(total))
-
-
-def weighted_l2_norm(f: SpinorField, s: float) -> float:
-    """|| <x>^s f ||_2 on the position lattice."""
-    if f.space != POSITION:
-        raise ValueError("weighted_l2_norm expects a position-space field")
-    return _weighted_value(f, s)
-
-
 def sobolev_norm(f: SpinorField, s: float) -> float:
     """|| <xi>^s (F f) ||_2, the H^s norm of a position-space field."""
     if f.space != POSITION:
         raise ValueError("sobolev_norm expects a position-space field")
-    return _weighted_value(forward_fourier(f), s)
-
-
-def pairing(f: SpinorField, g: SpinorField) -> complex:
-    """Sesquilinear coupling sum_j int (F f_j)(xi) conj((F g_j)(xi)) dxi."""
-    if f.space != POSITION or g.space != POSITION:
-        raise ValueError("pairing expects position-space fields")
-    if f.grid != g.grid:
-        raise ValueError(f"grid mismatch: {f.grid} vs {g.grid}")
     fhat = forward_fourier(f)
-    ghat = forward_fourier(g)
-    total = np.sum(fhat.values * np.conj(ghat.values)) * f.grid.freq_cell_volume
-    return complex(total)
+    weight = (1.0 + f.grid.freq_radius2) ** s  # <xi>^{2s}
+    total = np.sum(weight * _pointwise_square(fhat.values)) * f.grid.freq_cell_volume
+    return float(np.sqrt(total))
 
 
 @dataclass(frozen=True)
@@ -395,6 +347,7 @@ def restrict_to_subbox(f: SpinorField, factor: int = 2) -> SpinorField:
 # ---------------------------------------------------------------------------
 
 _MAGIC = "DZL1"
+_HEADER_KEYS = ("L", "N", "space", "components")
 
 
 def _write_dzl1(path, L: float, N: int, space: str, values: np.ndarray, components: int) -> None:
@@ -416,11 +369,17 @@ def _read_dzl1(path, components: int) -> tuple[GridSpec, str, np.ndarray]:
     parts = text.split()
     if not parts or parts[0] != _MAGIC:
         raise ValueError(f"not a {_MAGIC} file: header {text!r}")
-    stray = [t for t in parts[1:] if "=" not in t]
-    if stray:
-        raise ValueError(f"malformed DZL1 header token {stray[0]!r}: expected key=value")
-    fields = dict(p.split("=", 1) for p in parts[1:])
-    missing = [k for k in ("L", "N", "space", "components") if k not in fields]
+    fields: dict[str, str] = {}
+    for token in parts[1:]:
+        key, sep, val = token.partition("=")
+        if not sep:
+            raise ValueError(f"malformed DZL1 header token {token!r}: expected key=value")
+        if key not in _HEADER_KEYS:
+            raise ValueError(f"unknown key in DZL1 header token {token!r}; known: {', '.join(_HEADER_KEYS)}")
+        if key in fields:
+            raise ValueError(f"DZL1 header token {token!r} repeats the key {key!r}")
+        fields[key] = val
+    missing = [k for k in _HEADER_KEYS if k not in fields]
     if missing:
         raise ValueError(f"DZL1 header is missing the {missing[0]!r} key: {text!r}")
     L = float(fields["L"])

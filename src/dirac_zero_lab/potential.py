@@ -1,4 +1,4 @@
-"""Hermitian 4x4 matrix potentials: constructors, decay-envelope constants, Loss-Yau fields.
+"""Hermitian 4x4 matrix potentials: constructors, Loss-Yau fields, DZL1 files.
 
 A potential is a pointwise Hermitian 4x4 matrix on the lattice.  The
 electromagnetic constructor realizes q(x) I - alpha.A(x), so adding it to
@@ -20,13 +20,10 @@ from .freeop import _dot_contract, _multiply, _sigma_coeffs, _symbol
 __all__ = [
     "PotentialField",
     "LossYauFields",
-    "from_matrix_fn",
     "from_em",
     "loss_yau",
     "loss_yau_potential",
     "apply_potential",
-    "decay_envelope",
-    "hermiticity_check",
     "pauli_derivative",
     "weyl_residual",
     "save_potential",
@@ -54,28 +51,6 @@ class PotentialField:
         return PotentialField(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
-
-
-def _hermiticity_deviation(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values - np.conj(np.swapaxes(values, -1, -2)))))
-
-
-def _check_potential_values(vals: np.ndarray, what: str) -> None:
-    """Reject non-finite values and max |Q - Q^dag| > HERMITICITY_TOL max(1, max |Q|)."""
-    if not np.all(np.isfinite(vals.view(float))):
-        raise ValueError(f"{what} is not finite on the lattice")
-    dev = _hermiticity_deviation(vals)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if dev > HERMITICITY_TOL * scale:
-        raise ValueError(f"{what} is not Hermitian: max |Q - Q^dag| = {dev:.3e}")
-
-
-def from_matrix_fn(fn, grid: GridSpec) -> PotentialField:
-    """Sample a position -> Hermitian 4x4 function; Hermiticity is validated."""
-    raw = np.asarray(fn(grid.position_mesh), dtype=np.complex128)
-    vals = np.broadcast_to(raw, (grid.N, grid.N, grid.N, 4, 4)).copy()
-    _check_potential_values(vals, "sampled potential")
-    return PotentialField(grid, vals)
 
 
 def from_em(q, A, grid: GridSpec) -> PotentialField:
@@ -162,19 +137,6 @@ def apply_potential(Q: PotentialField, f: SpinorField) -> SpinorField:
     return SpinorField(f.grid, out, POSITION)
 
 
-def decay_envelope(Q: PotentialField, rho: float) -> float:
-    """Smallest C with |q_jk(x)| <= C <x>^{-rho} entrywise on the lattice."""
-    if rho <= 1:
-        raise ValueError(f"decay exponent must exceed 1, got {rho}")
-    weight = Q.grid.bracket**rho
-    return float(np.max(np.abs(Q.values) * weight[..., None, None]))
-
-
-def hermiticity_check(Q: PotentialField) -> float:
-    """max entrywise |Q - Q^dag| over the grid."""
-    return _hermiticity_deviation(Q.values)
-
-
 def pauli_derivative(phi: np.ndarray, grid: GridSpec) -> np.ndarray:
     """sigma.D phi for a 2-spinor lattice field, via the multiplier sigma.xi."""
     return _multiply(_symbol(grid, False), np.asarray(phi, dtype=np.complex128))
@@ -196,10 +158,15 @@ def save_potential(Q: PotentialField, path) -> None:
 
 
 def load_potential(path) -> PotentialField:
-    """Read a DZL1 potential; the payload must be position-space, finite and Hermitian."""
+    """Read a DZL1 potential; the payload must be position-space, finite and Hermitian:
+    max |Q - Q^dag| <= HERMITICITY_TOL max(1, max |Q|)."""
     grid, space, flat = _read_dzl1(path, components=16)
     if space != POSITION:
         raise ValueError(f"potential file {path} has space={space}; potentials live in position space")
     vals = flat.reshape(grid.N, grid.N, grid.N, 4, 4)
-    _check_potential_values(vals, f"potential in {path}")
+    if not np.all(np.isfinite(vals.view(float))):
+        raise ValueError(f"potential in {path} is not finite on the lattice")
+    dev = float(np.max(np.abs(vals - np.conj(np.swapaxes(vals, -1, -2)))))
+    if dev > HERMITICITY_TOL * max(1.0, float(np.max(np.abs(vals)))):
+        raise ValueError(f"potential in {path} is not Hermitian: max |Q - Q^dag| = {dev:.3e}")
     return PotentialField(grid, vals)

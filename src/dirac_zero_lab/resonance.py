@@ -45,7 +45,6 @@ __all__ = [
     "subspace_overlap",
     "find_zero_modes",
     "real_eigenvalues",
-    "coupling_thresholds",
     "decay_fit",
     "default_shell_edges",
     "mu_trend",
@@ -345,15 +344,6 @@ def real_eigenvalues(report: EigenReport) -> list[float]:
         for lam in report.eigenvalues
         if abs(lam) > floor and abs(lam.imag) <= REAL_EIGENVALUE_TOL * abs(lam)
     ]
-
-
-def coupling_thresholds(Q: PotentialField, k: int = 6, seed: int = DEFAULT_SEED) -> list[float]:
-    """Couplings tau with tau Q supporting a fixed point: tau = 1 / lambda.
-
-    Only :func:`real_eigenvalues` count; sorted by |tau|.
-    """
-    report = birman_schwinger_spectrum(Q, k=k, seed=seed)
-    return sorted((1.0 / lam for lam in real_eigenvalues(report)), key=abs)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,6 @@
-import warnings
-
 import pytest
 
-from dirac_zero_lab import field, freeop, potential
-
-
-@pytest.fixture(autouse=True)
-def _quiet_annihilation_warnings():
-    # Many tests drive A over fields with nonzero mean on purpose.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", freeop.ZeroModeAnnihilationWarning)
-        yield
+from dirac_zero_lab import field, potential
 
 
 @pytest.fixture(scope="session")

@@ -5,11 +5,13 @@ import pytest
 
 from dirac_zero_lab.bootstrap import (
     bootstrap_trace,
-    empirical_bootstrap,
     map_weight_through_a,
     map_weight_through_q,
 )
-from dirac_zero_lab.field import random_field
+from dirac_zero_lab.field import l2_norm, random_field
+from dirac_zero_lab.freeop import apply_a_spectral
+from dirac_zero_lab.potential import apply_potential, loss_yau_potential
+from dirac_zero_lab.resonance import RESIDUAL_GATE, decay_fit, residual
 
 
 F = Fraction
@@ -166,37 +168,31 @@ def test_trace_json_dict_is_exact():
 # ---------------------------------------------------------------------------
 
 
-def test_empirical_zero_field(grid16, q_ly16):
-    from dirac_zero_lab.field import SpinorField
-
-    zero = SpinorField(grid16, np.zeros((32, 32, 32, 4), dtype=complex))
-    res = empirical_bootstrap(zero, q_ly16, rounds=2)
-    assert res.gate_passed
-    assert res.rounds == ((0, 0.0), (1, 0.0), (2, 0.0))
-    assert res.step_changes == (0.0, 0.0)
+def iterate_fixed_point_map(f, Q, rounds):
+    """Iterate f -> -A(Q f); return the fitted decay exponents and the relative step sizes."""
+    sigmas, steps = [decay_fit(f).sigma], []
+    for _ in range(rounds):
+        nxt = -1.0 * apply_a_spectral(apply_potential(Q, f), warn_threshold=np.inf)
+        steps.append(l2_norm(nxt - f) / l2_norm(f))
+        f = nxt
+        sigmas.append(decay_fit(f).sigma)
+    return sigmas, steps
 
 
 def test_empirical_gate_rejects_random_field(grid16, q_ly16):
-    f = random_field(grid16, seed=55)
-    res = empirical_bootstrap(f, q_ly16, rounds=2)
-    assert not res.gate_passed
-    assert res.rounds == ()
-    assert res.initial_residual > 0.75
+    # the iteration is only meaningful near a kernel state; a random field is far from one
+    assert residual(random_field(grid16, seed=55), q_ly16) > RESIDUAL_GATE
 
 
 def test_empirical_fixed_point_on_magnetic_mode(grid16, ly16, q_ly16, grid24, ly24):
-    res = empirical_bootstrap(ly16.zero_mode, q_ly16, rounds=3)
-    assert res.gate_passed
+    assert residual(ly16.zero_mode, q_ly16) <= RESIDUAL_GATE
+    sigmas, steps = iterate_fixed_point_map(ly16.zero_mode, q_ly16, rounds=3)
     # measured: the first iterate moves by ~0.22 at (16, 32) and the steps shrink
-    assert res.step_changes[0] <= 0.30
-    assert res.step_changes[0] > res.step_changes[1] > res.step_changes[2]
+    assert steps[0] <= 0.30
+    assert steps[0] > steps[1] > steps[2]
     # fitted decay exponents are nondecreasing within fit noise
-    sigmas = [s for _, s in res.rounds]
     for a, b in zip(sigmas, sigmas[1:]):
         assert b >= a - 0.05
     # bigger box: smaller first step
-    from dirac_zero_lab.potential import loss_yau_potential
-
-    res24 = empirical_bootstrap(ly24.zero_mode, loss_yau_potential(grid24), rounds=1)
-    assert res24.step_changes[0] < res.step_changes[0]
-
+    _, steps24 = iterate_fixed_point_map(ly24.zero_mode, loss_yau_potential(grid24), rounds=1)
+    assert steps24[0] < steps[0]

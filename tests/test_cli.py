@@ -333,6 +333,25 @@ def test_zero_mode_bad_potential_header_is_usage_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_zero_mode_repeated_potential_header_key_is_usage_error(capsys, tmp_path):
+    from dirac_zero_lab.field import make_grid
+    from dirac_zero_lab.potential import from_em, save_potential
+
+    g = make_grid(8.0, 16)
+    path = tmp_path / "pot.dzl1"
+    save_potential(from_em(0.05 * (1.0 + g.radius2) ** (-1.0), None, g), path)
+    # a second L= would otherwise win, and the run would use a grid the file was not written on
+    path.write_bytes(path.read_bytes().replace(b" components=16\n", b" components=16 L=4.0\n", 1))
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(
+        capsys, "zero-mode", "--potential", f"file:{path}", "--L", "4", "--N", "16", "--out", str(out_dir)
+    )
+    assert code == 2
+    assert "repeats the key 'L'" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "defect, message",
     [
@@ -618,6 +637,29 @@ def test_zero_mode_potential_flag_out_of_float_range_is_usage_error(capsys, tmp_
     code, out, err = run_cli(capsys, "zero-mode", *flags, "--L", "4", "--N", "8", "--out", str(out_dir))
     _assert_clean_usage_error(code, out, err, out_dir)
     assert "potential is not finite" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-freeop", "--L", "4", "--N", "8"],
+        ["nw-sweep", "--a", "1", "--b", "1/2", "--scales", "2,3,4"],
+        ["zero-mode", "--potential", "zero", "--L", "4", "--N", "8"],
+        ["acceptance", "--only", "7"],
+    ],
+    ids=["verify-freeop", "nw-sweep", "zero-mode", "acceptance"],
+)
+def test_negative_seed_is_usage_error(capsys, tmp_path, argv, source):
+    out_dir = tmp_path / "run"
+    if source == "flag":
+        argv = [*argv, "--seed", "-1"]
+    else:
+        (tmp_path / "lab.cfg").write_text("seed = -1\n")
+        argv = [*argv, "--config", str(tmp_path / "lab.cfg")]
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
+    _assert_clean_usage_error(code, out, err, out_dir)
+    assert "seed must be non-negative, got -1" in err
 
 
 @pytest.mark.parametrize(

@@ -3,12 +3,11 @@ import pytest
 
 from dirac_zero_lab.clifford import (
     ALPHA,
+    PAULI,
     CliffordReport,
-    alpha,
     alpha_dot,
     check_clifford,
     invert_alpha_dot,
-    pauli,
 )
 
 I2 = np.eye(2)
@@ -16,28 +15,18 @@ I4 = np.eye(4)
 
 
 def test_pauli_displays():
-    assert np.array_equal(pauli(1), np.array([[0, 1], [1, 0]], dtype=complex))
-    assert np.array_equal(pauli(2), np.array([[0, -1j], [1j, 0]]))
-    assert np.array_equal(pauli(3), np.array([[1, 0], [0, -1]], dtype=complex))
+    assert np.array_equal(PAULI[0], np.array([[0, 1], [1, 0]], dtype=complex))
+    assert np.array_equal(PAULI[1], np.array([[0, -1j], [1j, 0]]))
+    assert np.array_equal(PAULI[2], np.array([[1, 0], [0, -1]], dtype=complex))
 
 
 def test_pauli_squares_to_identity():
-    for j in (1, 2, 3):
-        assert np.array_equal(pauli(j) @ pauli(j), I2)
-
-
-@pytest.mark.parametrize("j", [0, 4, -1])
-def test_pauli_index_errors(j):
-    with pytest.raises(IndexError):
-        pauli(j)
-    with pytest.raises(IndexError):
-        alpha(j)
+    for s in PAULI:
+        assert np.array_equal(s @ s, I2)
 
 
 def test_alpha_block_structure():
-    for j in (1, 2, 3):
-        a = alpha(j)
-        s = pauli(j)
+    for a, s in zip(ALPHA, PAULI):
         assert np.array_equal(a[:2, 2:], s)
         assert np.array_equal(a[2:, :2], s)
         assert np.array_equal(a[:2, :2], np.zeros((2, 2)))
@@ -45,25 +34,24 @@ def test_alpha_block_structure():
 
 
 def test_alpha_matrices_hermitian_traceless_involutive():
-    for j in (1, 2, 3):
-        a = alpha(j)
+    for a in ALPHA:
         assert np.array_equal(a, a.conj().T)
         assert a.trace() == 0
         assert np.array_equal(a @ a, I4)
 
 
 def test_alpha_anticommutators_vanish_offdiagonal():
-    for j in (1, 2, 3):
-        for k in (1, 2, 3):
-            anti = alpha(j) @ alpha(k) + alpha(k) @ alpha(j)
+    for j in range(3):
+        for k in range(3):
+            anti = ALPHA[j] @ ALPHA[k] + ALPHA[k] @ ALPHA[j]
             expected = 2 * I4 if j == k else np.zeros((4, 4))
             assert np.array_equal(anti, expected)
 
 
 def test_alpha_dot_basis_vectors():
-    assert np.array_equal(alpha_dot((1, 0, 0)), alpha(1))
-    assert np.array_equal(alpha_dot((0, 1, 0)), alpha(2))
-    assert np.array_equal(alpha_dot((0, 0, 1)), alpha(3))
+    assert np.array_equal(alpha_dot((1, 0, 0)), ALPHA[0])
+    assert np.array_equal(alpha_dot((0, 1, 0)), ALPHA[1])
+    assert np.array_equal(alpha_dot((0, 0, 1)), ALPHA[2])
 
 
 def test_alpha_dot_square_is_norm_squared():
@@ -84,7 +72,7 @@ def test_alpha_dot_rejects_bad_input():
 
 
 def test_invert_alpha_dot_unit_vector_self_inverse():
-    assert np.array_equal(invert_alpha_dot((1, 0, 0)), alpha(1))
+    assert np.array_equal(invert_alpha_dot((1, 0, 0)), ALPHA[0])
 
 
 def test_invert_alpha_dot_product_oracle():
@@ -125,14 +113,16 @@ def test_check_clifford_detects_corruption():
     e = np.zeros((4, 4))
     e[0, 3] = 1.0
     expected_11 = float(np.max(np.abs(ALPHA[0] @ e + e @ ALPHA[0]))) * 2 * eps
-    assert report.deviation(1, 1) == pytest.approx(expected_11, rel=1e-9)
-    assert report.deviation(1, 1) == pytest.approx(2e-3, rel=1e-9)
-    assert report.max_deviation == report.deviation(1, 1)
+    deviation = {(j, k): d for j, k, d in report.deviations}
+    assert deviation[1, 1] == pytest.approx(expected_11, rel=1e-9)
+    assert deviation[1, 1] == pytest.approx(2e-3, rel=1e-9)
+    assert report.max_deviation == deviation[1, 1]
     # untouched pair stays exact
-    assert report.deviation(2, 3) == 0.0
+    assert deviation[2, 3] == 0.0
 
 
-def test_returned_matrices_are_copies():
-    a = alpha(1)
-    a[0, 0] = 99.0
-    assert alpha(1)[0, 0] == 0.0
+def test_matrices_are_read_only():
+    for m in (*PAULI, *ALPHA):
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 99.0
+        assert m[0, 0] != 99.0

@@ -11,14 +11,11 @@ from dirac_zero_lab.field import (
     l2_norm,
     load_field,
     make_grid,
-    pairing,
     random_field,
     restrict_to_subbox,
-    sample,
     save_field,
     shell_profile,
     sobolev_norm,
-    weighted_l2_norm,
 )
 
 
@@ -71,48 +68,6 @@ def test_grid_equality_and_origin():
     assert g == make_grid(8.0, 16)
     assert g != make_grid(8.0, 32)
     assert np.array_equal(g.position_mesh[g.origin_index], np.zeros(3))
-
-
-# ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-
-def test_sample_constant():
-    g = make_grid(4.0, 8)
-    f = sample(lambda x: np.broadcast_to(np.array([1.0, 0, 0, 0]), x.shape[:3] + (4,)), g)
-    assert np.all(f.values[..., 0] == 1.0)
-    assert np.all(f.values[..., 1:] == 0.0)
-
-
-def test_sample_gaussian_symmetry():
-    g = make_grid(4.0, 8)
-
-    def fn(x):
-        out = np.zeros(x.shape[:3] + (4,), dtype=complex)
-        out[..., 0] = np.exp(-np.sum(x**2, axis=-1))
-        return out
-
-    f = sample(fn, g)
-    dens = np.abs(f.values[..., 0])
-    assert dens.max() == dens[g.origin_index]
-    i = g.origin_index[0]
-    assert dens[i + 1, i, i] == pytest.approx(dens[i, i + 1, i])
-    assert dens[i + 1, i, i] == pytest.approx(dens[i, i, i - 1])
-
-
-def test_sample_rejects_singularity_at_origin():
-    g = make_grid(4.0, 8)
-
-    def fn(x):
-        r = np.sqrt(np.sum(x**2, axis=-1))
-        out = np.zeros(x.shape[:3] + (4,), dtype=complex)
-        with np.errstate(divide="ignore"):
-            out[..., 0] = 1.0 / r
-        return out
-
-    with pytest.raises(ValueError, match="not finite"):
-        sample(fn, g)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +149,6 @@ def test_space_tag_enforced():
 # ---------------------------------------------------------------------------
 
 
-def test_weighted_norm_s_zero_is_plain_l2():
-    g = make_grid(6.0, 12)
-    f = random_field(g, seed=3)
-    assert weighted_l2_norm(f, 0.0) == pytest.approx(l2_norm(f), rel=1e-14)
-
-
 def test_weighted_shell_mass_matches_radial_oracle():
     # f = <x>^{-2} e1 at s = 1/2: the squared shell mass over [R, 2R] approaches
     # 4 pi ln 2; the exact radial oracle is 4 pi (I(2R) - I(R)) with
@@ -226,7 +175,8 @@ def test_weighted_norm_partial_sums_have_decreasing_increments():
     values = {}
     for L, N in ((8.0, 16), (16.0, 32), (32.0, 64)):
         g = make_grid(L, N)
-        values[L] = weighted_l2_norm(bracket_power_field(g, -2.0), 0.4)
+        f = bracket_power_field(g, -2.0)
+        values[L] = np.sqrt(np.sum((1.0 + g.radius2) ** 0.4 * np.abs(f.values[..., 0]) ** 2) * g.cell_volume)
 
     def radial_oracle(L):
         # cube corners matter at these sizes, so integrate over the cube by
@@ -249,14 +199,16 @@ def test_weighted_norm_partial_sums_have_decreasing_increments():
 def test_weighted_norm_monotone_in_exponent():
     g = make_grid(6.0, 12)
     f = random_field(g, seed=4)
-    vals = [weighted_l2_norm(f, s) for s in (-1.0, 0.0, 0.5, 1.0)]
+    # the weight <xi>^{2s} >= 1 grows with s at every frequency
+    vals = [sobolev_norm(f, s) for s in (-1.0, 0.0, 0.5, 1.0)]
     assert vals == sorted(vals)
 
 
 def test_sobolev_s_zero_equals_l2():
     g = make_grid(6.0, 12)
     f = random_field(g, seed=5)
-    assert sobolev_norm(f, 0.0) == pytest.approx(weighted_l2_norm(f, 0.0), rel=1e-12)
+    position_l2 = np.sqrt(np.sum(np.abs(f.values) ** 2) * g.cell_volume)
+    assert sobolev_norm(f, 0.0) == pytest.approx(position_l2, rel=1e-12)
 
 
 def test_sobolev_band_limited_bound():
@@ -271,42 +223,6 @@ def test_sobolev_gaussian_moment_ratio():
     f = gaussian_field(g)
     ratio = sobolev_norm(f, 1.0) / l2_norm(f)
     assert ratio == pytest.approx(np.sqrt(2.5), rel=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# pairing
-# ---------------------------------------------------------------------------
-
-
-def test_pairing_recovers_norm():
-    g = make_grid(6.0, 12)
-    f = random_field(g, seed=7)
-    assert pairing(f, f) == pytest.approx(l2_norm(f) ** 2, rel=1e-12)
-
-
-def test_pairing_orthogonal_components():
-    g = make_grid(6.0, 12)
-    a = np.zeros((g.N, g.N, g.N, 4), dtype=complex)
-    b = np.zeros_like(a)
-    rng = np.random.default_rng(8)
-    a[..., 0] = rng.standard_normal((g.N,) * 3)
-    b[..., 1] = rng.standard_normal((g.N,) * 3)
-    assert pairing(SpinorField(g, a), SpinorField(g, b)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_pairing_sesquilinear_conjugate():
-    g = make_grid(6.0, 12)
-    f = random_field(g, seed=9)
-    h = random_field(g, seed=10)
-    assert pairing(f, h) == pytest.approx(np.conj(pairing(h, f)), rel=1e-12)
-    assert pairing(2j * f, h) == pytest.approx(2j * pairing(f, h), rel=1e-12)
-
-
-def test_pairing_grid_mismatch():
-    f = random_field(make_grid(6.0, 12), seed=11)
-    h = random_field(make_grid(8.0, 12), seed=11)
-    with pytest.raises(ValueError, match="grid mismatch"):
-        pairing(f, h)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +341,11 @@ def test_field_file_rejects_bad_magic(tmp_path):
     [
         (b"DZL1 L=1.0 space=position components=4", "missing the 'N' key"),
         (b"DZL1 L=1.0 N=4 stray space=position components=4", "token 'stray'"),
+        (b"DZL1 L=4.0 N=4 space=position components=4 L=8.0", "token 'L=8.0' repeats the key 'L'"),
+        (b"DZL1 L=1.0 N=4 space=position components=4 foo=bar", "unknown key in DZL1 header token 'foo=bar'"),
+        (b"DZL1 L=1.0 N=4 =3 space=position components=4", "unknown key in DZL1 header token '=3'"),
     ],
-    ids=["missing-key", "stray-token"],
+    ids=["missing-key", "stray-token", "repeated-key", "unknown-key", "empty-key"],
 )
 def test_field_file_rejects_bad_header(tmp_path, header, message):
     path = tmp_path / "bad.dzl1"

@@ -11,7 +11,6 @@ from dirac_zero_lab.field import (
     inverse_fourier,
     l2_norm,
     make_grid,
-    pairing,
     random_field,
 )
 from dirac_zero_lab.freeop import (
@@ -80,8 +79,9 @@ def test_h0_symmetry_under_pairing():
     g = make_grid(6.0, 12)
     f = random_field(g, seed=22)
     h = random_field(g, seed=23)
-    lhs = pairing(apply_h0(f), h)
-    rhs = pairing(f, apply_h0(h))
+    # <H0 f, h> = <f, H0 h> in the lattice inner product
+    lhs = np.vdot(h.values, apply_h0(f).values)
+    rhs = np.vdot(apply_h0(h).values, f.values)
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -245,7 +245,7 @@ def test_quadrature_vs_spectral_shrinks_with_resolution_and_box():
     for L, N in ((8.0, 16), (8.0, 20), (12.0, 24)):
         g = make_grid(L, N)
         f = gaussian_bump(g)
-        rels[(L, N)] = l2_norm(apply_a_quadrature(f) - apply_a_spectral(f)) / l2_norm(f)
+        rels[(L, N)] = l2_norm(apply_a_quadrature(f) - apply_a_spectral(f, warn_threshold=np.inf)) / l2_norm(f)
     assert rels[(8.0, 16)] <= 0.30
     assert rels[(8.0, 20)] < rels[(8.0, 16)]  # N up at fixed L
     assert rels[(12.0, 24)] < rels[(8.0, 16)]  # L up at fixed h

@@ -7,10 +7,7 @@ from dirac_zero_lab.freeop import apply_h0
 from dirac_zero_lab.potential import (
     PotentialField,
     apply_potential,
-    decay_envelope,
     from_em,
-    from_matrix_fn,
-    hermiticity_check,
     load_potential,
     loss_yau,
     loss_yau_potential,
@@ -20,39 +17,14 @@ from dirac_zero_lab.potential import (
 )
 
 
+def decay_envelope(Q, rho):
+    """Smallest C with |q_jk(x)| <= C <x>^{-rho} entrywise on the lattice."""
+    return float(np.max(np.abs(Q.values) * (Q.grid.bracket**rho)[..., None, None]))
+
+
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
-
-
-def test_from_matrix_fn_zero():
-    g = make_grid(4.0, 8)
-    Q = from_matrix_fn(lambda x: np.zeros(x.shape[:3] + (4, 4)), g)
-    assert np.all(Q.values == 0)
-    assert hermiticity_check(Q) == 0.0
-
-
-def test_from_matrix_fn_scalar_decay_envelope():
-    g = make_grid(8.0, 16)
-
-    def fn(x):
-        w = (1.0 + np.sum(x**2, axis=-1)) ** (-1.0)
-        return w[..., None, None] * np.eye(4)
-
-    Q = from_matrix_fn(fn, g)
-    assert decay_envelope(Q, 2.0) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_from_matrix_fn_rejects_non_hermitian():
-    g = make_grid(4.0, 8)
-
-    def fn(x):
-        m = np.zeros(x.shape[:3] + (4, 4), dtype=complex)
-        m[..., 0, 1] = 1e-6  # no conjugate partner
-        return m
-
-    with pytest.raises(ValueError, match="Hermitian"):
-        from_matrix_fn(fn, g)
 
 
 def test_from_em_zero():
@@ -67,7 +39,7 @@ def test_from_em_vector_potential_matches_contraction(grid16, ly16):
     for j in range(3):
         manual -= ly16.vector_potential[..., j, None, None] * ALPHA[j]
     assert np.array_equal(Q.values, manual)
-    assert hermiticity_check(Q) <= 1e-14
+    assert np.max(np.abs(Q.values - np.conj(np.swapaxes(Q.values, -1, -2)))) <= 1e-14
 
 
 def test_from_em_scalar_envelope():
@@ -163,40 +135,19 @@ def test_loss_yau_envelope_stable_across_boxes():
 
 
 # ---------------------------------------------------------------------------
-# envelopes and hermiticity
+# hermiticity
 # ---------------------------------------------------------------------------
 
 
-def test_decay_envelope_violation_grows_with_box():
-    # <x>^{-2} against rho = 3: the implied constant grows with the box
-    cs = []
-    for L, N in ((8.0, 16), (16.0, 32)):
-        g = make_grid(L, N)
-        q = (1.0 + g.radius2) ** (-1.0)
-        cs.append(decay_envelope(from_em(q, None, g), 3.0))
-    assert cs[1] > 1.5 * cs[0]
-
-
-def test_decay_envelope_zero_potential():
-    g = make_grid(4.0, 8)
-    assert decay_envelope(from_em(None, None, g), 2.0) == 0.0
-
-
-def test_decay_envelope_rejects_long_range_exponent():
-    g = make_grid(4.0, 8)
-    with pytest.raises(ValueError):
-        decay_envelope(from_em(None, None, g), 1.0)
-
-
-def test_hermiticity_check_reports_injected_gap():
+def test_hermiticity_check_reports_injected_gap(tmp_path):
     g = make_grid(4.0, 8)
     vals = np.zeros((8, 8, 8, 4, 4), dtype=complex)
     vals[..., 0, 1] = 0.25
     vals[..., 1, 0] = 0.05  # should be conj(0.25)
-    from dirac_zero_lab.potential import PotentialField
-
-    Q = PotentialField(g, vals)
-    assert hermiticity_check(Q) == pytest.approx(0.2, rel=1e-12)
+    path = tmp_path / "gap.dzl1"
+    save_potential(PotentialField(g, vals), path)
+    with pytest.raises(ValueError, match=r"max \|Q - Q\^dag\| = 2\.000e-01"):
+        load_potential(path)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +212,7 @@ def test_load_potential_rejects_invalid_payload(tmp_path, defect, message):
     g = make_grid(4.0, 8)
     vals = np.zeros((8, 8, 8, 4, 4), dtype=complex)
     if defect == "non-hermitian":
-        vals[..., 0, 1] = 1e-6  # the rule of from_matrix_fn: 1e-12 max(1, max |Q|)
+        vals[..., 0, 1] = 1e-6  # the rule: max |Q - Q^dag| <= 1e-12 max(1, max |Q|)
     elif defect == "non-finite":
         vals[0, 0, 0, 0, 0] = np.nan
     path = tmp_path / "q.dzl1"

@@ -5,7 +5,7 @@ from functools import cmp_to_key
 import numpy as np
 import pytest
 
-from dirac_zero_lab.clifford import alpha
+from dirac_zero_lab.clifford import ALPHA
 from dirac_zero_lab.field import (
     POSITION,
     SpinorField,
@@ -24,7 +24,6 @@ from dirac_zero_lab.resonance import (
     EigenReport,
     birman_schwinger_spectrum,
     classify_threshold_state,
-    coupling_thresholds,
     decay_fit,
     decay_table_to_csv,
     default_shell_edges,
@@ -316,7 +315,7 @@ def _point_potential():
     """Q = -alpha_3 delta at the origin of the (L=4, N=8) grid: T has rank 2 on each chiral sector."""
     g = make_grid(4.0, 8)
     vals = np.zeros((8, 8, 8, 4, 4), dtype=complex)
-    vals[4, 4, 4] = -alpha(3)
+    vals[4, 4, 4] = -ALPHA[2]
     assert g.radius2[4, 4, 4] == 0.0
     return PotentialField(g, vals)
 
@@ -379,7 +378,7 @@ def test_find_zero_modes_magnetic(modes_ly, q_ly16):
     assert len(modes_ly) >= 1
     for mode in modes_ly:
         # fixed-point consistency: T f ~ f and the direct residual agrees
-        tf = -1.0 * apply_a_spectral(apply_potential(q_ly16, mode))
+        tf = -1.0 * apply_a_spectral(apply_potential(q_ly16, mode), warn_threshold=np.inf)
         assert l2_norm(tf - mode) / l2_norm(mode) <= 0.1  # the tol used in the search
         assert residual(mode, q_ly16) <= 1.0  # 10 * tol
         assert residual(mode, q_ly16) <= 0.1  # eigenfields are clean discrete modes
@@ -420,19 +419,24 @@ def test_rescaled_report_matches_second_solve():
         assert subspace_overlap(fields, mode) >= 1.0 - 1e-10
 
 
-def test_coupling_thresholds_magnetic(q_ly16):
-    taus = coupling_thresholds(q_ly16, k=4)
+def coupling_thresholds(report):
+    """Couplings tau with tau Q supporting a fixed point, tau = 1 / lambda, sorted by |tau|."""
+    return sorted((1.0 / lam for lam in real_eigenvalues(report)), key=abs)
+
+
+def test_coupling_thresholds_magnetic(spectrum_ly):
+    taus = coupling_thresholds(spectrum_ly)
     assert taus, "expected at least one real eigenvalue"
     assert abs(abs(taus[0]) - 1.0) <= 0.1
 
 
 def test_coupling_thresholds_scale_with_amplitude(q_ly16):
-    taus_half = coupling_thresholds(0.5 * q_ly16, k=4)
+    taus_half = coupling_thresholds(birman_schwinger_spectrum(0.5 * q_ly16, k=4))
     assert abs(abs(taus_half[0]) - 2.0) <= 0.1
 
 
 def test_coupling_thresholds_zero_potential(grid16):
-    assert coupling_thresholds(from_em(None, None, grid16), k=3) == []
+    assert coupling_thresholds(birman_schwinger_spectrum(from_em(None, None, grid16), k=3)) == []
 
 
 def test_fixed_point_subspace_overlap(spectrum_ly, ly16):
