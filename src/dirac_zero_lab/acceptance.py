@@ -23,6 +23,11 @@ DEFAULT_SEED = resonance.DEFAULT_SEED
 DEFAULT_L = 16.0
 DEFAULT_N = 32
 
+# the bounds of criteria 2 and 3's identity checks, which verify-freeop applies too
+SYMBOL_PRODUCT_TOL = 1e-14
+AH0_TOL = 1e-10
+PAIRING_TOL = 1e-8
+
 
 @dataclass
 class CheckResult:
@@ -94,11 +99,11 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
     for N in (24, 32):
         grid = field.make_grid(12.0, N)
         dev = freeop.symbol_product_max_deviation(grid)
-        res.add(f"symbol product = I at xi != 0 (N={N})", dev <= 1e-14, f"max dev {dev:.2e}")
+        res.add(f"symbol product = I at xi != 0 (N={N})", dev <= SYMBOL_PRODUCT_TOL, f"max dev {dev:.2e}")
 
     grid = field.make_grid(12.0, 24)
     worst = ah0_identity_worst(grid, range(seed, seed + 20))
-    res.add("A(alpha.D) f = f on 20 mean-zero band-limited fields", worst <= 1e-10, f"max rel err {worst:.2e}")
+    res.add("A(alpha.D) f = f on 20 mean-zero band-limited fields", worst <= AH0_TOL, f"max rel err {worst:.2e}")
 
     rels = {}
     for N in (24, 32):
@@ -154,7 +159,7 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
     worst = 0.0
     for i in range(10):
         worst = max(worst, pairing_discrepancy(grid, seed + 100 + i, seed + 200 + i))
-    res.add("two-sided agreement on 10 seeded pairs", worst <= 1e-8, f"max rel discrepancy {worst:.2e}")
+    res.add("two-sided agreement on 10 seeded pairs", worst <= PAIRING_TOL, f"max rel discrepancy {worst:.2e}")
     return res
 
 
@@ -302,9 +307,9 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     ly = potential.loss_yau(grid)
     Q = potential.loss_yau_potential(grid)
     rep = resonance.birman_schwinger_spectrum(Q, k=6, seed=seed)
-    near, fields = resonance.fixed_point_subspace(rep, tol=0.1)
+    near, fields = resonance.fixed_point_subspace(rep)
     res.add(
-        "eigenvalue within 0.1 of 1",
+        f"eigenvalue within {resonance.ZERO_MODE_TOL} of 1",
         len(near) >= 1,
         f"eigenvalues {[f'{l.real:+.4f}{l.imag:+.4f}j' for l in rep.eigenvalues[:4]]}",
     )
@@ -324,12 +329,12 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
         worst = max(worst, best)
     res.add("spectrum scales linearly in the amplitude", worst <= 1e-8, f"max matched dev {worst:.2e}")
 
-    zero_modes = resonance.find_zero_modes(potential.from_em(None, None, grid), tol=0.1, seed=seed)
+    zero_modes = resonance.find_zero_modes(potential.from_em(None, None, grid), seed=seed)
     res.add("Q = 0 yields no zero modes", len(zero_modes) == 0, f"{len(zero_modes)} modes")
 
     amp = 0.1 * (1.0 + grid.radius2) ** (-1.0)
     Qs = potential.from_em(amp, None, grid)
-    small_modes = resonance.find_zero_modes(Qs, tol=0.1, seed=seed)
+    small_modes = resonance.find_zero_modes(Qs, seed=seed)
     res.add("small scalar potential yields no zero modes", len(small_modes) == 0, f"{len(small_modes)} modes")
     return res
 
@@ -432,7 +437,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
             eigenvalues=[lam / lam1 for lam in rep.eigenvalues],
             residuals=[r / abs(lam1) for r in rep.residuals],
         )
-        _, modes = resonance.fixed_point_subspace(scaled, 0.1, Q)
+        _, modes = resonance.fixed_point_subspace(scaled, Q=Q)
         any_modes += len(modes)
         for mode in modes:
             cls = resonance.classify_threshold_state(mode, Q)
@@ -480,9 +485,9 @@ CRITERION_KEYWORDS = {
 }
 
 
-def run_acceptance(only=None, seed: int = DEFAULT_SEED) -> list[CriterionResult]:
+def run_acceptance(only=None) -> list[CriterionResult]:
     """Run all (or selected) criteria, printing one line per check; a bad selector runs none."""
-    indices = set() if only else set(CRITERIA)
+    indices = set(CRITERIA) if only is None else set()
     for item in only or ():
         token = str(item).strip().lower()
         if token.isdigit():
@@ -496,7 +501,7 @@ def run_acceptance(only=None, seed: int = DEFAULT_SEED) -> list[CriterionResult]
     results = []
     for idx in sorted(indices):
         t0 = time.perf_counter()
-        result = CRITERIA[idx](seed=seed)
+        result = CRITERIA[idx]()
         result.elapsed = time.perf_counter() - t0
         results.append(result)
         status = "PASS" if result.passed else "FAIL"

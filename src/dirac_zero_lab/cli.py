@@ -26,38 +26,24 @@ OUTPUT_ROOT_ENV = "DZL_OUTPUT_ROOT"
 # flag or a --config key only for its own row (plus out), and its
 # run-config.cfg records exactly that row (plus out).
 SETTINGS = {
-    "verify-freeop": {
-        "L": 12.0,
-        "N": 24,
-        "seed": acc.DEFAULT_SEED,
-        "tol.ah0": 1e-10,
-        "tol.pairing": 1e-8,
-        # The gap at (L=12, N=24) is ~0.17, a floor of the periodic multiplier (the
-        # quadrature converges to the continuum); acceptance asserts a failing 0.05.
-        "tol.quadrature": 0.25,
-        "tol.symbol_product": 1e-14,
-    },
+    "verify-freeop": {"L": 12.0, "N": 24, "seed": acc.DEFAULT_SEED},
     "nw-sweep": {"h": 1.0, "seed": acc.DEFAULT_SEED},
     "bootstrap": {},
-    "zero-mode": {
-        "L": acc.DEFAULT_L,
-        "N": acc.DEFAULT_N,
-        "seed": acc.DEFAULT_SEED,
-        "tol.zero_mode": resonance.ZERO_MODE_TOL,
-    },
-    "acceptance": {"seed": acc.DEFAULT_SEED},
+    "zero-mode": {"L": acc.DEFAULT_L, "N": acc.DEFAULT_N, "seed": acc.DEFAULT_SEED},
+    "acceptance": {},
 }
 
-# (flag, help) of the settings that have a flag; tol.symbol_product is set by --config only.
+# verify-freeop's spectral-vs-quadrature bound.  The gap at (L=12, N=24) is ~0.17,
+# a floor of the periodic multiplier (the quadrature converges to the continuum);
+# acceptance asserts a failing 0.05.
+QUADRATURE_TOL = 0.25
+
+# (flag, help) of each setting
 FLAGS = {
     "L": ("--L", "box half-width"),
     "N": ("--N", "points per axis, even"),
     "h": ("--h", "lattice spacing of every scale's grid"),
     "seed": ("--seed", "seed of the run's random data and start vectors"),
-    "tol.ah0": ("--tol-ah0", "ah0-identity tolerance"),
-    "tol.pairing": ("--tol-pairing", "pairing-identity tolerance"),
-    "tol.quadrature": ("--tol-quadrature", "spectral-vs-quadrature tolerance"),
-    "tol.zero_mode": ("--tol", "zero-mode eigenvalue tolerance"),
 }
 
 
@@ -83,7 +69,7 @@ def _parse_config_file(path: str) -> dict:
 def _settings(args, out: str | None = None) -> dict:
     """The command's settings plus ``out``: flag > --config file > DZL_OUTPUT_ROOT > default.
 
-    Every tolerance must be finite and non-negative, and so must the seed.
+    The seed must be non-negative.
     """
     row = SETTINGS[args.command]
     cfg = dict(row, out=out)
@@ -94,18 +80,17 @@ def _settings(args, out: str | None = None) -> dict:
             if key == "out":
                 cfg["out"] = val or cfg["out"]
             elif key in row:
-                cfg[key] = type(row[key])(val)
+                try:
+                    cfg[key] = type(row[key])(val)
+                except ValueError as exc:
+                    raise ValueError(f"config key {key!r} in {args.config}: {exc}") from None
             else:
-                kind = "tolerance" if key.startswith("tol.") else "config key"
-                raise ValueError(f"unknown {kind} {key!r} for {args.command}; known: {', '.join([*row, 'out'])}")
+                raise ValueError(f"unknown config key {key!r} for {args.command}; known: {', '.join([*row, 'out'])}")
     for key in row:
         if vars(args).get(key) is not None:
             cfg[key] = vars(args)[key]
     if args.out:
         cfg["out"] = args.out
-    for key, val in cfg.items():
-        if key.startswith("tol.") and not (np.isfinite(val) and val >= 0):
-            raise ValueError(f"tolerance {key} must be finite and non-negative, got {val}")
     if cfg.get("seed", 0) < 0:
         raise ValueError(f"seed must be non-negative, got {cfg['seed']}")
     return cfg
@@ -124,9 +109,8 @@ def _emit_json(cfg: dict, name: str, payload: dict) -> None:
 
 
 def _emit_settings(cfg: dict) -> None:
-    """run-config.cfg: the settings the run read and ``out``, tolerances last."""
-    keys = sorted(cfg, key=lambda key: key.startswith("tol."))
-    _emit(cfg, "run-config.cfg", "".join(f"{key} = {cfg[key]}\n" for key in keys))
+    """run-config.cfg: the settings the run read and ``out``."""
+    _emit(cfg, "run-config.cfg", "".join(f"{key} = {val}\n" for key, val in cfg.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +143,10 @@ def cmd_verify_freeop(args) -> int:
     bump = field.SpinorField(grid, vals, field.POSITION)
     # criteria 2 and 3's checks, on this command's grid, seeds and field counts
     lines = [
-        ("symbol-product", freeop.symbol_product_max_deviation(grid), cfg["tol.symbol_product"]),
-        ("ah0-identity", acc.ah0_identity_worst(grid, range(seed, seed + 8)), cfg["tol.ah0"]),
-        ("pairing-identity", acc.pairing_discrepancy(grid, seed + 50, seed + 60), cfg["tol.pairing"]),
-        ("spectral-vs-quadrature", acc.quadrature_gap(bump), cfg["tol.quadrature"]),
+        ("symbol-product", freeop.symbol_product_max_deviation(grid), acc.SYMBOL_PRODUCT_TOL),
+        ("ah0-identity", acc.ah0_identity_worst(grid, range(seed, seed + 8)), acc.AH0_TOL),
+        ("pairing-identity", acc.pairing_discrepancy(grid, seed + 50, seed + 60), acc.PAIRING_TOL),
+        ("spectral-vs-quadrature", acc.quadrature_gap(bump), QUADRATURE_TOL),
     ]
     _emit_settings(cfg)
     for name, value, bound in lines:
@@ -179,17 +163,21 @@ def cmd_verify_freeop(args) -> int:
     return 0
 
 
-def _parse_number(text: str):
+def _parse_number(text: str, flag: str):
     try:
         return Fraction(text) if "/" in text or text.lstrip("+-").isdigit() else float(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad numeric value {text!r}") from exc
+        raise ValueError(f"{flag}: bad numeric value {text!r}") from exc
 
 
 def cmd_nw_sweep(args) -> int:
     cfg = _settings(args)
-    spec = kernelnorm.NwKernelSpec(a=_parse_number(args.a), b=_parse_number(args.b), p=_parse_number(args.p))
-    scales = [float(s) for s in args.scales.split(",")]
+    a, b, p = (_parse_number(getattr(args, name), f"--{name}") for name in "abp")
+    spec = kernelnorm.NwKernelSpec(a=a, b=b, p=p)
+    try:
+        scales = [float(s) for s in args.scales.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"--scales: {exc}") from None
     report = kernelnorm.scale_sweep(spec, scales, cfg["h"], seed=cfg["seed"])  # rejects bad scales first
     _emit_settings(cfg)
     for scale, est in zip(report.scales, report.norm_estimates):
@@ -261,7 +249,7 @@ def cmd_zero_mode(args) -> int:
         raise ValueError(f"the potential's grid {Q.grid} differs from the run grid {grid}; pass its --L and --N")
     report = resonance.birman_schwinger_spectrum(Q, k=args.k, seed=cfg["seed"])  # rejects a bad --k before any output
     _emit_settings(cfg)
-    tol, out = cfg["tol.zero_mode"], cfg["out"]
+    out = cfg["out"]
     reference = potential.loss_yau(grid).zero_mode if args.potential == "loss-yau" else None
     resonance.eigenreport_to_json(
         report,
@@ -269,9 +257,9 @@ def cmd_zero_mode(args) -> int:
         field_dir=os.path.join(out, "eigenfields"),
         reference=reference,
     )
-    _, modes = resonance.fixed_point_subspace(report, tol, Q)
+    _, modes = resonance.fixed_point_subspace(report, Q=Q)
     print(f"eigenvalues: {[f'{l.real:+.4f}{l.imag:+.4f}j' for l in report.eigenvalues]}")
-    print(f"zero modes at tolerance {tol}: {len(modes)}")
+    print(f"zero modes at tolerance {resonance.ZERO_MODE_TOL}: {len(modes)}")
     exit_code = 0  # 3 if any mode is a resonance candidate, else 1 if any is inconclusive or unclassified
     for i, mode in enumerate(modes):
         try:
@@ -291,8 +279,8 @@ def cmd_zero_mode(args) -> int:
 
 def cmd_acceptance(args) -> int:
     cfg = _settings(args)
-    only = args.only.split(",") if args.only else None
-    results = acc.run_acceptance(only=only, seed=cfg["seed"])
+    only = args.only.split(",") if args.only is not None else None
+    results = acc.run_acceptance(only=only)
     _emit_settings(cfg)
     payload = {
         f"criterion_{r.index}": {
@@ -323,9 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         if name in SETTINGS:
             for key, default in SETTINGS[name].items():
-                if key in FLAGS:
-                    flag, doc = FLAGS[key]
-                    p.add_argument(flag, dest=key, type=type(default), default=None, help=f"{doc} (default {default})")
+                flag, doc = FLAGS[key]
+                p.add_argument(flag, dest=key, type=type(default), default=None, help=f"{doc} (default {default})")
             p.add_argument("--out", type=str, default=None, help="output directory")
             p.add_argument("--config", type=str, default=None, help="key = value config file")
         return p

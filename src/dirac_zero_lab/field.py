@@ -347,7 +347,7 @@ def restrict_to_subbox(f: SpinorField, factor: int = 2) -> SpinorField:
 # ---------------------------------------------------------------------------
 
 _MAGIC = "DZL1"
-_HEADER_KEYS = ("L", "N", "space", "components")
+_HEADER_KEYS = {"L": float, "N": int, "space": str, "components": int}  # key: type of its value
 
 
 def _write_dzl1(path, L: float, N: int, space: str, values: np.ndarray, components: int) -> None:
@@ -369,7 +369,7 @@ def _read_dzl1(path, components: int) -> tuple[GridSpec, str, np.ndarray]:
     parts = text.split()
     if not parts or parts[0] != _MAGIC:
         raise ValueError(f"not a {_MAGIC} file: header {text!r}")
-    fields: dict[str, str] = {}
+    fields = {}
     for token in parts[1:]:
         key, sep, val = token.partition("=")
         if not sep:
@@ -378,14 +378,14 @@ def _read_dzl1(path, components: int) -> tuple[GridSpec, str, np.ndarray]:
             raise ValueError(f"unknown key in DZL1 header token {token!r}; known: {', '.join(_HEADER_KEYS)}")
         if key in fields:
             raise ValueError(f"DZL1 header token {token!r} repeats the key {key!r}")
-        fields[key] = val
+        try:
+            fields[key] = _HEADER_KEYS[key](val)
+        except ValueError as exc:
+            raise ValueError(f"DZL1 header token {token!r} in {path}: {exc}") from None
     missing = [k for k in _HEADER_KEYS if k not in fields]
     if missing:
         raise ValueError(f"DZL1 header is missing the {missing[0]!r} key: {text!r}")
-    L = float(fields["L"])
-    N = int(fields["N"])
-    space = fields["space"]
-    ncomp = int(fields["components"])
+    L, N, space, ncomp = (fields[key] for key in _HEADER_KEYS)
     if ncomp != components:
         raise ValueError(f"expected {components} components, file has {ncomp}")
     expected = N**3 * ncomp * 16

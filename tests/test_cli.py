@@ -65,9 +65,11 @@ def test_verify_freeop_empty_annulus_is_usage_error(capsys, tmp_path):
 
 
 def test_verify_freeop_impossible_tolerance_fails(capsys):
-    code, out, _ = run_cli(capsys, "verify-freeop", "--N", "16", "--L", "8", "--tol-ah0", "1e-30")
+    # at (L=16, N=8) the quadrature gap is about 0.8, over the fixed 0.25 bound
+    code, out, _ = run_cli(capsys, "verify-freeop", "--L", "16", "--N", "8")
     assert code == 1
-    assert "failed checks: ah0-identity" in out
+    assert "[FAIL] spectral-vs-quadrature" in out
+    assert out.splitlines()[-1] == "failed checks: spectral-vs-quadrature"
 
 
 def test_verify_freeop_missing_config_file(capsys):
@@ -80,14 +82,14 @@ def test_config_file_round_trip(capsys, tmp_path):
     # The config file outranks the command's default grid (12, 24), and a
     # run's own run-config.cfg reproduces the run.
     cfg = tmp_path / "lab.cfg"
-    cfg.write_text("L = 8\nN = 16\nseed = 9\ntol.ah0 = 1e-9  # slightly loose\n")
+    cfg.write_text("L = 8\nN = 16  # a coarse grid\nseed = 9\n")
     first, second = tmp_path / "first", tmp_path / "second"
     code, _, _ = run_cli(capsys, "verify-freeop", "--config", str(cfg), "--out", str(first))
     assert code == 0
     written = (first / "run-config.cfg").read_text().splitlines()
     assert "L = 8.0" in written and "N = 16" in written
     # only keys that some code reads are written
-    assert not [l for l in written if l.startswith(("emit", "tol.arnoldi", "tol.clifford"))]
+    assert not [l for l in written if l.startswith(("emit", "tol."))]
     code, _, _ = run_cli(
         capsys, "verify-freeop", "--config", str(first / "run-config.cfg"), "--out", str(second)
     )
@@ -100,7 +102,7 @@ def test_config_rejects_unknown_tolerance(capsys, tmp_path):
     cfg.write_text("L = 8\nN = 16\ntol.arnoldi = 1e-6\n")
     code, _, err = run_cli(capsys, "verify-freeop", "--config", str(cfg), "--out", str(tmp_path / "run"))
     assert code == 2
-    assert "unknown tolerance 'tol.arnoldi'" in err
+    assert "unknown config key 'tol.arnoldi'" in err
     assert not (tmp_path / "run").exists()
 
 
@@ -123,29 +125,6 @@ def test_config_key_given_twice_is_usage_error(capsys, tmp_path):
     assert out == "" and "Traceback" not in err
     assert "config key 'L' is given twice" in err
     assert not (tmp_path / "run").exists()
-
-
-@pytest.mark.parametrize(
-    "argv, config",
-    [
-        (["zero-mode", "--potential", "zero", "--L", "4", "--N", "4", "--tol", "nan"], None),
-        (["zero-mode", "--potential", "zero", "--L", "4", "--N", "4", "--tol=-1"], None),
-        (["zero-mode", "--potential", "zero", "--L", "4", "--N", "4"], "tol.zero_mode = -0.5"),
-        (["verify-freeop", "--L", "8", "--N", "16", "--tol-ah0", "nan"], None),
-        (["verify-freeop", "--L", "8", "--N", "16", "--tol-quadrature", "inf"], None),
-        (["verify-freeop", "--L", "8", "--N", "16"], "tol.symbol_product = nan"),
-    ],
-)
-def test_tolerance_must_be_finite_and_non_negative(capsys, tmp_path, argv, config):
-    out_dir = tmp_path / "run"
-    if config is not None:
-        (tmp_path / "lab.cfg").write_text(config + "\n")
-        argv = [*argv, "--config", str(tmp_path / "lab.cfg")]
-    code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
-    assert code == 2
-    assert out == "" and "Traceback" not in err
-    assert "must be finite and non-negative" in err
-    assert not out_dir.exists()
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
@@ -550,6 +529,17 @@ def test_acceptance_bad_selector_runs_and_writes_nothing(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+def test_acceptance_empty_selector_is_usage_error(capsys, tmp_path, monkeypatch):
+    # an empty --only selects no criterion; it must not mean "all eight"
+    from dirac_zero_lab import acceptance
+
+    monkeypatch.setattr(acceptance, "CRITERIA", {i: None for i in acceptance.CRITERIA})  # none may run
+    out_dir = tmp_path / "acc"
+    code, out, err = run_cli(capsys, "acceptance", "--only", "", "--out", str(out_dir))
+    _assert_clean_usage_error(code, out, err, out_dir)
+    assert "unknown criterion selector ''" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
 
@@ -646,9 +636,8 @@ def test_zero_mode_potential_flag_out_of_float_range_is_usage_error(capsys, tmp_
         ["verify-freeop", "--L", "4", "--N", "8"],
         ["nw-sweep", "--a", "1", "--b", "1/2", "--scales", "2,3,4"],
         ["zero-mode", "--potential", "zero", "--L", "4", "--N", "8"],
-        ["acceptance", "--only", "7"],
     ],
-    ids=["verify-freeop", "nw-sweep", "zero-mode", "acceptance"],
+    ids=["verify-freeop", "nw-sweep", "zero-mode"],
 )
 def test_negative_seed_is_usage_error(capsys, tmp_path, argv, source):
     out_dir = tmp_path / "run"
@@ -684,6 +673,18 @@ def test_negative_seed_is_usage_error(capsys, tmp_path, argv, source):
         (["verify-freeop", "--L", "4", "--N", "4"], "h = 1"),
         (["verify-freeop", "--L", "4", "--N", "4", "--h", "1"], None),  # a prefix of --help, not --help
         (["bootstrap", "--rho", "2", "--js"], None),  # a prefix of --json, not --json
+        (["acceptance", "--only", "7", "--seed", "5"], None),
+        (["acceptance", "--only", "7"], "seed = 5"),
+        # the bounds are constants: no command takes them as a setting
+        (["verify-freeop", "--L", "4", "--N", "8", "--tol-ah0", "1e-9"], None),
+        (["verify-freeop", "--L", "4", "--N", "8", "--tol-pairing", "1e-8"], None),
+        (["verify-freeop", "--L", "4", "--N", "8", "--tol-quadrature", "1"], None),
+        (["zero-mode", "--potential", "zero", "--L", "4", "--N", "4", "--tol", "0.2"], None),
+        (["verify-freeop", "--L", "4", "--N", "8"], "tol.ah0 = 1e-10"),
+        (["verify-freeop", "--L", "4", "--N", "8"], "tol.pairing = 1e-8"),
+        (["verify-freeop", "--L", "4", "--N", "8"], "tol.quadrature = 0.25"),
+        (["verify-freeop", "--L", "4", "--N", "8"], "tol.symbol_product = 1e-14"),
+        (["zero-mode", "--potential", "zero", "--L", "4", "--N", "4"], "tol.zero_mode = 0.1"),
     ],
 )
 def test_unread_setting_is_usage_error(capsys, tmp_path, argv, config):
@@ -697,8 +698,51 @@ def test_unread_setting_is_usage_error(capsys, tmp_path, argv, config):
     assert "Traceback" not in err
     if config is not None:
         key = config.split(" = ")[0]
-        assert f"unknown {'tolerance' if key.startswith('tol.') else 'config key'} {key!r}" in err
+        assert f"unknown config key {key!r}" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "source, value, message",
+    [
+        ("config", "N = 8.0", "config key 'N' in {cfg}: invalid literal for int() with base 10: '8.0'"),
+        ("header", "N=8.0", "DZL1 header token 'N=8.0' in {pot}: invalid literal for int() with base 10: '8.0'"),
+        ("scales", "8,x,16", "--scales: could not convert string to float: 'x'"),
+        ("exponent", "1/0", "--b: bad numeric value '1/0'"),
+    ],
+)
+def test_unparsable_value_names_its_key_and_source(capsys, tmp_path, source, value, message):
+    cfg, pot, out_dir = tmp_path / "lab.cfg", tmp_path / "pot.dzl1", tmp_path / "run"
+    if source == "config":
+        cfg.write_text(value + "\n")
+        argv = ["verify-freeop", "--config", str(cfg)]
+    elif source == "header":
+        pot.write_text(f"DZL1 L=4.0 {value} space=position components=16\n")
+        argv = ["zero-mode", "--potential", f"file:{pot}", "--L", "4", "--N", "8"]
+    elif source == "scales":
+        argv = ["nw-sweep", "--a", "1", "--b", "1/2", "--scales", value]
+    else:
+        argv = ["nw-sweep", "--a", "1", "--b", value]
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
+    _assert_clean_usage_error(code, out, err, out_dir)
+    assert message.format(cfg=cfg, pot=pot) in err
+
+
+def test_readme_settings_table_matches_settings():
+    # README's table of each command's settings and defaults is cli.SETTINGS, row by row
+    import pathlib
+    import re
+
+    from dirac_zero_lab.cli import SETTINGS
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| command | settings and defaults |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        command, cell = re.fullmatch(r"\| `([a-z-]+)` \| (.*) \|", line).groups()
+        pairs = [] if cell == "none" else cell.split(", ")
+        rows[command] = dict(re.fullmatch(r"`(\S+)` (\S+)", pair).groups() for pair in pairs)
+    assert rows == {command: {key: str(value) for key, value in row.items()} for command, row in SETTINGS.items()}
 
 
 @pytest.mark.parametrize(
@@ -706,8 +750,8 @@ def test_unread_setting_is_usage_error(capsys, tmp_path, argv, config):
     [
         (
             ["verify-freeop"],
-            ["--L", "8", "--N", "16", "--seed", "7", "--tol-ah0", "1e-9"],
-            ["L", "N", "seed", "out", "tol.ah0", "tol.pairing", "tol.quadrature", "tol.symbol_product"],
+            ["--L", "8", "--N", "16", "--seed", "7"],
+            ["L", "N", "seed", "out"],
         ),
         (
             ["nw-sweep", "--a", "1", "--b", "1/2", "--scales", "4,8,16"],
@@ -717,10 +761,10 @@ def test_unread_setting_is_usage_error(capsys, tmp_path, argv, config):
         (["bootstrap", "--rho", "2"], [], ["out"]),
         (
             ["zero-mode", "--potential", "zero"],
-            ["--L", "4", "--N", "4", "--tol", "0.2"],
-            ["L", "N", "seed", "out", "tol.zero_mode"],
+            ["--L", "4", "--N", "4"],
+            ["L", "N", "seed", "out"],
         ),
-        (["acceptance", "--only", "7"], ["--seed", "7"], ["seed", "out"]),
+        (["acceptance", "--only", "7"], [], ["out"]),
     ],
     ids=["verify-freeop", "nw-sweep", "bootstrap", "zero-mode", "acceptance"],
 )

@@ -344,8 +344,11 @@ def test_field_file_rejects_bad_magic(tmp_path):
         (b"DZL1 L=4.0 N=4 space=position components=4 L=8.0", "token 'L=8.0' repeats the key 'L'"),
         (b"DZL1 L=1.0 N=4 space=position components=4 foo=bar", "unknown key in DZL1 header token 'foo=bar'"),
         (b"DZL1 L=1.0 N=4 =3 space=position components=4", "unknown key in DZL1 header token '=3'"),
+        (b"DZL1 L=1.0 N=4.0 space=position components=4", r"token 'N=4.0' in .*bad.dzl1: invalid literal for int"),
+        (b"DZL1 L=abc N=4 space=position components=4", r"token 'L=abc' in .*bad.dzl1: could not convert"),
+        (b"DZL1 L=1.0 N=4 space=position components=x", r"token 'components=x' in .*bad.dzl1: invalid literal"),
     ],
-    ids=["missing-key", "stray-token", "repeated-key", "unknown-key", "empty-key"],
+    ids=["missing-key", "stray-token", "repeated-key", "unknown-key", "empty-key", "float-N", "text-L", "text-components"],
 )
 def test_field_file_rejects_bad_header(tmp_path, header, message):
     path = tmp_path / "bad.dzl1"
