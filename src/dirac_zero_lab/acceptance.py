@@ -329,12 +329,13 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
         worst = max(worst, best)
     res.add("spectrum scales linearly in the amplitude", worst <= 1e-8, f"max matched dev {worst:.2e}")
 
-    zero_modes = resonance.find_zero_modes(potential.from_em(None, None, grid), seed=seed)
+    Q0 = potential.from_em(None, None, grid)
+    zero_modes = resonance.fixed_point_subspace(resonance.birman_schwinger_spectrum(Q0, seed=seed), Q0)[1]
     res.add("Q = 0 yields no zero modes", len(zero_modes) == 0, f"{len(zero_modes)} modes")
 
     amp = 0.1 * (1.0 + grid.radius2) ** (-1.0)
     Qs = potential.from_em(amp, None, grid)
-    small_modes = resonance.find_zero_modes(Qs, seed=seed)
+    small_modes = resonance.fixed_point_subspace(resonance.birman_schwinger_spectrum(Qs, seed=seed), Qs)[1]
     res.add("small scalar potential yields no zero modes", len(small_modes) == 0, f"{len(small_modes)} modes")
     return res
 
@@ -470,34 +471,16 @@ CRITERIA = {
     8: criterion_8,
 }
 
-CRITERION_KEYWORDS = {
-    "clifford": 1,
-    "freeop": 2,
-    "pairing": 3,
-    "kernelnorm": 4,
-    "nw": 4,
-    "loss-yau": 5,
-    "birman-schwinger": 6,
-    "spectrum": 6,
-    "bootstrap": 7,
-    "theorem": 8,
-    "resonance": 8,
-}
-
-
 def run_acceptance(only=None) -> list[CriterionResult]:
     """Run all (or selected) criteria, printing one line per check; a bad selector runs none."""
     indices = set(CRITERIA) if only is None else set()
     for item in only or ():
-        token = str(item).strip().lower()
-        if token.isdigit():
-            if int(token) not in CRITERIA:
-                raise ValueError(f"no criterion {int(token)}")
-            indices.add(int(token))
-        elif token in CRITERION_KEYWORDS:
-            indices.add(CRITERION_KEYWORDS[token])
-        else:
-            raise ValueError(f"unknown criterion selector {item!r}")
+        token = str(item).strip()
+        if not token.isdigit():
+            raise ValueError(f"unknown criterion selector {item!r}: criteria are numbered 1-{len(CRITERIA)}")
+        if int(token) not in CRITERIA:
+            raise ValueError(f"no criterion {int(token)}")
+        indices.add(int(token))
     results = []
     for idx in sorted(indices):
         t0 = time.perf_counter()

@@ -187,9 +187,7 @@ def cmd_nw_sweep(args) -> int:
         f"agreement={report.agreement}"
     )
     if cfg["out"]:
-        kernelnorm.sweep_rows_to_csv(
-            [report], os.path.join(cfg["out"], "nw-sweep.csv"), extra={"seed": cfg["seed"]}
-        )
+        kernelnorm.sweep_rows_to_csv(report, os.path.join(cfg["out"], "nw-sweep.csv"), cfg["seed"])
     # a spec on the criterion's edge may grow too slowly to classify: inconclusive is no failure there
     return 0 if report.agreement == "agree" or (report.agreement == "inconclusive" and spec.on_boundary) else 1
 
@@ -252,10 +250,7 @@ def cmd_zero_mode(args) -> int:
     out = cfg["out"]
     reference = potential.loss_yau(grid).zero_mode if args.potential == "loss-yau" else None
     resonance.eigenreport_to_json(
-        report,
-        os.path.join(out, "eigenreport.json"),
-        field_dir=os.path.join(out, "eigenfields"),
-        reference=reference,
+        report, os.path.join(out, "eigenreport.json"), os.path.join(out, "eigenfields"), reference
     )
     _, modes = resonance.fixed_point_subspace(report, Q=Q)
     print(f"eigenvalues: {[f'{l.real:+.4f}{l.imag:+.4f}j' for l in report.eigenvalues]}")
@@ -340,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=6)
 
     p = command("acceptance", cmd_acceptance, "run the acceptance criteria suite")
-    p.add_argument("--only", default=None, help="comma-separated criterion numbers or names")
+    p.add_argument("--only", default=None, help="comma-separated criterion numbers, 1-8")
     return parser
 
 

@@ -76,21 +76,16 @@ class CliffordReport:
     max_deviation: float
 
 
-def check_clifford(matrices=None) -> CliffordReport:
-    """Measure max |alpha_j alpha_k + alpha_k alpha_j - 2 delta_jk I| per pair.
+def check_clifford() -> CliffordReport:
+    """Measure max |alpha_j alpha_k + alpha_k alpha_j - 2 delta_jk I| per pair of ``ALPHA``.
 
-    ``matrices`` may override the built-in Dirac matrices (e.g. to confirm
-    that a corrupted entry is detected).  With the builtins the deviation is
-    exactly zero for every pair.
+    The deviation is exactly zero for every pair.
     """
-    mats = ALPHA if matrices is None else [np.asarray(m, dtype=np.complex128) for m in matrices]
-    if len(mats) != 3:
-        raise ValueError("expected exactly three matrices")
     rows = []
     worst = 0.0
     for j in range(3):
         for k in range(3):
-            anti = mats[j] @ mats[k] + mats[k] @ mats[j]
+            anti = ALPHA[j] @ ALPHA[k] + ALPHA[k] @ ALPHA[j]
             target = 2.0 * _I4 if j == k else 0.0
             dev = float(np.max(np.abs(anti - target)))
             rows.append((j + 1, k + 1, dev))

@@ -327,18 +327,16 @@ def shell_profile(f: SpinorField, shell_edges) -> ShellProfile:
     return ShellProfile(edges=tuple(edges), masses=tuple(masses), counts=tuple(counts))
 
 
-def restrict_to_subbox(f: SpinorField, factor: int = 2) -> SpinorField:
-    """Restrict to the centered sub-box of half-width L / factor (same spacing)."""
+def restrict_to_subbox(f: SpinorField) -> SpinorField:
+    """Restrict to the centered sub-box of half-width L / 2 (same spacing)."""
     if f.space != POSITION:
         raise ValueError("restrict_to_subbox expects a position-space field")
     N = f.grid.N
-    if factor < 2 or N % (2 * factor) != 0:
-        raise ValueError(f"N={N} is not divisible for sub-box factor {factor}")
-    n_sub = N // factor
-    lo = N // 2 - n_sub // 2
-    hi = lo + n_sub
+    if N % 4 != 0:
+        raise ValueError(f"N={N} is not divisible by 4, so the half box has no even grid")
+    lo, hi = N // 4, N // 4 + N // 2
     sub = f.values[lo:hi, lo:hi, lo:hi, :].copy()
-    return SpinorField(GridSpec(f.grid.L / factor, n_sub), sub, POSITION)
+    return SpinorField(GridSpec(f.grid.L / 2, N // 2), sub, POSITION)
 
 
 # ---------------------------------------------------------------------------
@@ -365,34 +363,40 @@ def _read_dzl1(path, components: int) -> tuple[GridSpec, str, np.ndarray]:
     try:
         text = raw.decode("ascii").strip()
     except UnicodeDecodeError as exc:
-        raise ValueError("corrupt DZL1 header") from exc
+        raise ValueError(f"corrupt DZL1 header in {path}") from exc
     parts = text.split()
     if not parts or parts[0] != _MAGIC:
-        raise ValueError(f"not a {_MAGIC} file: header {text!r}")
+        raise ValueError(f"{path} is not a {_MAGIC} file: header {text!r}")
     fields = {}
     for token in parts[1:]:
         key, sep, val = token.partition("=")
         if not sep:
-            raise ValueError(f"malformed DZL1 header token {token!r}: expected key=value")
+            raise ValueError(f"malformed DZL1 header token {token!r} in {path}: expected key=value")
         if key not in _HEADER_KEYS:
-            raise ValueError(f"unknown key in DZL1 header token {token!r}; known: {', '.join(_HEADER_KEYS)}")
+            raise ValueError(f"unknown key in DZL1 header token {token!r} in {path}; known: {', '.join(_HEADER_KEYS)}")
         if key in fields:
-            raise ValueError(f"DZL1 header token {token!r} repeats the key {key!r}")
+            raise ValueError(f"DZL1 header token {token!r} repeats the key {key!r} in {path}")
         try:
             fields[key] = _HEADER_KEYS[key](val)
         except ValueError as exc:
             raise ValueError(f"DZL1 header token {token!r} in {path}: {exc}") from None
     missing = [k for k in _HEADER_KEYS if k not in fields]
     if missing:
-        raise ValueError(f"DZL1 header is missing the {missing[0]!r} key: {text!r}")
+        raise ValueError(f"DZL1 header of {path} is missing the {missing[0]!r} key: {text!r}")
     L, N, space, ncomp = (fields[key] for key in _HEADER_KEYS)
+    try:
+        grid = GridSpec(L, N)
+    except ValueError as exc:
+        raise ValueError(f"DZL1 header of {path}: {exc}") from None
+    if space not in (POSITION, FREQUENCY):
+        raise ValueError(f"DZL1 header of {path}: unknown space tag {space!r}")
     if ncomp != components:
-        raise ValueError(f"expected {components} components, file has {ncomp}")
+        raise ValueError(f"expected {components} components, {path} has {ncomp}")
     expected = N**3 * ncomp * 16
     if len(payload) != expected:
-        raise ValueError(f"payload length {len(payload)} does not match header ({expected} bytes)")
+        raise ValueError(f"payload length {len(payload)} of {path} does not match header ({expected} bytes)")
     values = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
-    return GridSpec(L, N), space, values
+    return grid, space, values
 
 
 def save_field(f: SpinorField, path) -> None:

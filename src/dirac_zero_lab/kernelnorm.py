@@ -247,23 +247,6 @@ class NormSweepReport:
     def norm_estimates(self) -> tuple[float, ...]:
         return tuple(e.value for e in self.estimates)
 
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "a": str(self.spec.a),
-                "b": str(self.spec.b),
-                "d": self.spec.d,
-                "p": str(self.spec.p),
-                "scale": s,
-                "norm_estimate": e.value,
-                "iterations": e.iterations,
-                "converged": e.converged,
-                "growth_class": self.growth_class,
-                "criterion_class": self.criterion_class,
-            }
-            for s, e in zip(self.scales, self.estimates)
-        ]
-
 
 def _classify_growth(estimates: list[float]) -> str:
     last, prev = estimates[-1], estimates[-2]
@@ -348,16 +331,13 @@ def lemma_a_conjugated_norm(t: float, grid: GridSpec, seed: int = 0) -> NormEsti
     return _power_iteration(conjugated(w_up, w_down), conjugated(w_down, w_up), start, POWER_ITERATIONS)
 
 
-def sweep_rows_to_csv(reports, path, extra: dict | None = None) -> None:
-    """One CSV row per (spec, scale)."""
-    rows = []
-    for rep in reports:
-        for row in rep.rows():
-            row.update(extra or {})
-            rows.append(row)
-    if not rows:
-        raise ValueError("no rows to write")
+def sweep_rows_to_csv(report: NormSweepReport, path, seed: int) -> None:
+    """One CSV row per scale of the sweep, with the seed that drew its start vectors."""
+    spec = report.spec
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(["a", "b", "d", "p", "scale", "norm_estimate", "iterations", "converged",
+                         "growth_class", "criterion_class", "seed"])
+        for s, e in zip(report.scales, report.estimates):
+            writer.writerow([spec.a, spec.b, spec.d, spec.p, s, e.value, e.iterations, e.converged,
+                             report.growth_class, report.criterion_class, seed])

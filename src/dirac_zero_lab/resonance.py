@@ -43,7 +43,6 @@ __all__ = [
     "birman_schwinger_spectrum",
     "fixed_point_subspace",
     "subspace_overlap",
-    "find_zero_modes",
     "real_eigenvalues",
     "decay_fit",
     "default_shell_edges",
@@ -287,22 +286,22 @@ def birman_schwinger_spectrum(Q: PotentialField, k: int = 6, seed: int = DEFAULT
 
 
 def fixed_point_subspace(
-    report: EigenReport, tol: float = ZERO_MODE_TOL, Q: PotentialField | None = None
+    report: EigenReport, Q: PotentialField | None = None
 ) -> tuple[list[complex], list[SpinorField]]:
-    """The Ritz pairs of ``report`` with |lambda - 1| <= tol.
+    """The Ritz pairs of ``report`` with |lambda - 1| <= ZERO_MODE_TOL.
 
     Near the fixed point the discrete operator often carries a multifold
     eigenvalue, e.g. the two chiral copies of a Weyl zero mode; individual
     eigenvectors are then not unique while the invariant subspace is, so the
     returned fields should be compared against references by subspace
     projection, not one-by-one.  Given ``Q``,
-    each field must also pass the direct residual(f, Q) <= 10 tol: this is
-    the zero-mode filter.
+    each field must also pass the direct residual(f, Q) <= 10 ZERO_MODE_TOL:
+    this is the zero-mode filter.
     """
     pairs = [
         (lam, fld)
         for lam, fld in zip(report.eigenvalues, report.eigenfields)
-        if abs(lam - 1.0) <= tol and (Q is None or residual(fld, Q) <= 10.0 * tol)
+        if abs(lam - 1.0) <= ZERO_MODE_TOL and (Q is None or residual(fld, Q) <= 10.0 * ZERO_MODE_TOL)
     ]
     return [lam for lam, _ in pairs], [fld for _, fld in pairs]
 
@@ -322,13 +321,6 @@ def subspace_overlap(fields, reference: SpinorField) -> float:
     r = reference.values.ravel()
     r = r / np.linalg.norm(r)
     return float(np.sqrt(sum(abs(np.vdot(b, r)) ** 2 for b in basis)))
-
-
-def find_zero_modes(
-    Q: PotentialField, tol: float = ZERO_MODE_TOL, k: int = 6, seed: int = DEFAULT_SEED
-) -> list[SpinorField]:
-    """Eigenfields with |lambda - 1| <= tol, re-validated by the direct residual."""
-    return fixed_point_subspace(birman_schwinger_spectrum(Q, k=k, seed=seed), tol, Q)[1]
 
 
 def real_eigenvalues(report: EigenReport) -> list[float]:
@@ -409,7 +401,7 @@ def _h1_partial_quantity(f: SpinorField, mu: float) -> float:
 
 def mu_trend(f: SpinorField, mu: float) -> str:
     """Compare the weighted-H^1 partial quantity on the L/2 sub-box and the full box."""
-    sub = restrict_to_subbox(f, 2)
+    sub = restrict_to_subbox(f)
     p_small = _h1_partial_quantity(sub, mu)
     p_full = _h1_partial_quantity(f, mu)
     if p_small == 0:
@@ -447,14 +439,11 @@ def classify_threshold_state(f: SpinorField, Q: PotentialField) -> ThresholdClas
     )
 
 
-def weighted_derivative_identity_check(
-    f: SpinorField, mu: float, Q: PotentialField | None = None
-) -> float:
+def weighted_derivative_identity_check(f: SpinorField, mu: float) -> float:
     """Relative defect of the weighted-derivative identity on the grid.
 
     Compares alpha.D applied to <x>^mu f against
-    -i mu (alpha.x) <x>^{mu-2} f + <x>^mu (alpha.D f); when ``Q`` is given
-    the second term uses -<x>^mu Q f instead (the zero-mode substitution).
+    -i mu (alpha.x) <x>^{mu-2} f + <x>^mu (alpha.D f).
     """
     grid = f.grid
     w = grid.bracket ** mu
@@ -464,10 +453,7 @@ def weighted_derivative_identity_check(
     alpha_x = _sigma_coeffs(*np.moveaxis(grid.position_mesh, -1, 0))
     first = _dot_contract(alpha_x, f.values)
     first *= -1j * mu * (grid.bracket ** (mu - 2.0))[..., None]
-    if Q is None:
-        second = w[..., None] * apply_h0(f).values
-    else:
-        second = -w[..., None] * apply_potential(Q, f).values
+    second = w[..., None] * apply_h0(f).values
     rhs = SpinorField(grid, first + second, POSITION)
     denom = max(l2_norm(lhs), l2_norm(rhs))
     if denom == 0:
@@ -483,10 +469,10 @@ def weighted_derivative_identity_check(
 def eigenreport_to_json(
     report: EigenReport,
     path,
-    field_dir=None,
+    field_dir,
     reference: SpinorField | None = None,
 ) -> dict:
-    """Write the eigenreport as JSON; eigenfields go to DZL1 files if a dir is given."""
+    """Write the eigenreport as JSON and its eigenfields as DZL1 files in ``field_dir``."""
     payload = {
         "eigenvalues": [[lam.real, lam.imag] for lam in report.eigenvalues],
         "residuals": report.residuals,
@@ -504,12 +490,11 @@ def eigenreport_to_json(
         for fld in report.eigenfields:
             ip = np.sum(fld.values * np.conj(reference.values)) * fld.grid.cell_volume
             payload["overlaps"].append(float(abs(ip) / (l2_norm(fld) * ref_norm)))
-    if field_dir is not None:
-        os.makedirs(field_dir, exist_ok=True)
-        for i, fld in enumerate(report.eigenfields):
-            fp = os.path.join(field_dir, f"eigenfield_{i}.dzl1")
-            save_field(fld, fp)
-            payload["eigenfield_files"].append(fp)
+    os.makedirs(field_dir, exist_ok=True)
+    for i, fld in enumerate(report.eigenfields):
+        fp = os.path.join(field_dir, f"eigenfield_{i}.dzl1")
+        save_field(fld, fp)
+        payload["eigenfield_files"].append(fp)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
     return payload

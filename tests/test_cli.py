@@ -499,9 +499,7 @@ def test_zero_mode_output_root_env(capsys, tmp_path, monkeypatch):
 
 def test_acceptance_only_bootstrap(capsys, tmp_path):
     out_dir = tmp_path / "acc"
-    code, out, _ = run_cli(
-        capsys, "acceptance", "--only", "bootstrap", "--out", str(out_dir)
-    )
+    code, out, _ = run_cli(capsys, "acceptance", "--only", "7", "--out", str(out_dir))
     assert code == 0
     assert "[PASS] criterion 7" in out
     payload = json.loads((out_dir / "acceptance.json").read_text())
@@ -515,9 +513,15 @@ def test_acceptance_only_clifford_by_number(capsys):
     assert "[PASS] criterion 1" in out
 
 
-def test_acceptance_unknown_selector(capsys):
-    code, _, err = run_cli(capsys, "acceptance", "--only", "nonsense")
-    assert code == 2
+def test_acceptance_unknown_selector(capsys, tmp_path, monkeypatch):
+    # --only takes criterion numbers; a name, even the bootstrap criterion's, is no selector
+    from dirac_zero_lab import acceptance
+
+    monkeypatch.setattr(acceptance, "CRITERIA", {i: None for i in acceptance.CRITERIA})  # none may run
+    out_dir = tmp_path / "acc"
+    code, out, err = run_cli(capsys, "acceptance", "--only", "bootstrap", "--out", str(out_dir))
+    _assert_clean_usage_error(code, out, err, out_dir)
+    assert "unknown criterion selector 'bootstrap': criteria are numbered 1-8" in err
 
 
 def test_acceptance_bad_selector_runs_and_writes_nothing(capsys, tmp_path):
@@ -743,6 +747,27 @@ def test_readme_settings_table_matches_settings():
         pairs = [] if cell == "none" else cell.split(", ")
         rows[command] = dict(re.fullmatch(r"`(\S+)` (\S+)", pair).groups() for pair in pairs)
     assert rows == {command: {key: str(value) for key, value in row.items()} for command, row in SETTINGS.items()}
+
+
+def test_readme_usage_lines_match_parser():
+    # README's command-line block has a line for every subcommand, and each flag on it is one of its options
+    import argparse
+    import pathlib
+    import re
+
+    from dirac_zero_lab.cli import build_parser
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    commands = []
+    for line in block.splitlines():
+        prog, command, usage = (line.split(None, 2) + [""])[:3]
+        assert prog == "dirac-zero-lab", line
+        commands.append(command)
+        options = {opt for action in subparsers[command]._actions for opt in action.option_strings}
+        assert set(re.findall(r"--[A-Za-z][\w-]*", usage)) <= options, line
+    assert sorted(commands) == sorted(subparsers)
 
 
 @pytest.mark.parametrize(

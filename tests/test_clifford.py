@@ -104,11 +104,14 @@ def test_check_clifford_exact_zero():
     assert {(j, k) for j, k, _ in report.deviations} == {(j, k) for j in (1, 2, 3) for k in (1, 2, 3)}
 
 
-def test_check_clifford_detects_corruption():
-    mats = [a.copy() for a in ALPHA]
+def test_check_clifford_detects_corruption(monkeypatch):
+    from dirac_zero_lab import clifford
+
+    mats = tuple(a.copy() for a in ALPHA)
     eps = 1e-3
     mats[0][0, 3] += eps
-    report = check_clifford(mats)
+    monkeypatch.setattr(clifford, "ALPHA", mats)
+    report = check_clifford()
     # perturbation oracle: {A + eps E, A + eps E} = 2I + 2 eps (A E + E A)
     e = np.zeros((4, 4))
     e[0, 3] = 1.0

@@ -298,8 +298,8 @@ def test_restrict_to_subbox():
     assert sub.grid.h == g.h
     i, j = g.origin_index[0], sub.grid.origin_index[0]
     assert sub.values[j, j, j, 0] == f.values[i, i, i, 0]
-    with pytest.raises(ValueError):
-        restrict_to_subbox(f, factor=5)
+    with pytest.raises(ValueError, match="not divisible by 4"):
+        restrict_to_subbox(bracket_power_field(make_grid(15.0, 30), -2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +347,20 @@ def test_field_file_rejects_bad_magic(tmp_path):
         (b"DZL1 L=1.0 N=4.0 space=position components=4", r"token 'N=4.0' in .*bad.dzl1: invalid literal for int"),
         (b"DZL1 L=abc N=4 space=position components=4", r"token 'L=abc' in .*bad.dzl1: could not convert"),
         (b"DZL1 L=1.0 N=4 space=position components=x", r"token 'components=x' in .*bad.dzl1: invalid literal"),
+        (b"DZL1 L=4.0 N=-4 space=position components=4", r"bad.dzl1: points per axis .* got -4"),
+        (b"DZL1 L=4.0 N=3 space=position components=4", r"bad.dzl1: points per axis .* got 3"),
+        (b"DZL1 L=-4.0 N=4 space=position components=4", r"bad.dzl1: box half-width .* got -4.0"),
+        (b"DZL1 L=4.0 N=4 space=bogus components=4", r"bad.dzl1: unknown space tag 'bogus'"),
     ],
-    ids=["missing-key", "stray-token", "repeated-key", "unknown-key", "empty-key", "float-N", "text-L", "text-components"],
+    ids=["missing-key", "stray-token", "repeated-key", "unknown-key", "empty-key", "float-N", "text-L",
+         "text-components", "negative-N", "odd-N", "negative-L", "unknown-space"],
 )
 def test_field_file_rejects_bad_header(tmp_path, header, message):
     path = tmp_path / "bad.dzl1"
     path.write_bytes(header + b"\n" + b"\0" * (4**3 * 4 * 16))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as info:
         load_field(path)
+    assert str(path) in str(info.value)  # every header error names the file
 
 
 def test_frequency_field_round_trips_space_tag(tmp_path):

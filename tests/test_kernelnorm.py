@@ -308,7 +308,7 @@ def test_conjugated_norm_dominated_by_nw_kernel():
 def test_sweep_csv_rows(tmp_path):
     rep = scale_sweep(NwKernelSpec(a=1, b=Fraction(1, 2)), [4, 8, 16], 1.0, seed=12)
     path = tmp_path / "sweep.csv"
-    sweep_rows_to_csv([rep], path, extra={"seed": 12})
+    sweep_rows_to_csv(rep, path, 12)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 3
@@ -318,5 +318,3 @@ def test_sweep_csv_rows(tmp_path):
         assert int(row["iterations"]) == est.iterations
         assert row["converged"] == str(est.converged)
     assert rows[0]["seed"] == "12"
-    with pytest.raises(ValueError, match="no rows"):
-        sweep_rows_to_csv([], tmp_path / "empty.csv")

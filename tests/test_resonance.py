@@ -28,7 +28,6 @@ from dirac_zero_lab.resonance import (
     decay_table_to_csv,
     default_shell_edges,
     eigenreport_to_json,
-    find_zero_modes,
     fixed_point_subspace,
     mu_trend,
     real_eigenvalues,
@@ -51,7 +50,7 @@ def spectrum_ly(q_ly16):
 
 @pytest.fixture(scope="module")
 def modes_ly(spectrum_ly, q_ly16):
-    return fixed_point_subspace(spectrum_ly, 0.1, q_ly16)[1]
+    return fixed_point_subspace(spectrum_ly, q_ly16)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +367,8 @@ def test_pinned_order_does_not_follow_the_krylov_basis_size(monkeypatch, grid16)
 
 
 def test_find_zero_modes_zero_potential(grid16):
-    assert find_zero_modes(from_em(None, None, grid16), tol=0.1) == []
+    Q = from_em(None, None, grid16)
+    assert fixed_point_subspace(birman_schwinger_spectrum(Q), Q)[1] == []
 
 
 def test_find_zero_modes_magnetic(modes_ly, q_ly16):
@@ -386,7 +386,8 @@ def test_find_zero_modes_magnetic(modes_ly, q_ly16):
 
 def test_find_zero_modes_small_scalar_amplitude(grid16):
     q = 0.1 * (1.0 + grid16.radius2) ** (-1.0)
-    modes = find_zero_modes(from_em(q, None, grid16), tol=0.1, k=4)
+    Q = from_em(q, None, grid16)
+    modes = fixed_point_subspace(birman_schwinger_spectrum(Q, k=4), Q)[1]
     assert modes == []
 
 
@@ -411,8 +412,8 @@ def test_rescaled_report_matches_second_solve():
         eigenvalues=[lam / lam1 for lam in rep.eigenvalues],
         residuals=[r / abs(lam1) for r in rep.residuals],
     )
-    _, fields = fixed_point_subspace(scaled, 0.1, Q)
-    direct = find_zero_modes(Q, tol=0.1, k=4)
+    _, fields = fixed_point_subspace(scaled, Q)
+    direct = fixed_point_subspace(birman_schwinger_spectrum(Q, k=4), Q)[1]
     assert len(direct) >= 1
     assert len(fields) == len(direct)
     for mode in direct:
@@ -440,7 +441,7 @@ def test_coupling_thresholds_zero_potential(grid16):
 
 
 def test_fixed_point_subspace_overlap(spectrum_ly, ly16):
-    ritz, fields = fixed_point_subspace(spectrum_ly, tol=0.1)
+    ritz, fields = fixed_point_subspace(spectrum_ly)
     assert len(fields) >= 1
     assert all(abs(v - 1.0) <= 0.1 for v in ritz)
     assert subspace_overlap(fields, ly16.zero_mode) >= 0.95
@@ -553,12 +554,6 @@ def test_weighted_identity_magnetic_mode_improves_with_n(ly16):
     err64 = weighted_derivative_identity_check(ly64.zero_mode, 0.4)
     assert err32 <= 0.35  # measured 0.23 at h = 1
     assert err64 < err32
-
-
-def test_weighted_identity_with_potential_substitution(ly16, q_ly16):
-    # with Hf = 0 the substitution -Q f for alpha.D f holds up to the grid residual
-    err = weighted_derivative_identity_check(ly16.zero_mode, 0.4, Q=q_ly16)
-    assert err <= 0.6  # measured 0.42: bounded by the sampling error, stays finite
 
 
 # ---------------------------------------------------------------------------
