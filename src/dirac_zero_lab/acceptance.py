@@ -305,7 +305,7 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     res = CriterionResult(6, "Fixed-point spectrum of -A Q")
     grid = field.make_grid(DEFAULT_L, DEFAULT_N)
     ly = potential.loss_yau(grid)
-    Q = potential.loss_yau_potential(grid)
+    Q = potential.from_em(None, ly.vector_potential, grid)
     rep = resonance.birman_schwinger_spectrum(Q, k=6, seed=seed)
     near, fields = resonance.fixed_point_subspace(rep)
     res.add(
@@ -330,12 +330,12 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     res.add("spectrum scales linearly in the amplitude", worst <= 1e-8, f"max matched dev {worst:.2e}")
 
     Q0 = potential.from_em(None, None, grid)
-    zero_modes = resonance.fixed_point_subspace(resonance.birman_schwinger_spectrum(Q0, seed=seed), Q0)[1]
+    zero_modes = resonance.zero_modes(resonance.birman_schwinger_spectrum(Q0, seed=seed), Q0)
     res.add("Q = 0 yields no zero modes", len(zero_modes) == 0, f"{len(zero_modes)} modes")
 
     amp = 0.1 * (1.0 + grid.radius2) ** (-1.0)
     Qs = potential.from_em(amp, None, grid)
-    small_modes = resonance.fixed_point_subspace(resonance.birman_schwinger_spectrum(Qs, seed=seed), Qs)[1]
+    small_modes = resonance.zero_modes(resonance.birman_schwinger_spectrum(Qs, seed=seed), Qs)
     res.add("small scalar potential yields no zero modes", len(small_modes) == 0, f"{len(small_modes)} modes")
     return res
 
@@ -398,7 +398,7 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
 def _admissible_family(grid: field.GridSpec):
     r2 = grid.radius2
     ly = potential.loss_yau(grid)
-    yield "loss-yau", potential.loss_yau_potential(grid), False
+    yield "loss-yau", potential.from_em(None, ly.vector_potential, grid), False
     yield "scalar <x>^-2", potential.from_em(-((1.0 + r2) ** (-1.0)), None, grid), True
     yield "scalar <x>^-3", potential.from_em(-((1.0 + r2) ** (-1.5)), None, grid), True
     yield "em half-strength", potential.from_em(None, 0.5 * ly.vector_potential, grid), True
@@ -438,10 +438,10 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
             eigenvalues=[lam / lam1 for lam in rep.eigenvalues],
             residuals=[r / abs(lam1) for r in rep.residuals],
         )
-        _, modes = resonance.fixed_point_subspace(scaled, Q=Q)
+        modes = resonance.zero_modes(scaled, Q)
         any_modes += len(modes)
-        for mode in modes:
-            cls = resonance.classify_threshold_state(mode, Q)
+        for mode, resid in modes:
+            cls = resonance.classify_threshold_state(mode, resid)
             kinds.append(f"{name}: {cls.kind} (sigma {cls.fit.sigma:.2f})")
             mu_ok = mu_ok and all(v == "finite-trend" for v in cls.mu_check.values())
     bad = [k for k in kinds if "resonance_candidate" in k or "inconclusive" in k]

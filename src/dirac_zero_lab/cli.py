@@ -213,52 +213,53 @@ def cmd_bootstrap(args) -> int:
     return 0
 
 
-def _build_potential(args, grid: field.GridSpec) -> potential.PotentialField:
+def _build_potential(args, grid: field.GridSpec) -> tuple[potential.PotentialField, field.SpinorField | None]:
+    """The named potential, and the Loss-Yau zero mode as the overlap reference for ``loss-yau``."""
     flags = {"--amp": (args.amp, "scalar"), "--rho": (args.rho, "scalar"), "--a-scale": (args.a_scale, "vector")}
     for flag, (value, part) in flags.items():
         if not np.isfinite(value):
             raise ValueError(f"{part} potential is not finite: {flag} {value}")
     name = args.potential
     if name.startswith("file:"):
-        return potential.load_potential(name[5:])
+        return potential.load_potential(name[5:]), None
     if name == "zero":
-        return potential.from_em(None, None, grid)
+        return potential.from_em(None, None, grid), None
     if name == "loss-yau":
-        return potential.loss_yau_potential(grid)
+        ly = potential.loss_yau(grid)
+        return potential.from_em(None, ly.vector_potential, grid), ly.zero_mode
     if name == "scalar-decay":
         if args.rho <= 1:
             raise ValueError(f"scalar-decay needs rho > 1, got {args.rho}")
         profile = args.amp * (1.0 + grid.radius2) ** (-args.rho / 2.0)
-        return potential.from_em(profile, None, grid)
+        return potential.from_em(profile, None, grid), None
     if name == "em":
         ly = potential.loss_yau(grid)
         with np.errstate(over="ignore"):  # a potential out of float range is rejected by from_em
             q = args.amp * (1.0 + grid.radius2) ** (-args.rho / 2.0) if args.amp else None
             vector = args.a_scale * ly.vector_potential
-        return potential.from_em(q, vector, grid)
+        return potential.from_em(q, vector, grid), None
     raise ValueError(f"unknown potential {name!r}")
 
 
 def cmd_zero_mode(args) -> int:
     cfg = _settings(args, out="dzl-zero-mode")
     grid = field.make_grid(cfg["L"], cfg["N"])
-    Q = _build_potential(args, grid)
+    Q, reference = _build_potential(args, grid)
     if Q.grid != grid:
         raise ValueError(f"the potential's grid {Q.grid} differs from the run grid {grid}; pass its --L and --N")
     report = resonance.birman_schwinger_spectrum(Q, k=args.k, seed=cfg["seed"])  # rejects a bad --k before any output
     _emit_settings(cfg)
     out = cfg["out"]
-    reference = potential.loss_yau(grid).zero_mode if args.potential == "loss-yau" else None
     resonance.eigenreport_to_json(
         report, os.path.join(out, "eigenreport.json"), os.path.join(out, "eigenfields"), reference
     )
-    _, modes = resonance.fixed_point_subspace(report, Q=Q)
+    modes = resonance.zero_modes(report, Q)
     print(f"eigenvalues: {[f'{l.real:+.4f}{l.imag:+.4f}j' for l in report.eigenvalues]}")
     print(f"zero modes at tolerance {resonance.ZERO_MODE_TOL}: {len(modes)}")
     exit_code = 0  # 3 if any mode is a resonance candidate, else 1 if any is inconclusive or unclassified
-    for i, mode in enumerate(modes):
+    for i, (mode, resid) in enumerate(modes):
         try:
-            cls = resonance.classify_threshold_state(mode, Q)
+            cls = resonance.classify_threshold_state(mode, resid)
         except ValueError as exc:
             print(f"mode {i}: unclassified ({exc})")
             exit_code = max(exit_code, 1)

@@ -101,17 +101,20 @@ class GridSpec:
         m.setflags(write=False)
         return m
 
-    @cached_property
-    def radius2(self) -> np.ndarray:
-        r2 = np.sum(self.position_mesh**2, axis=-1)
+    @staticmethod
+    def _radius2(ax: np.ndarray) -> np.ndarray:
+        a2 = ax**2  # summed by broadcasting, in the mesh's axis order: no (N, N, N, 3) mesh is built
+        r2 = a2[:, None, None] + a2[None, :, None] + a2[None, None, :]
         r2.setflags(write=False)
         return r2
 
     @cached_property
+    def radius2(self) -> np.ndarray:
+        return self._radius2(self.axis)
+
+    @cached_property
     def freq_radius2(self) -> np.ndarray:
-        r2 = np.sum(self.freq_mesh**2, axis=-1)
-        r2.setflags(write=False)
-        return r2
+        return self._radius2(self.freq_axis)
 
     @cached_property
     def bracket(self) -> np.ndarray:

@@ -42,6 +42,7 @@ __all__ = [
     "residual",
     "birman_schwinger_spectrum",
     "fixed_point_subspace",
+    "zero_modes",
     "subspace_overlap",
     "real_eigenvalues",
     "decay_fit",
@@ -56,6 +57,7 @@ __all__ = [
 ARNOLDI_TOL = 1e-8
 ARNOLDI_MAX_ITER = 500
 ARNOLDI_MIN_BASIS = 30  # the Krylov basis holds max(2k + 1, this) vectors
+RESTART_BLOCK = 4096  # basis columns a thick restart rotates at once
 ZERO_MODE_TOL = 0.1
 DEFAULT_SEED = 20240301  # the seeded start vector of every solve
 SIGMA_MARGIN = 0.1  # zero_mode needs sigma >= 3/2 + margin
@@ -124,6 +126,7 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
     H = np.zeros((m + 1, m), dtype=np.complex128)
     V[0] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     V[0] /= np.linalg.norm(V[0])
+    scratch = np.empty(n, dtype=np.complex128)  # conj(w), then the projection c V[:j]
 
     def orthogonalize(w, j):
         """Gram-Schmidt of w against V[:j], again if DGKS asks: (coefficients, norm, 0 if w was in their span)."""
@@ -133,8 +136,8 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
             raise ValueError(f"the operator returned a Krylov vector of norm {start}; is the potential too large?")
         h, beta = np.zeros(j, dtype=np.complex128), start
         for _ in range(2):
-            c = np.conj(V[:j] @ np.conj(w))
-            w -= c @ V[:j]
+            c = np.conj(V[:j] @ np.conj(w, out=scratch))
+            w -= np.matmul(c, V[:j], out=scratch)
             h, prev, beta = h + c, beta, np.linalg.norm(w)
             if beta >= 0.717 * prev:
                 break
@@ -143,13 +146,15 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
     p = matvecs = 0
     for restart in range(max_iter):
         for j in range(p, m):
-            w = matvec(V[j])
+            V[j + 1] = matvec(V[j])  # orthogonalized and normalized in place
             matvecs += 1
-            H[: j + 1, j], H[j + 1, j] = orthogonalize(w, j + 1)
-            if H[j + 1, j] == 0:  # an invariant subspace (T rank-deficient, say): go on as ARPACK's getv0 does
-                w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                orthogonalize(w, j + 1)
-            V[j + 1] = w / np.linalg.norm(w)
+            H[: j + 1, j], H[j + 1, j] = orthogonalize(V[j + 1], j + 1)
+            beta = H[j + 1, j].real
+            if beta == 0:  # an invariant subspace (T rank-deficient, say): go on as ARPACK's getv0 does
+                V[j + 1] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                orthogonalize(V[j + 1], j + 1)
+                beta = np.linalg.norm(V[j + 1])
+            V[j + 1] /= beta
         theta, Y = np.linalg.eig(H[:m])
         order = np.argsort(-np.abs(theta), kind="stable")
         theta, Y = theta[order], Y[:, order]
@@ -159,7 +164,9 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
         p = (m + k) // 2
         Qp = np.linalg.qr(Y[:, :p])[0]
         H[:p, :p], H[p, :p], H[p + 1 :], H[:, p:] = Qp.conj().T @ H[:m] @ Qp, H[m] @ Qp, 0.0, 0.0
-        V[:p], V[p] = Qp.T @ V[:m], V[m]
+        for s in range(0, n, RESTART_BLOCK):  # rotate in place, a block of columns at a time: no second basis
+            V[:p, s : s + RESTART_BLOCK] = Qp.T @ V[:m, s : s + RESTART_BLOCK]
+        V[p] = V[m]
 
 
 def _pinned_order(x, y) -> int:
@@ -285,25 +292,23 @@ def birman_schwinger_spectrum(Q: PotentialField, k: int = 6, seed: int = DEFAULT
     )
 
 
-def fixed_point_subspace(
-    report: EigenReport, Q: PotentialField | None = None
-) -> tuple[list[complex], list[SpinorField]]:
+def fixed_point_subspace(report: EigenReport) -> tuple[list[complex], list[SpinorField]]:
     """The Ritz pairs of ``report`` with |lambda - 1| <= ZERO_MODE_TOL.
 
     Near the fixed point the discrete operator often carries a multifold
     eigenvalue, e.g. the two chiral copies of a Weyl zero mode; individual
     eigenvectors are then not unique while the invariant subspace is, so the
     returned fields should be compared against references by subspace
-    projection, not one-by-one.  Given ``Q``,
-    each field must also pass the direct residual(f, Q) <= 10 ZERO_MODE_TOL:
-    this is the zero-mode filter.
+    projection, not one-by-one.
     """
-    pairs = [
-        (lam, fld)
-        for lam, fld in zip(report.eigenvalues, report.eigenfields)
-        if abs(lam - 1.0) <= ZERO_MODE_TOL and (Q is None or residual(fld, Q) <= 10.0 * ZERO_MODE_TOL)
-    ]
+    pairs = [(lam, fld) for lam, fld in zip(report.eigenvalues, report.eigenfields) if abs(lam - 1.0) <= ZERO_MODE_TOL]
     return [lam for lam, _ in pairs], [fld for _, fld in pairs]
+
+
+def zero_modes(report: EigenReport, Q: PotentialField) -> list[tuple[SpinorField, float]]:
+    """The zero-mode filter: (f, residual(f, Q)) for each fixed-point field f with that residual <= 10 ZERO_MODE_TOL."""
+    pairs = ((fld, residual(fld, Q)) for fld in fixed_point_subspace(report)[1])
+    return [(fld, res) for fld, res in pairs if res <= 10.0 * ZERO_MODE_TOL]
 
 
 def subspace_overlap(fields, reference: SpinorField) -> float:
@@ -409,15 +414,15 @@ def mu_trend(f: SpinorField, mu: float) -> str:
     return "finite-trend" if p_full <= (1.0 + MU_GROWTH_THRESHOLD) * p_small else "diverging"
 
 
-def classify_threshold_state(f: SpinorField, Q: PotentialField) -> ThresholdClassification:
+def classify_threshold_state(f: SpinorField, res: float) -> ThresholdClassification:
     """Zero-mode / resonance-candidate call from decay plus weighted-norm trends.
 
+    ``res`` is the state's residual(f, Q), as :func:`zero_modes` returns it.
     sigma > 3/2 within margin is the L^2-membership proxy (zero mode); decay
     consistent with the borderline space but not L^2 flags a resonance
     candidate, which the no-resonance property suite treats as a failure to
     investigate.  The mu trends are those of MU_CHECKS.
     """
-    res = residual(f, Q)
     if res > RESIDUAL_GATE:
         raise ValueError(
             f"residual {res:.3g} exceeds the classification gate {RESIDUAL_GATE}; "

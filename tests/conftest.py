@@ -1,6 +1,27 @@
+import tracemalloc
+
 import pytest
 
 from dirac_zero_lab import field, potential
+
+
+def traced_peak_bytes(fn, *args) -> int:
+    """Peak bytes that ``fn(*args)`` holds at once beyond what was allocated before the call.
+
+    tracemalloc sees numpy's array buffers, so a memory change can assert a
+    budget in bytes instead of quoting a process's resident set size.
+    """
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

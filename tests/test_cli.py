@@ -455,7 +455,7 @@ def test_zero_mode_exit_three_on_resonance_candidate(capsys, tmp_path, monkeypat
             converged=True,
         )
 
-    def fake_classify(f, Q, **kwargs):
+    def fake_classify(f, res, **kwargs):
         fit = resonance.DecayFit(sigma=1.0, stderr=0.1, slope=1.0, edges=(1.0, 2.0), masses=(1.0,))
         return resonance.ThresholdClassification(
             kind="resonance_candidate", fit=fit, mu_check={}, residual=0.01

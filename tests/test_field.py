@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak_bytes
 from dirac_zero_lab.field import (
     FREQUENCY,
     POSITION,
@@ -68,6 +69,23 @@ def test_grid_equality_and_origin():
     assert g == make_grid(8.0, 16)
     assert g != make_grid(8.0, 32)
     assert np.array_equal(g.position_mesh[g.origin_index], np.zeros(3))
+
+
+@pytest.mark.parametrize("L, N", [(4.0, 8), (12.0, 24), (16.0, 32), (32.0, 64)])
+def test_radii_equal_the_mesh_form_and_build_no_mesh(L, N):
+    g, ref = make_grid(L, N), make_grid(L, N)
+    r2 = np.sum(ref.position_mesh**2, axis=-1)
+    assert np.array_equal(g.radius2, r2)
+    assert np.array_equal(g.freq_radius2, np.sum(ref.freq_mesh**2, axis=-1))
+    assert np.array_equal(g.bracket, np.sqrt(1.0 + r2))
+    assert "position_mesh" not in vars(g) and "freq_mesh" not in vars(g)
+
+
+def test_radii_memory_budget():
+    # |x|^2, |xi|^2 and <x> at N = 64 hold their three arrays and one temporary at most;
+    # a (N, N, N, 3) coordinate mesh alone would take three more
+    g = make_grid(32.0, 64)
+    assert traced_peak_bytes(lambda: (g.radius2, g.freq_radius2, g.bracket)) < 5 * g.npoints * 8
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from functools import cmp_to_key
 import numpy as np
 import pytest
 
+from conftest import traced_peak_bytes
 from dirac_zero_lab.clifford import ALPHA
 from dirac_zero_lab.field import (
     POSITION,
@@ -34,6 +35,7 @@ from dirac_zero_lab.resonance import (
     residual,
     subspace_overlap,
     weighted_derivative_identity_check,
+    zero_modes,
 )
 
 
@@ -50,7 +52,7 @@ def spectrum_ly(q_ly16):
 
 @pytest.fixture(scope="module")
 def modes_ly(spectrum_ly, q_ly16):
-    return fixed_point_subspace(spectrum_ly, q_ly16)[1]
+    return zero_modes(spectrum_ly, q_ly16)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +312,37 @@ def test_eigs_is_deterministic():
     assert first[2:] == again[2:]
 
 
+def test_eigs_restart_blocking_changes_no_bit(monkeypatch):
+    # n is not a multiple of the block size, and the solve restarts several times
+    rng = np.random.default_rng(5)
+    n = 10_001
+    d = 0.9 * rng.uniform(0.0, 1.0, n) ** 0.25 * np.exp(2j * np.pi * rng.uniform(size=n))
+    d[:4] = (2.0, -1.5, 1.2j, 1.0)
+
+    def matvec(v):
+        return d * v + 0.05 * np.roll(v, 1)
+
+    assert n > resonance.RESTART_BLOCK and n % resonance.RESTART_BLOCK
+    blocked = _eigs(matvec, n, 4, 1)
+    assert blocked[3] and blocked[4] >= 2
+    monkeypatch.setattr(resonance, "RESTART_BLOCK", n)
+    whole = _eigs(matvec, n, 4, 1)
+    assert np.array_equal(blocked[0], whole[0]) and np.array_equal(blocked[1], whole[1])
+    assert blocked[2:] == whole[2:]
+
+
+def test_eigs_holds_no_second_basis(grid16, q_ly16):
+    # the (16, 32) loss-yau sector solve: the basis, k Ritz vectors and a few
+    # n-vectors of matvec and Gram-Schmidt work, but no copy of the basis at a restart
+    matvec = _sector_matvec(grid16, resonance._chiral_blocks(q_ly16)[1], 1)
+    n, k = grid16.npoints * 2, 6
+    m = max(2 * k + 1, resonance.ARNOLDI_MIN_BASIS)
+    solves = []
+    peak = traced_peak_bytes(lambda: solves.append(_eigs(matvec, n, k, resonance.DEFAULT_SEED)))
+    assert solves[0][4] >= 1  # the solve restarted
+    assert peak < (m + 1 + k + 4) * n * 16
+
+
 def _point_potential():
     """Q = -alpha_3 delta at the origin of the (L=4, N=8) grid: T has rank 2 on each chiral sector."""
     g = make_grid(4.0, 8)
@@ -368,7 +401,7 @@ def test_pinned_order_does_not_follow_the_krylov_basis_size(monkeypatch, grid16)
 
 def test_find_zero_modes_zero_potential(grid16):
     Q = from_em(None, None, grid16)
-    assert fixed_point_subspace(birman_schwinger_spectrum(Q), Q)[1] == []
+    assert zero_modes(birman_schwinger_spectrum(Q), Q) == []
 
 
 def test_find_zero_modes_magnetic(modes_ly, q_ly16):
@@ -376,19 +409,19 @@ def test_find_zero_modes_magnetic(modes_ly, q_ly16):
     from dirac_zero_lab.potential import apply_potential
 
     assert len(modes_ly) >= 1
-    for mode in modes_ly:
+    for mode, res in modes_ly:
         # fixed-point consistency: T f ~ f and the direct residual agrees
         tf = -1.0 * apply_a_spectral(apply_potential(q_ly16, mode), warn_threshold=np.inf)
         assert l2_norm(tf - mode) / l2_norm(mode) <= 0.1  # the tol used in the search
-        assert residual(mode, q_ly16) <= 1.0  # 10 * tol
-        assert residual(mode, q_ly16) <= 0.1  # eigenfields are clean discrete modes
+        assert res == residual(mode, q_ly16)  # the filter hands on the residual it gated
+        assert res <= 1.0  # 10 * tol
+        assert res <= 0.1  # eigenfields are clean discrete modes
 
 
 def test_find_zero_modes_small_scalar_amplitude(grid16):
     q = 0.1 * (1.0 + grid16.radius2) ** (-1.0)
     Q = from_em(q, None, grid16)
-    modes = fixed_point_subspace(birman_schwinger_spectrum(Q, k=4), Q)[1]
-    assert modes == []
+    assert zero_modes(birman_schwinger_spectrum(Q, k=4), Q) == []
 
 
 def test_real_eigenvalues_reads_the_report_in_order():
@@ -412,8 +445,8 @@ def test_rescaled_report_matches_second_solve():
         eigenvalues=[lam / lam1 for lam in rep.eigenvalues],
         residuals=[r / abs(lam1) for r in rep.residuals],
     )
-    _, fields = fixed_point_subspace(scaled, Q)
-    direct = fixed_point_subspace(birman_schwinger_spectrum(Q, k=4), Q)[1]
+    fields = [f for f, _ in zero_modes(scaled, Q)]
+    direct = [f for f, _ in zero_modes(birman_schwinger_spectrum(Q, k=4), Q)]
     assert len(direct) >= 1
     assert len(fields) == len(direct)
     for mode in direct:
@@ -497,7 +530,7 @@ def test_default_shell_edges_geometric(grid16):
 
 
 def test_classify_magnetic_mode(ly16, q_ly16):
-    cls = classify_threshold_state(ly16.zero_mode, q_ly16)
+    cls = classify_threshold_state(ly16.zero_mode, residual(ly16.zero_mode, q_ly16))
     assert cls.kind == "zero_mode"
     assert cls.fit.sigma == pytest.approx(2.0, abs=0.15)
     assert cls.mu_check[0.4] == "finite-trend"
@@ -513,7 +546,7 @@ def test_classify_gate_rejects_mismatched_pair(grid16, q_ly16):
     vals[..., 0] = (1.0 + grid16.radius2) ** (-0.6) * phase
     fake = SpinorField(grid16, vals, POSITION)
     with pytest.raises(ValueError, match="gate"):
-        classify_threshold_state(fake, q_ly16)
+        classify_threshold_state(fake, residual(fake, q_ly16))
 
 
 def test_mu_trend_diverges_past_half(ly16):
