@@ -56,11 +56,11 @@ class CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_1() -> CriterionResult:
     res = CriterionResult(1, "Clifford algebra identities")
     rep = clifford.check_clifford()
     res.add("anticommutators exact", rep.max_deviation == 0.0, f"max deviation {rep.max_deviation}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     worst_sq = worst_inv = 0.0
     eye = np.eye(4)
     for _ in range(100):
@@ -94,7 +94,7 @@ def quadrature_gap(f: field.SpinorField) -> float:
     return field.l2_norm(gap) / field.l2_norm(f)
 
 
-def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_2() -> CriterionResult:
     res = CriterionResult(2, "Inverse operator: symbol, composition, quadrature")
     for N in (24, 32):
         grid = field.make_grid(12.0, N)
@@ -102,7 +102,7 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
         res.add(f"symbol product = I at xi != 0 (N={N})", dev <= SYMBOL_PRODUCT_TOL, f"max dev {dev:.2e}")
 
     grid = field.make_grid(12.0, 24)
-    worst = ah0_identity_worst(grid, range(seed, seed + 20))
+    worst = ah0_identity_worst(grid, range(DEFAULT_SEED, DEFAULT_SEED + 20))
     res.add("A(alpha.D) f = f on 20 mean-zero band-limited fields", worst <= AH0_TOL, f"max rel err {worst:.2e}")
 
     rels = {}
@@ -153,12 +153,12 @@ def pairing_discrepancy(grid: field.GridSpec, g_seed: int, phi_seed: int) -> flo
     return abs(lhs - rhs) / scale
 
 
-def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_3() -> CriterionResult:
     res = CriterionResult(3, "Adjoint pairing identity")
     grid = field.make_grid(12.0, 24)
     worst = 0.0
     for i in range(10):
-        worst = max(worst, pairing_discrepancy(grid, seed + 100 + i, seed + 200 + i))
+        worst = max(worst, pairing_discrepancy(grid, DEFAULT_SEED + 100 + i, DEFAULT_SEED + 200 + i))
     res.add("two-sided agreement on 10 seeded pairs", worst <= PAIRING_TOL, f"max rel discrepancy {worst:.2e}")
     return res
 
@@ -180,12 +180,12 @@ NW_MATRIX = [
 NW_BOUNDARY = [(Fraction(3, 2), 0), (0, Fraction(3, 2))]
 
 
-def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     res = CriterionResult(4, "Weighted-kernel boundedness: criterion vs growth")
     sweeps = {}
     for a, b in [spec for spec, _ in NW_MATRIX] + NW_BOUNDARY:
         spec = kernelnorm.NwKernelSpec(a=a, b=b, d=3, p=2)
-        sweeps[a, b] = kernelnorm.scale_sweep(spec, [8, 16, 32], 1.0, seed=seed)
+        sweeps[a, b] = kernelnorm.scale_sweep(spec, [8, 16, 32], 1.0, seed=DEFAULT_SEED)
 
     agree = True
     details = []
@@ -214,7 +214,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
         vals = []
         for L in lemma_scales:
             g = field.GridSpec(L, int(2 * L / h))
-            vals.append(kernelnorm.lemma_a_conjugated_norm(t, g, seed=seed).value)
+            vals.append(kernelnorm.lemma_a_conjugated_norm(t, g, seed=DEFAULT_SEED).value)
         estimates[t] = vals
     for t in (-1.0, 0.0):
         drift = estimates[t][-1] / estimates[t][-2] - 1.0
@@ -237,12 +237,12 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     dom_ok = True
     ddetails = []
     for t in (-1.0, -0.5, 0.0):
-        a_est = kernelnorm.lemma_a_conjugated_norm(t, grid16, seed=seed).value
+        a_est = kernelnorm.lemma_a_conjugated_norm(t, grid16, seed=DEFAULT_SEED).value
         # the kernel 1 / (4 pi <x>_reg^{t+1} |x-y|^2 <y>_reg^{-t}) dominates pointwise for t in [-1, 0]
         spec = kernelnorm.NwKernelSpec(a=t + 1.0, b=-t)
         # at t = -1 and t = 0 it is the (0, 1) and (1, 0) spec, swept above on this grid (scale 16) and seed
         swept = sweeps.get((spec.a, spec.b))
-        nw = swept.norm_estimates[1] if swept else kernelnorm.estimate_norm(spec, grid16, seed=seed).value
+        nw = swept.norm_estimates[1] if swept else kernelnorm.estimate_norm(spec, grid16, seed=DEFAULT_SEED).value
         nw_est = nw / (4.0 * np.pi)
         dom_ok = dom_ok and a_est <= 1.10 * nw_est
         ddetails.append(f"t={t}: {a_est:.4f} <= 1.1*{nw_est:.4f}")
@@ -255,7 +255,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     res = CriterionResult(5, "Magnetic zero-mode example (sharpness witness)")
     grid = field.make_grid(16.0, 32)
     ly = potential.loss_yau(grid)
@@ -301,12 +301,12 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     res = CriterionResult(6, "Fixed-point spectrum of -A Q")
     grid = field.make_grid(DEFAULT_L, DEFAULT_N)
     ly = potential.loss_yau(grid)
     Q = potential.from_em(None, ly.vector_potential, grid)
-    rep = resonance.birman_schwinger_spectrum(Q, k=6, seed=seed)
+    rep = resonance.birman_schwinger_spectrum(Q, k=6, seed=DEFAULT_SEED)
     near, fields = resonance.fixed_point_subspace(rep)
     res.add(
         f"eigenvalue within {resonance.ZERO_MODE_TOL} of 1",
@@ -322,7 +322,7 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
         "(twofold chiral pair: subspace projection)",
     )
 
-    rep_half = resonance.birman_schwinger_spectrum(0.5 * Q, k=6, seed=seed)
+    rep_half = resonance.birman_schwinger_spectrum(0.5 * Q, k=6, seed=DEFAULT_SEED)
     worst = 0.0
     for lam_h in rep_half.eigenvalues:
         best = min(abs(lam_h - 0.5 * lam) / abs(0.5 * lam) for lam in rep.eigenvalues)
@@ -330,12 +330,12 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     res.add("spectrum scales linearly in the amplitude", worst <= 1e-8, f"max matched dev {worst:.2e}")
 
     Q0 = potential.from_em(None, None, grid)
-    zero_modes = resonance.zero_modes(resonance.birman_schwinger_spectrum(Q0, seed=seed), Q0)
+    zero_modes = resonance.zero_modes(resonance.birman_schwinger_spectrum(Q0, seed=DEFAULT_SEED), Q0)
     res.add("Q = 0 yields no zero modes", len(zero_modes) == 0, f"{len(zero_modes)} modes")
 
     amp = 0.1 * (1.0 + grid.radius2) ** (-1.0)
     Qs = potential.from_em(amp, None, grid)
-    small_modes = resonance.zero_modes(resonance.birman_schwinger_spectrum(Qs, seed=seed), Qs)
+    small_modes = resonance.zero_modes(resonance.birman_schwinger_spectrum(Qs, seed=DEFAULT_SEED), Qs)
     res.add("small scalar potential yields no zero modes", len(small_modes) == 0, f"{len(small_modes)} modes")
     return res
 
@@ -356,7 +356,7 @@ def _brute_force_trace(rho: Fraction) -> tuple[list[Fraction], int]:
     return steps, n
 
 
-def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     res = CriterionResult(7, "Exact decay-iteration traces")
     ok = True
     details = []
@@ -369,7 +369,7 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
         details.append(f"rho={rho_s}: n0={trace.n0} boundary={trace.boundary_flag}")
     res.add("traces match brute-force enumeration exactly", ok, "; ".join(details))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     prop_ok = True
     flag_ok = True
     for _ in range(100):
@@ -415,14 +415,14 @@ def _smooth_test_field(N: int) -> field.SpinorField:
     return field.SpinorField(g, vals, field.POSITION)
 
 
-def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     res = CriterionResult(8, "No-resonance property suite")
     grid = field.make_grid(DEFAULT_L, DEFAULT_N)
     kinds = []
     mu_ok = True
     any_modes = 0
     for name, Q0, rescale in _admissible_family(grid):
-        rep = resonance.birman_schwinger_spectrum(Q0, k=4, seed=seed)
+        rep = resonance.birman_schwinger_spectrum(Q0, k=4, seed=DEFAULT_SEED)
         lam1 = 1.0
         if rescale:
             reals = resonance.real_eigenvalues(rep)

@@ -38,17 +38,35 @@ FREQUENCY = "frequency"
 _TWO_PI_32 = (2.0 * np.pi) ** 1.5
 
 
-class GridSpec:
-    """Cubic periodic lattice: half-width L, N points per axis, spacing h = 2L/N."""
+def _coords(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three lattice coordinates on the 1-D axis ``ax``, as (N, 1, 1), (1, N, 1) and
+    (1, 1, N) views that broadcast to the box: no (N, N, N, 3) mesh is built."""
+    return ax[:, None, None], ax[None, :, None], ax[None, None, :]
 
-    def __init__(self, L: float, N: int):
-        L = float(L)
+
+def _squared_norm(c) -> np.ndarray:
+    """c1^2 + c2^2 + c3^2 of three broadcast coordinates, as a new (N, N, N) array."""
+    return c[0] ** 2 + c[1] ** 2 + c[2] ** 2
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Cubic periodic lattice: half-width L, N points per axis, spacing h = 2L/N.
+
+    Immutable, so the cached coordinate arrays always belong to (L, N).
+    """
+
+    L: float
+    N: int
+
+    def __post_init__(self):
+        L, N = float(self.L), self.N
         if not np.isfinite(L) or L <= 0:
             raise ValueError(f"box half-width must be positive, got {L}")
         if int(N) != N or N % 2 != 0 or N < 4:
             raise ValueError(f"points per axis must be an even integer >= 4, got {N}")
-        self.L = L
-        self.N = int(N)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "N", int(N))
         try:  # a float power raises OverflowError where numpy would return inf
             volumes = (self.cell_volume, self.freq_cell_volume)
         except OverflowError:
@@ -84,37 +102,22 @@ class GridSpec:
     def freq_axis(self) -> np.ndarray:
         return self.freq_step * np.arange(-self.N // 2, self.N // 2, dtype=float)
 
-    def _mesh(self, ax: np.ndarray) -> np.ndarray:
-        g = np.meshgrid(ax, ax, ax, indexing="ij")
-        return np.stack(g, axis=-1)
+    @property
+    def coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Lattice coordinates x1, x2, x3, broadcastable to (N, N, N)."""
+        return _coords(self.axis)
 
     @cached_property
-    def position_mesh(self) -> np.ndarray:
-        """Lattice coordinates, shape (N, N, N, 3)."""
-        m = self._mesh(self.axis)
-        m.setflags(write=False)
-        return m
-
-    @cached_property
-    def freq_mesh(self) -> np.ndarray:
-        m = self._mesh(self.freq_axis)
-        m.setflags(write=False)
-        return m
-
-    @staticmethod
-    def _radius2(ax: np.ndarray) -> np.ndarray:
-        a2 = ax**2  # summed by broadcasting, in the mesh's axis order: no (N, N, N, 3) mesh is built
-        r2 = a2[:, None, None] + a2[None, :, None] + a2[None, None, :]
+    def radius2(self) -> np.ndarray:
+        r2 = _squared_norm(self.coords)
         r2.setflags(write=False)
         return r2
 
     @cached_property
-    def radius2(self) -> np.ndarray:
-        return self._radius2(self.axis)
-
-    @cached_property
     def freq_radius2(self) -> np.ndarray:
-        return self._radius2(self.freq_axis)
+        r2 = _squared_norm(_coords(self.freq_axis))
+        r2.setflags(write=False)
+        return r2
 
     @cached_property
     def bracket(self) -> np.ndarray:
@@ -128,19 +131,8 @@ class GridSpec:
         i = self.N // 2
         return (i, i, i)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GridSpec) and (self.L, self.N) == (other.L, other.N)
 
-    def __hash__(self) -> int:
-        return hash((self.L, self.N))
-
-    def __repr__(self) -> str:
-        return f"GridSpec(L={self.L}, N={self.N})"
-
-
-def make_grid(L: float, N: int) -> GridSpec:
-    """Validated constructor for :class:`GridSpec`."""
-    return GridSpec(L, N)
+make_grid = GridSpec  # the validating constructor, under the name the CLI and scripts call
 
 
 @dataclass
@@ -233,9 +225,8 @@ def _padded_offsets(grid: GridSpec) -> tuple[tuple[np.ndarray, ...], np.ndarray]
     """Offset axes h * {0, ..., N-1, -N, ..., -1} of the padded (2N)^3 lattice
     (FFT order, broadcastable), and |z|^2 with its z = 0 entry set to 1."""
     N = grid.N
-    wrapped = np.fft.ifftshift(grid.h * np.arange(-N, N, dtype=float))
-    z = (wrapped[:, None, None], wrapped[None, :, None], wrapped[None, None, :])
-    r2 = sum(c**2 for c in z)
+    z = _coords(np.fft.ifftshift(grid.h * np.arange(-N, N, dtype=float)))
+    r2 = _squared_norm(z)
     r2[0, 0, 0] = 1.0
     return z, r2
 

@@ -32,8 +32,10 @@ from .field import (
     POSITION,
     GridSpec,
     SpinorField,
+    _coords,
     _padded_convolve,
     _padded_offsets,
+    _squared_norm,
     forward_fourier,
     l2_norm,
 )
@@ -83,10 +85,9 @@ def _dot_contract(coeffs, v: np.ndarray, axis: int = -1) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _symbol(grid: GridSpec, inverse: bool) -> tuple:
     """Native-order :func:`_sigma_coeffs` of xi (alpha.D) or xi / |xi|^2 (A; zero at xi = 0)."""
-    k = np.fft.ifftshift(grid.freq_axis)
-    c = (k[:, None, None], k[None, :, None], k[None, None, :])
+    c = _coords(np.fft.ifftshift(grid.freq_axis))
     if inverse:
-        r2 = c[0] ** 2 + c[1] ** 2 + c[2] ** 2
+        r2 = _squared_norm(c)
         r2[0, 0, 0] = 1.0  # the numerators vanish at xi = 0, so A's symbol is zero there
         c = tuple(cj / r2 for cj in c)
     coeffs = _sigma_coeffs(*c)
@@ -219,7 +220,7 @@ def verify_pairing_identity(g_field: SpinorField, phi: SpinorField) -> tuple[com
 
 def symbol_product_max_deviation(grid: GridSpec) -> float:
     """max over xi != 0 of |alpha_dot(xi) invert_alpha_dot(xi) - I| (entrywise)."""
-    xi = grid.freq_mesh.reshape(-1, 3)
+    xi = np.stack(np.broadcast_arrays(*_coords(grid.freq_axis)), axis=-1).reshape(-1, 3)
     n2 = np.einsum("mj,mj->m", xi, xi)
     keep = n2 > 0
     xi, n2 = xi[keep], n2[keep]

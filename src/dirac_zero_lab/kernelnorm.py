@@ -19,8 +19,8 @@ from numbers import Rational
 
 import numpy as np
 
-from .field import POSITION, GridSpec, SpinorField, _padded_convolve, _padded_offsets
-from .freeop import apply_a_spectral
+from .field import GridSpec, _padded_convolve, _padded_offsets, _squared_norm
+from .freeop import _multiply_planar, _symbol
 
 __all__ = [
     "NwKernelSpec",
@@ -208,11 +208,10 @@ def _random_trials_norm(apply, grid: GridSpec, p: float, seed: int, trials: int)
     rng = np.random.default_rng(seed)
     h3 = grid.cell_volume
     best = 0.0
-    mesh = grid.position_mesh
     for _ in range(trials):
         center = rng.uniform(-grid.L / 2, grid.L / 2, size=3)
         width = rng.uniform(0.5, grid.L / 2)
-        phi = np.exp(-np.sum((mesh - center) ** 2, axis=-1) / (2 * width**2))
+        phi = np.exp(-_squared_norm([x - c for x, c in zip(grid.coords, center)]) / (2 * width**2))
         phi += 0.1 * rng.standard_normal(phi.shape)
         best = max(best, _lp_norm(apply(phi), p, h3) / _lp_norm(phi, p, h3))
     return NormEstimate(best, trials, True)
@@ -285,7 +284,7 @@ def scale_sweep(spec: NwKernelSpec, scales, h: float, seed: int = 0) -> NormSwee
             raise ValueError(f"scale L={L} is not an even multiple of the spacing {h}, or is below 2h")
         GridSpec(L, round(n))  # the grid's own checks, before any estimate
         points.append(round(n))
-    # a grid caches its meshes, so each one is built only for its own estimate
+    # a grid caches its radii, so each one is built only for its own estimate
     estimates = [estimate_norm(spec, GridSpec(L, n), seed=seed) for L, n in zip(scales, points)]
     growth = _classify_growth([e.value for e in estimates])
     criterion = nw_classify(spec)
@@ -316,11 +315,15 @@ def lemma_a_conjugated_norm(t: float, grid: GridSpec, seed: int = 0) -> NormEsti
     """
     w_up = grid.bracket ** float(t)
     w_down = grid.bracket ** float(-t - 1.0)
+    symbol = _symbol(grid, True)
+    shape = (grid.N, grid.N, grid.N, 4)
 
     def conjugated(w_in: np.ndarray, w_out: np.ndarray):
         def apply(v: np.ndarray) -> np.ndarray:
-            f = SpinorField(grid, (w_in[..., None] * v.reshape(grid.N, grid.N, grid.N, 4)), POSITION)
-            return (w_out[..., None] * apply_a_spectral(f, warn_threshold=np.inf).values).ravel()
+            # w_in v goes straight into the component-major buffer that A transforms
+            planar = np.empty((4,) + shape[:3], np.complex128)
+            np.multiply(w_in, np.moveaxis(v.reshape(shape), -1, 0), out=planar)
+            return (w_out[..., None] * _multiply_planar(symbol, planar)).ravel()
 
         return apply
 

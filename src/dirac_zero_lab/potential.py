@@ -99,7 +99,7 @@ def loss_yau(grid: GridSpec) -> LossYauFields:
     vector, so A(x) = 3 (1 + |x|^2)^{-1} w(x) satisfies |A| <x>^2 = 3.  The
     pair solves sigma.(D - A) phi = 0 in the continuum.
     """
-    x1, x2, x3 = grid.axis[:, None, None], grid.axis[None, :, None], grid.axis[None, None, :]  # no coordinate mesh
+    x1, x2, x3 = grid.coords
     one_plus_r2 = 1.0 + grid.radius2
     pref = one_plus_r2 ** (-1.5)
     phi = np.empty((grid.N, grid.N, grid.N, 2), dtype=np.complex128)

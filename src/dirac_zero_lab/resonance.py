@@ -455,7 +455,7 @@ def weighted_derivative_identity_check(f: SpinorField, mu: float) -> float:
     weighted = SpinorField(grid, w[..., None] * f.values, POSITION)
     lhs = apply_h0(weighted)
 
-    alpha_x = _sigma_coeffs(*np.moveaxis(grid.position_mesh, -1, 0))
+    alpha_x = _sigma_coeffs(*grid.coords)
     first = _dot_contract(alpha_x, f.values)
     first *= -1j * mu * (grid.bracket ** (mu - 2.0))[..., None]
     second = w[..., None] * apply_h0(f).values

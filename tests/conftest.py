@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from dirac_zero_lab import field, potential
@@ -22,6 +23,14 @@ def traced_peak_bytes(fn, *args) -> int:
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def coordinate_mesh(ax):
+    """Dense (N, N, N, 3) lattice coordinates of the 1-D axis ``ax`` by ``np.meshgrid``.
+
+    A reference built independently of the package's broadcast coordinates.
+    """
+    return np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
 
 
 @pytest.fixture(scope="session")

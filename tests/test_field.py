@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import traced_peak_bytes
+from conftest import coordinate_mesh, traced_peak_bytes
 from dirac_zero_lab.field import (
     FREQUENCY,
     POSITION,
@@ -68,17 +68,32 @@ def test_grid_equality_and_origin():
     g = make_grid(8.0, 16)
     assert g == make_grid(8.0, 16)
     assert g != make_grid(8.0, 32)
-    assert np.array_equal(g.position_mesh[g.origin_index], np.zeros(3))
+    assert np.array_equal(coordinate_mesh(g.axis)[g.origin_index], np.zeros(3))
+    assert all(c[g.origin_index] == 0.0 for c in np.broadcast_arrays(*g.coords))
+
+
+def test_grid_is_an_immutable_value():
+    g = make_grid(8, 16.0)
+    assert (g.L, g.N) == (8.0, 16) and type(g.L) is float and type(g.N) is int
+    assert repr(g) == "GridSpec(L=8.0, N=16)"
+    assert hash(g) == hash((8.0, 16)) == hash(make_grid(8.0, 16))
+    assert g != (8.0, 16)
+    assert g.radius2.max() == 192.0  # cached now, so a changed L or N would leave it stale
+    with pytest.raises(AttributeError):
+        g.L = 16.0
+    with pytest.raises(AttributeError):
+        g.N = 32
+    assert (g.L, g.N, g.h) == (8.0, 16, 1.0)
 
 
 @pytest.mark.parametrize("L, N", [(4.0, 8), (12.0, 24), (16.0, 32), (32.0, 64)])
 def test_radii_equal_the_mesh_form_and_build_no_mesh(L, N):
-    g, ref = make_grid(L, N), make_grid(L, N)
-    r2 = np.sum(ref.position_mesh**2, axis=-1)
+    g = make_grid(L, N)
+    r2 = np.sum(coordinate_mesh(g.axis) ** 2, axis=-1)
     assert np.array_equal(g.radius2, r2)
-    assert np.array_equal(g.freq_radius2, np.sum(ref.freq_mesh**2, axis=-1))
+    assert np.array_equal(g.freq_radius2, np.sum(coordinate_mesh(g.freq_axis) ** 2, axis=-1))
     assert np.array_equal(g.bracket, np.sqrt(1.0 + r2))
-    assert "position_mesh" not in vars(g) and "freq_mesh" not in vars(g)
+    assert not hasattr(g, "position_mesh") and not hasattr(g, "freq_mesh")
 
 
 def test_radii_memory_budget():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import coordinate_mesh
 from dirac_zero_lab.acceptance import annulus_test_field, pairing_discrepancy
 from dirac_zero_lab.clifford import alpha_dot, invert_alpha_dot
 from dirac_zero_lab.field import (
@@ -30,7 +31,7 @@ from dirac_zero_lab.potential import pauli_derivative
 
 
 def plane_wave(grid, mode, v):
-    phase = np.exp(1j * np.tensordot(grid.position_mesh, np.asarray(mode, float), axes=([-1], [0])))
+    phase = np.exp(1j * np.tensordot(coordinate_mesh(grid.axis), np.asarray(mode, float), axes=([-1], [0])))
     return SpinorField(grid, phase[..., None] * np.asarray(v, complex), POSITION)
 
 
@@ -116,7 +117,7 @@ def dense_multiplier(f, inverse):
     """Independent oracle: the 4x4 matrix alpha_dot(xi) (or its inverse, zero at
     xi = 0) applied mode by mode on the centered frequency lattice."""
     g = f.grid
-    xi = g.freq_mesh.reshape(-1, 3)
+    xi = coordinate_mesh(g.freq_axis).reshape(-1, 3)
     mats = np.zeros((xi.shape[0], 4, 4), dtype=complex)
     for m, x in enumerate(xi):
         if not inverse:
@@ -222,7 +223,7 @@ def test_quadrature_matches_dense_reference(L, N):
     vals = rng.standard_normal((N, N, N, 4)) + 1j * rng.standard_normal((N, N, N, 4))
     f = SpinorField(g, vals)
     fast = apply_a_quadrature(f)
-    pts = g.position_mesh.reshape(-1, 3)
+    pts = coordinate_mesh(g.axis).reshape(-1, 3)
     V = vals.reshape(-1, 4)
     out = np.zeros_like(V)
     for i in range(pts.shape[0]):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import coordinate_mesh
 from dirac_zero_lab.field import make_grid
 from dirac_zero_lab.kernelnorm import (
     NwKernelSpec,
@@ -107,7 +108,7 @@ def test_nw_apply_symmetric_spec_transpose():
 
 def nw_apply_direct(spec, phi, grid):
     """Reference N^6 direct summation of the kernel (small grids only)."""
-    pts = grid.position_mesh.reshape(-1, 3)
+    pts = coordinate_mesh(grid.axis).reshape(-1, 3)
     r = np.maximum(np.sqrt(np.einsum("mj,mj->m", pts, pts)), grid.h / 2.0)
     wl = r ** (-float(spec.a))
     wr = r ** (-float(spec.b))
@@ -197,6 +198,16 @@ def test_estimate_norm_p_not_two_proxy():
     assert np.isfinite(est.value)
     again = estimate_norm(spec, g, iterations=8, seed=4)
     assert est.value == again.value
+
+
+@pytest.mark.parametrize(
+    "p, value",
+    [(3, 17.798555416339838), (Fraction(3, 2), 13.614076435445304), (4.0, 22.06204889145584)],
+)
+def test_estimate_norm_p_not_two_proxy_frozen_values(p, value):
+    # the proxy's Gaussian trial functions are built from the lattice coordinates; pinned to the bit
+    est = estimate_norm(NwKernelSpec(a=1, b=Fraction(1, 2), p=p), make_grid(6.0, 12), iterations=8, seed=4)
+    assert est.value == value
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import coordinate_mesh
 from dirac_zero_lab.clifford import ALPHA
 from dirac_zero_lab.field import l2_norm, make_grid
 from dirac_zero_lab.freeop import apply_h0
@@ -158,7 +159,7 @@ def test_hermiticity_check_reports_injected_gap(tmp_path):
 def test_pauli_derivative_plane_wave():
     g = make_grid(8.0, 16)
     xi0 = (np.pi / 8.0) * np.array([1.0, 2.0, -1.0])
-    phase = np.exp(1j * np.tensordot(g.position_mesh, xi0, axes=([-1], [0])))
+    phase = np.exp(1j * np.tensordot(coordinate_mesh(g.axis), xi0, axes=([-1], [0])))
     v = np.array([1.0, 0.3 - 0.2j])
     phi = phase[..., None] * v
     sigma_xi = sum(c * s for c, s in zip(xi0, (

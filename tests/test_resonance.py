@@ -5,7 +5,7 @@ from functools import cmp_to_key
 import numpy as np
 import pytest
 
-from conftest import traced_peak_bytes
+from conftest import coordinate_mesh, traced_peak_bytes
 from dirac_zero_lab.clifford import ALPHA
 from dirac_zero_lab.field import (
     POSITION,
@@ -16,7 +16,7 @@ from dirac_zero_lab.field import (
 )
 from dirac_zero_lab.freeop import _dot_contract, _symbol
 from dirac_zero_lab.potential import PotentialField, from_em, loss_yau, loss_yau_potential
-from dirac_zero_lab import resonance
+from dirac_zero_lab import acceptance, resonance
 from dirac_zero_lab.resonance import (
     ARNOLDI_TOL,
     _eigs,
@@ -62,7 +62,7 @@ def modes_ly(spectrum_ly, q_ly16):
 
 def test_residual_plane_wave_rejects_non_kernel_field(grid16):
     xi0 = (np.pi / 16.0) * np.array([1.0, 0.0, 0.0])
-    phase = np.exp(1j * np.tensordot(grid16.position_mesh, xi0, axes=([-1], [0])))
+    phase = np.exp(1j * np.tensordot(coordinate_mesh(grid16.axis), xi0, axes=([-1], [0])))
     vals = phase[..., None] * np.array([1.0, 0.0, 0.0, 0.0])
     f = SpinorField(grid16, vals, POSITION)
     Q0 = from_em(None, None, grid16)
@@ -541,7 +541,7 @@ def test_classify_gate_rejects_mismatched_pair(grid16, q_ly16):
     # an oscillating <x>^{-1.2} profile is nowhere near the kernel of this
     # operator, so the residual gate trips
     k = (np.pi / 16.0) * np.array([10.0, 0.0, 0.0])
-    phase = np.exp(1j * np.tensordot(grid16.position_mesh, k, axes=([-1], [0])))
+    phase = np.exp(1j * np.tensordot(coordinate_mesh(grid16.axis), k, axes=([-1], [0])))
     vals = np.zeros((32, 32, 32, 4), dtype=complex)
     vals[..., 0] = (1.0 + grid16.radius2) ** (-0.6) * phase
     fake = SpinorField(grid16, vals, POSITION)
@@ -576,6 +576,12 @@ def test_weighted_identity_gaussian_converges_with_n():
     assert errs[32] <= 0.03  # measured 2.3e-2
     assert errs[64] <= 0.5 * errs[32]  # at least halves; spectral rate is much faster
     assert errs[64] <= 0.02
+
+
+@pytest.mark.parametrize("N, value", [(32, 0.02336294670058545), (64, 0.0004886558859649782)])
+def test_weighted_identity_frozen_values(N, value):
+    # the alpha.x term is built from the lattice coordinates; pinned to the bit
+    assert weighted_derivative_identity_check(acceptance._smooth_test_field(N), 0.4) == value
 
 
 def test_weighted_identity_magnetic_mode_improves_with_n(ly16):
