@@ -1,16 +1,16 @@
 """The acceptance suite: every release-gating check, runnable from pytest or the CLI.
 
-Each criterion bundles named checks with explicit tolerances and prints one
-pass/fail line per check.  Scales and seeds are fixed here so reruns are
-bit-for-bit reproducible.  Two checks are known to fail on the pinned desk
-grids (quadrature agreement at 5%, Weyl residual at 0.05); the measured
-values are reported next to the bounds rather than hidden.
+Each criterion returns named checks with explicit tolerances, each with its
+outcome and a detail that reports the measured value.  Scales and seeds are
+fixed here so reruns are bit-for-bit reproducible.  Two checks are known to
+fail on the pinned desk grids (quadrature agreement at 5%, Weyl residual at
+0.05); the measured values are reported next to the bounds rather than
+hidden.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -41,7 +41,6 @@ class CriterionResult:
     index: int
     title: str
     checks: list[CheckResult] = dc_field(default_factory=list)
-    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -97,17 +96,17 @@ def quadrature_gap(f: field.SpinorField) -> float:
 def criterion_2() -> CriterionResult:
     res = CriterionResult(2, "Inverse operator: symbol, composition, quadrature")
     for N in (24, 32):
-        grid = field.make_grid(12.0, N)
+        grid = field.GridSpec(12.0, N)
         dev = freeop.symbol_product_max_deviation(grid)
         res.add(f"symbol product = I at xi != 0 (N={N})", dev <= SYMBOL_PRODUCT_TOL, f"max dev {dev:.2e}")
 
-    grid = field.make_grid(12.0, 24)
+    grid = field.GridSpec(12.0, 24)
     worst = ah0_identity_worst(grid, range(DEFAULT_SEED, DEFAULT_SEED + 20))
     res.add("A(alpha.D) f = f on 20 mean-zero band-limited fields", worst <= AH0_TOL, f"max rel err {worst:.2e}")
 
     rels = {}
     for N in (24, 32):
-        g = field.make_grid(12.0, N)
+        g = field.GridSpec(12.0, N)
         vals = np.zeros((N, N, N, 4), dtype=complex)
         vals[..., 0] = np.exp(-g.radius2)
         vals[..., 2] = 0.5 * np.exp(-1.2 * g.radius2)
@@ -155,7 +154,7 @@ def pairing_discrepancy(grid: field.GridSpec, g_seed: int, phi_seed: int) -> flo
 
 def criterion_3() -> CriterionResult:
     res = CriterionResult(3, "Adjoint pairing identity")
-    grid = field.make_grid(12.0, 24)
+    grid = field.GridSpec(12.0, 24)
     worst = 0.0
     for i in range(10):
         worst = max(worst, pairing_discrepancy(grid, DEFAULT_SEED + 100 + i, DEFAULT_SEED + 200 + i))
@@ -233,7 +232,7 @@ def criterion_4() -> CriterionResult:
         f"overall x{g_vals[-1] / g_vals[0]:.2f}",
     )
 
-    grid16 = field.make_grid(16.0, 32)
+    grid16 = field.GridSpec(16.0, 32)
     dom_ok = True
     ddetails = []
     for t in (-1.0, -0.5, 0.0):
@@ -257,14 +256,14 @@ def criterion_4() -> CriterionResult:
 
 def criterion_5() -> CriterionResult:
     res = CriterionResult(5, "Magnetic zero-mode example (sharpness witness)")
-    grid = field.make_grid(16.0, 32)
+    grid = field.GridSpec(16.0, 32)
     ly = potential.loss_yau(grid)
     modulus = np.sqrt(np.sum(np.abs(ly.weyl_spinor) ** 2, axis=-1)) * grid.bracket**2
     dev = float(np.max(np.abs(modulus - 1.0)))
     res.add("|phi| <x>^2 = 1 at every grid point", dev <= 1e-12, f"max dev {dev:.2e}")
 
     wr16 = potential.weyl_residual(ly.weyl_spinor, ly.vector_potential, grid)
-    grid24 = field.make_grid(24.0, 48)
+    grid24 = field.GridSpec(24.0, 48)
     ly24 = potential.loss_yau(grid24)
     wr24 = potential.weyl_residual(ly24.weyl_spinor, ly24.vector_potential, grid24)
     res.add(
@@ -303,7 +302,7 @@ def criterion_5() -> CriterionResult:
 
 def criterion_6() -> CriterionResult:
     res = CriterionResult(6, "Fixed-point spectrum of -A Q")
-    grid = field.make_grid(DEFAULT_L, DEFAULT_N)
+    grid = field.GridSpec(DEFAULT_L, DEFAULT_N)
     ly = potential.loss_yau(grid)
     Q = potential.from_em(None, ly.vector_potential, grid)
     rep = resonance.birman_schwinger_spectrum(Q, k=6, seed=DEFAULT_SEED)
@@ -408,7 +407,7 @@ def _admissible_family(grid: field.GridSpec):
 
 
 def _smooth_test_field(N: int) -> field.SpinorField:
-    g = field.make_grid(16.0, N)
+    g = field.GridSpec(16.0, N)
     vals = np.zeros((N, N, N, 4), dtype=complex)
     vals[..., 0] = np.exp(-g.radius2 / 4.0)
     vals[..., 3] = 0.7 * np.exp(-g.radius2 / 6.0)
@@ -417,7 +416,7 @@ def _smooth_test_field(N: int) -> field.SpinorField:
 
 def criterion_8() -> CriterionResult:
     res = CriterionResult(8, "No-resonance property suite")
-    grid = field.make_grid(DEFAULT_L, DEFAULT_N)
+    grid = field.GridSpec(DEFAULT_L, DEFAULT_N)
     kinds = []
     mu_ok = True
     any_modes = 0
@@ -470,26 +469,3 @@ CRITERIA = {
     7: criterion_7,
     8: criterion_8,
 }
-
-def run_acceptance(only=None) -> list[CriterionResult]:
-    """Run all (or selected) criteria, printing one line per check; a bad selector runs none."""
-    indices = set(CRITERIA) if only is None else set()
-    for item in only or ():
-        token = str(item).strip()
-        if not token.isdigit():
-            raise ValueError(f"unknown criterion selector {item!r}: criteria are numbered 1-{len(CRITERIA)}")
-        if int(token) not in CRITERIA:
-            raise ValueError(f"no criterion {int(token)}")
-        indices.add(int(token))
-    results = []
-    for idx in sorted(indices):
-        t0 = time.perf_counter()
-        result = CRITERIA[idx]()
-        result.elapsed = time.perf_counter() - t0
-        results.append(result)
-        status = "PASS" if result.passed else "FAIL"
-        print(f"[{status}] criterion {idx}: {result.title} ({result.elapsed:.1f}s)")
-        for check in result.checks:
-            mark = "ok" if check.passed else "FAIL"
-            print(f"    [{mark}] {check.name}: {check.detail}")
-    return results

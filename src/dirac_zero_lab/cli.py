@@ -1,4 +1,4 @@
-"""Command-line surface: reproducible experiments and report emission.
+"""Command-line surface: reproducible experiments, and every output file and line they emit.
 
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 a detected
 state classified as a resonance candidate (the theorem-violating outcome).
@@ -9,9 +9,13 @@ them, so no output lacks provenance.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
+import re
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -100,12 +104,18 @@ def _emit(cfg: dict, name: str, text: str) -> None:
     if cfg["out"] is None:
         return
     os.makedirs(cfg["out"], exist_ok=True)
-    with open(os.path.join(cfg["out"], name), "w") as fh:
+    with open(os.path.join(cfg["out"], name), "w", newline="") as fh:  # a CSV's \r\n rows stay as written
         fh.write(text)
 
 
 def _emit_json(cfg: dict, name: str, payload: dict) -> None:
     _emit(cfg, name, json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _emit_csv(cfg: dict, name: str, header: list[str], rows) -> None:
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    _emit(cfg, name, buf.getvalue())
 
 
 def _emit_settings(cfg: dict) -> None:
@@ -136,7 +146,7 @@ def cmd_clifford_check(args) -> int:
 
 def cmd_verify_freeop(args) -> int:
     cfg = _settings(args)
-    grid = field.make_grid(cfg["L"], cfg["N"])
+    grid = field.GridSpec(cfg["L"], cfg["N"])
     seed = cfg["seed"]
     vals = np.zeros((grid.N,) * 3 + (4,), dtype=complex)
     vals[..., 0] = np.exp(-grid.radius2)
@@ -186,8 +196,17 @@ def cmd_nw_sweep(args) -> int:
         f"growth={report.growth_class} criterion={report.criterion_class} "
         f"agreement={report.agreement}"
     )
-    if cfg["out"]:
-        kernelnorm.sweep_rows_to_csv(report, os.path.join(cfg["out"], "nw-sweep.csv"), cfg["seed"])
+    _emit_csv(
+        cfg,
+        "nw-sweep.csv",
+        ["a", "b", "d", "p", "scale", "norm_estimate", "iterations", "converged",
+         "growth_class", "criterion_class", "seed"],
+        [
+            [spec.a, spec.b, spec.d, spec.p, s, e.value, e.iterations, e.converged,
+             report.growth_class, report.criterion_class, cfg["seed"]]
+            for s, e in zip(report.scales, report.estimates)
+        ],
+    )
     # a spec on the criterion's edge may grow too slowly to classify: inconclusive is no failure there
     return 0 if report.agreement == "agree" or (report.agreement == "inconclusive" and spec.on_boundary) else 1
 
@@ -241,18 +260,52 @@ def _build_potential(args, grid: field.GridSpec) -> tuple[potential.PotentialFie
     raise ValueError(f"unknown potential {name!r}")
 
 
+def _remove_numbered_outputs(out: str) -> None:
+    """Delete an earlier run's eigenfields/eigenfield_<i>.dzl1 and decay-fit-<i>.csv files from ``out``."""
+    for folder, pattern in ((os.path.join(out, "eigenfields"), r"eigenfield_\d+\.dzl1"), (out, r"decay-fit-\d+\.csv")):
+        for name in os.listdir(folder) if os.path.isdir(folder) else ():
+            if re.fullmatch(pattern, name):
+                os.remove(os.path.join(folder, name))
+
+
+def _emit_eigenreport(cfg: dict, report: resonance.EigenReport, reference: field.SpinorField | None) -> None:
+    """eigenreport.json, and each eigenfield as eigenfields/eigenfield_<i>.dzl1."""
+    overlaps = []
+    if reference is not None:
+        ref_norm = field.l2_norm(reference)
+        for fld in report.eigenfields:
+            ip = np.sum(fld.values * np.conj(reference.values)) * fld.grid.cell_volume
+            overlaps.append(float(abs(ip) / (field.l2_norm(fld) * ref_norm)))
+    field_dir = os.path.join(cfg["out"], "eigenfields")
+    os.makedirs(field_dir, exist_ok=True)
+    files = [os.path.join(field_dir, f"eigenfield_{i}.dzl1") for i in range(len(report.eigenfields))]
+    for fld, fp in zip(report.eigenfields, files):
+        field.save_field(fld, fp)
+    payload = {
+        "eigenvalues": [[lam.real, lam.imag] for lam in report.eigenvalues],
+        "residuals": report.residuals,
+        "iterations": report.iterations,
+        "restarts": report.restarts,
+        "nconv": report.nconv,
+        "sectors": report.sectors,
+        "solve_s": report.solve_s,
+        "converged": report.converged,
+        "eigenfield_files": files,
+        "overlaps": overlaps,
+    }
+    _emit_json(cfg, "eigenreport.json", payload)
+
+
 def cmd_zero_mode(args) -> int:
     cfg = _settings(args, out="dzl-zero-mode")
-    grid = field.make_grid(cfg["L"], cfg["N"])
+    grid = field.GridSpec(cfg["L"], cfg["N"])
     Q, reference = _build_potential(args, grid)
     if Q.grid != grid:
         raise ValueError(f"the potential's grid {Q.grid} differs from the run grid {grid}; pass its --L and --N")
     report = resonance.birman_schwinger_spectrum(Q, k=args.k, seed=cfg["seed"])  # rejects a bad --k before any output
     _emit_settings(cfg)
-    out = cfg["out"]
-    resonance.eigenreport_to_json(
-        report, os.path.join(out, "eigenreport.json"), os.path.join(out, "eigenfields"), reference
-    )
+    _remove_numbered_outputs(cfg["out"])  # so the directory holds this run's fields and fits only
+    _emit_eigenreport(cfg, report, reference)
     modes = resonance.zero_modes(report, Q)
     print(f"eigenvalues: {[f'{l.real:+.4f}{l.imag:+.4f}j' for l in report.eigenvalues]}")
     print(f"zero modes at tolerance {resonance.ZERO_MODE_TOL}: {len(modes)}")
@@ -264,34 +317,64 @@ def cmd_zero_mode(args) -> int:
             print(f"mode {i}: unclassified ({exc})")
             exit_code = max(exit_code, 1)
             continue
-        resonance.decay_table_to_csv(cls.fit, os.path.join(out, f"decay-fit-{i}.csv"))
+        fit = cls.fit
+        _emit_csv(
+            cfg,
+            f"decay-fit-{i}.csv",
+            ["radius_inner", "radius_outer", "mass", "fitted_slope", "sigma"],
+            [[a, b, m, fit.slope, fit.sigma] for a, b, m in zip(fit.edges[:-1], fit.edges[1:], fit.masses)],
+        )
         print(
-            f"mode {i}: kind={cls.kind} sigma={cls.fit.sigma:.3f}+-{cls.fit.stderr:.3f} "
+            f"mode {i}: kind={cls.kind} sigma={fit.sigma:.3f}+-{fit.stderr:.3f} "
             f"residual={cls.residual:.3e} mu_check={cls.mu_check}"
         )
         exit_code = max(exit_code, {"inconclusive": 1, "resonance_candidate": 3}.get(cls.kind, 0))
     return exit_code
 
 
+def _criterion_indices(only: str | None, criteria: dict) -> list[int]:
+    """The criteria that ``--only`` names (all without it), checked before any of them runs."""
+    if only is None:
+        return sorted(criteria)
+    indices = set()
+    for item in only.split(","):
+        token = item.strip()
+        if not token.isdigit():
+            raise ValueError(f"unknown criterion selector {item!r}: criteria are numbered 1-{len(criteria)}")
+        if int(token) not in criteria:
+            raise ValueError(f"no criterion {int(token)}")
+        indices.add(int(token))
+    return sorted(indices)
+
+
 def cmd_acceptance(args) -> int:
     cfg = _settings(args)
-    only = args.only.split(",") if args.only is not None else None
-    results = acc.run_acceptance(only=only)
+    criteria = acc.CRITERIA
+    results = []  # (criterion result, elapsed seconds)
+    for idx in _criterion_indices(args.only, criteria):
+        t0 = time.perf_counter()
+        result = criteria[idx]()
+        elapsed = time.perf_counter() - t0
+        results.append((result, elapsed))
+        # each criterion's lines print as soon as it finishes
+        print(f"[{'PASS' if result.passed else 'FAIL'}] criterion {idx}: {result.title} ({elapsed:.1f}s)")
+        for check in result.checks:
+            print(f"    [{'ok' if check.passed else 'FAIL'}] {check.name}: {check.detail}")
     _emit_settings(cfg)
     payload = {
         f"criterion_{r.index}": {
             "title": r.title,
             "passed": r.passed,
-            "elapsed": r.elapsed,
+            "elapsed": elapsed,
             "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in r.checks],
         }
-        for r in results
+        for r, elapsed in results
     }
     _emit_json(cfg, "acceptance.json", payload)
-    total = sum(len(r.checks) for r in results)
-    good = sum(sum(c.passed for c in r.checks) for r in results)
+    total = sum(len(r.checks) for r, _ in results)
+    good = sum(sum(c.passed for c in r.checks) for r, _ in results)
     print(f"{good}/{total} checks passed across {len(results)} criteria")
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if all(r.passed for r, _ in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

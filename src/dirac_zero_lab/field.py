@@ -132,7 +132,7 @@ class GridSpec:
         return (i, i, i)
 
 
-make_grid = GridSpec  # the validating constructor, under the name the CLI and scripts call
+make_grid = GridSpec  # the validating constructor under a second name, which bench/run.py calls
 
 
 @dataclass

@@ -12,7 +12,6 @@ equal to rounding to the N^6 direct sum (the tests hold that reference).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -31,7 +30,6 @@ __all__ = [
     "estimate_norm",
     "scale_sweep",
     "lemma_a_conjugated_norm",
-    "sweep_rows_to_csv",
 ]
 
 STABILITY_THRESHOLD = 0.10  # "stable": top two scales within 10%
@@ -332,15 +330,3 @@ def lemma_a_conjugated_norm(t: float, grid: GridSpec, seed: int = 0) -> NormEsti
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     # A is self-adjoint, so the adjoint of w_down A w_up swaps the weights
     return _power_iteration(conjugated(w_up, w_down), conjugated(w_down, w_up), start, POWER_ITERATIONS)
-
-
-def sweep_rows_to_csv(report: NormSweepReport, path, seed: int) -> None:
-    """One CSV row per scale of the sweep, with the seed that drew its start vectors."""
-    spec = report.spec
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["a", "b", "d", "p", "scale", "norm_estimate", "iterations", "converged",
-                         "growth_class", "criterion_class", "seed"])
-        for s, e in zip(report.scales, report.estimates):
-            writer.writerow([spec.a, spec.b, spec.d, spec.p, s, e.value, e.iterations, e.converged,
-                             report.growth_class, report.criterion_class, seed])

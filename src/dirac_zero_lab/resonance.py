@@ -13,9 +13,6 @@ weighted-H^1 partial quantities across two box sizes.
 
 from __future__ import annotations
 
-import csv
-import json
-import os
 import time
 from dataclasses import dataclass
 from functools import cmp_to_key
@@ -28,7 +25,6 @@ from .field import (
     SpinorField,
     l2_norm,
     restrict_to_subbox,
-    save_field,
     shell_profile,
     sobolev_norm,
 )
@@ -50,8 +46,6 @@ __all__ = [
     "mu_trend",
     "classify_threshold_state",
     "weighted_derivative_identity_check",
-    "eigenreport_to_json",
-    "decay_table_to_csv",
 ]
 
 ARNOLDI_TOL = 1e-8
@@ -464,50 +458,3 @@ def weighted_derivative_identity_check(f: SpinorField, mu: float) -> float:
     if denom == 0:
         return 0.0
     return l2_norm(lhs - rhs) / denom
-
-
-# ---------------------------------------------------------------------------
-# report emission
-# ---------------------------------------------------------------------------
-
-
-def eigenreport_to_json(
-    report: EigenReport,
-    path,
-    field_dir,
-    reference: SpinorField | None = None,
-) -> dict:
-    """Write the eigenreport as JSON and its eigenfields as DZL1 files in ``field_dir``."""
-    payload = {
-        "eigenvalues": [[lam.real, lam.imag] for lam in report.eigenvalues],
-        "residuals": report.residuals,
-        "iterations": report.iterations,
-        "restarts": report.restarts,
-        "nconv": report.nconv,
-        "sectors": report.sectors,
-        "solve_s": report.solve_s,
-        "converged": report.converged,
-        "eigenfield_files": [],
-        "overlaps": [],
-    }
-    if reference is not None:
-        ref_norm = l2_norm(reference)
-        for fld in report.eigenfields:
-            ip = np.sum(fld.values * np.conj(reference.values)) * fld.grid.cell_volume
-            payload["overlaps"].append(float(abs(ip) / (l2_norm(fld) * ref_norm)))
-    os.makedirs(field_dir, exist_ok=True)
-    for i, fld in enumerate(report.eigenfields):
-        fp = os.path.join(field_dir, f"eigenfield_{i}.dzl1")
-        save_field(fld, fp)
-        payload["eigenfield_files"].append(fp)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    return payload
-
-
-def decay_table_to_csv(fit: DecayFit, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["radius_inner", "radius_outer", "mass", "fitted_slope", "sigma"])
-        for a, b, m in zip(fit.edges[:-1], fit.edges[1:], fit.masses):
-            writer.writerow([a, b, m, fit.slope, fit.sigma])

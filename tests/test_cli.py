@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -157,6 +158,33 @@ def test_nw_sweep_bounded_agrees(capsys, tmp_path):
     assert code == 0
     assert "agreement=agree" in out
     assert (out_dir / "nw-sweep.csv").read_text().startswith("a,b,d,p,scale")
+
+
+def test_nw_sweep_csv_rows(capsys, tmp_path):
+    # one row per scale, as scale_sweep reports it, with the run's seed, in csv's own \r\n line ending
+    from fractions import Fraction
+
+    from dirac_zero_lab.kernelnorm import NwKernelSpec, scale_sweep
+
+    out_dir = tmp_path / "nw"
+    code, _, _ = run_cli(
+        capsys, "nw-sweep", "--a", "1", "--b", "1/2", "--scales", "4,8,16", "--seed", "12", "--out", str(out_dir)
+    )
+    rep = scale_sweep(NwKernelSpec(a=1, b=Fraction(1, 2)), [4, 8, 16], 1.0, seed=12)
+    assert code == (0 if rep.agreement == "agree" else 1)
+    raw = (out_dir / "nw-sweep.csv").read_bytes()
+    header = b"a,b,d,p,scale,norm_estimate,iterations,converged,growth_class,criterion_class,seed\r\n"
+    assert raw.startswith(header) and raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n") == 4
+    with open(out_dir / "nw-sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    for row, scale, est in zip(rows, (4, 8, 16), rep.estimates):
+        assert (row["a"], row["b"], row["d"], row["p"], row["seed"]) == ("1", "1/2", "3", "2", "12")
+        assert float(row["scale"]) == scale
+        assert float(row["norm_estimate"]) == est.value
+        assert int(row["iterations"]) == est.iterations
+        assert row["converged"] == str(est.converged)
+        assert (row["growth_class"], row["criterion_class"]) == (rep.growth_class, rep.criterion_class)
 
 
 def test_nw_sweep_unbounded_agrees(capsys):
@@ -379,6 +407,75 @@ def test_zero_mode_loss_yau_end_to_end(capsys, tmp_path):
     assert (out_dir / "decay-fit-0.csv").exists()
 
 
+def test_zero_mode_eigenreport_json_and_fields(capsys, tmp_path, q_ly16, ly16):
+    # eigenreport.json records the solve that birman_schwinger_spectrum returns, field files included
+    from dirac_zero_lab import resonance
+    from dirac_zero_lab.field import load_field
+
+    out_dir = tmp_path / "ly"
+    code, _, _ = run_cli(capsys, "zero-mode", "--potential", "loss-yau", "--out", str(out_dir))
+    assert code == 0
+    report = resonance.birman_schwinger_spectrum(q_ly16, k=6)
+    on_disk = json.loads((out_dir / "eigenreport.json").read_text())
+    assert on_disk["eigenvalues"] == [[lam.real, lam.imag] for lam in report.eigenvalues]
+    assert on_disk["residuals"] == report.residuals
+    assert on_disk["iterations"] == report.iterations
+    assert on_disk["converged"] is True
+    assert on_disk["sectors"] == "+ copied"
+    assert on_disk["solve_s"] > 0.0
+    # one sector solve: its thick restarts, and the k pairs it converged
+    assert on_disk["restarts"] == report.restarts >= 1
+    assert on_disk["nconv"] == report.nconv == 6
+    files = [str(out_dir / "eigenfields" / f"eigenfield_{i}.dzl1") for i in range(6)]
+    assert on_disk["eigenfield_files"] == files
+    for path, fld in zip(files, report.eigenfields):
+        stored = load_field(path)
+        assert stored.grid == fld.grid and np.array_equal(stored.values, fld.values)
+    # the overlap of each field with the Loss-Yau zero mode: near 1 on the twofold pair at lambda = 1
+    overlaps = on_disk["overlaps"]
+    assert len(overlaps) == 6 and all(0.0 <= o <= 1.0 + 1e-12 for o in overlaps)
+    assert np.hypot(*overlaps[:2]) == pytest.approx(resonance.subspace_overlap(report.eigenfields[:2], ly16.zero_mode))
+
+
+def test_zero_mode_decay_fit_csv(capsys, tmp_path):
+    # one row per default shell, in csv's own \r\n line ending, with the fit printed on stdout
+    from dirac_zero_lab import field, resonance
+
+    out_dir = tmp_path / "ly"
+    code, out, _ = run_cli(capsys, "zero-mode", "--potential", "loss-yau", "--k", "4", "--out", str(out_dir))
+    assert code == 0
+    shells = len(resonance.default_shell_edges(field.GridSpec(16.0, 32))) - 1
+    for i in (0, 1):
+        raw = (out_dir / f"decay-fit-{i}.csv").read_bytes()
+        assert raw.startswith(b"radius_inner,radius_outer,mass,fitted_slope,sigma\r\n")
+        lines = raw.split(b"\r\n")
+        assert lines[-1] == b"" and not any(b"\n" in line for line in lines)
+        rows = [[float(x) for x in line.split(b",")] for line in lines[1:-1]]
+        assert len(rows) == shells
+        assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))  # adjacent shells
+        assert all(r[2] > 0.0 and r[3:] == rows[0][3:] for r in rows)  # one slope and sigma per fit
+        assert f"mode {i}: kind=zero_mode sigma={rows[0][4]:.3f}" in out
+
+
+def test_zero_mode_rerun_leaves_no_stale_outputs(capsys, tmp_path):
+    # a second run into one directory keeps only its own numbered fields and fits, and no other file goes
+    out_dir = tmp_path / "zm"
+    argv = ["zero-mode", "--potential", "loss-yau", "--L", "8", "--N", "16", "--out", str(out_dir)]
+    run_cli(capsys, *argv)
+    assert len(list((out_dir / "eigenfields").iterdir())) == 6
+    keep = [out_dir / "decay-fit-x.csv", out_dir / "notes.csv", out_dir / "eigenfields" / "eigenfield_a.dzl1"]
+    for path in [out_dir / "decay-fit-3.csv", *keep]:
+        path.write_text("an earlier file\n")
+    run_cli(capsys, *argv, "--k", "2")
+    report = json.loads((out_dir / "eigenreport.json").read_text())
+    assert sorted(os.path.basename(p) for p in report["eigenfield_files"]) == ["eigenfield_0.dzl1", "eigenfield_1.dzl1"]
+    assert sorted(p.name for p in (out_dir / "eigenfields").iterdir()) == [
+        "eigenfield_0.dzl1", "eigenfield_1.dzl1", "eigenfield_a.dzl1"
+    ]
+    assert not (out_dir / "decay-fit-3.csv").exists()  # at (8, 16) no mode is classified, so no fit is written
+    assert all(path.read_text() == "an earlier file\n" for path in keep)
+
+
 def test_zero_mode_out_of_range_k_is_usage_error(capsys, tmp_path):
     # a chiral sector at N = 4 has 128 unknowns, so k may be at most 126
     out_dir = tmp_path / "run"
@@ -505,6 +602,34 @@ def test_acceptance_only_bootstrap(capsys, tmp_path):
     payload = json.loads((out_dir / "acceptance.json").read_text())
     assert payload["criterion_7"]["passed"] is True
     assert payload["criterion_7"]["elapsed"] >= 0.0
+
+
+def test_acceptance_prints_each_criterion_as_it_finishes(capsys, tmp_path, monkeypatch):
+    # a criterion's lines are on stdout before the next criterion starts, with its elapsed time
+    from dirac_zero_lab import acceptance
+
+    def first():
+        res = acceptance.CriterionResult(1, "first")
+        res.add("one check", True, "fine")
+        return res
+
+    def second():
+        assert capsys.readouterr().out == "[PASS] criterion 1: first (0.0s)\n    [ok] one check: fine\n"
+        res = acceptance.CriterionResult(3, "second")
+        res.add("other check", False, "measured 2")
+        return res
+
+    monkeypatch.setattr(acceptance, "CRITERIA", {1: first, 3: second})
+    code = main(["acceptance", "--only", " 3,1", "--out", str(tmp_path / "acc")])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "[FAIL] criterion 3: second (0.0s)\n    [FAIL] other check: measured 2\n"
+        "1/2 checks passed across 2 criteria\n"
+    )
+    payload = json.loads((tmp_path / "acc" / "acceptance.json").read_text())
+    assert list(payload) == ["criterion_1", "criterion_3"]
+    assert payload["criterion_3"]["checks"] == [{"name": "other check", "passed": False, "detail": "measured 2"}]
+    assert payload["criterion_3"]["passed"] is False and 0.0 <= payload["criterion_3"]["elapsed"] < 0.05
 
 
 def test_acceptance_only_clifford_by_number(capsys):

@@ -1,4 +1,3 @@
-import csv
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +12,6 @@ from dirac_zero_lab.kernelnorm import (
     nw_apply,
     nw_classify,
     scale_sweep,
-    sweep_rows_to_csv,
 )
 
 
@@ -309,23 +307,3 @@ def test_conjugated_norm_dominated_by_nw_kernel():
     for t in (-1.0, -0.5, 0.0):
         bound = estimate_norm(NwKernelSpec(a=t + 1.0, b=-t), g, 40, 5).value / (4.0 * np.pi)
         assert lemma_a_conjugated_norm(t, g, seed=5).value <= 1.10 * bound
-
-
-# ---------------------------------------------------------------------------
-# CSV emission
-# ---------------------------------------------------------------------------
-
-
-def test_sweep_csv_rows(tmp_path):
-    rep = scale_sweep(NwKernelSpec(a=1, b=Fraction(1, 2)), [4, 8, 16], 1.0, seed=12)
-    path = tmp_path / "sweep.csv"
-    sweep_rows_to_csv(rep, path, 12)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 3
-    assert rows[0]["a"] == "1"
-    assert float(rows[2]["norm_estimate"]) == rep.norm_estimates[2]
-    for row, est in zip(rows, rep.estimates):
-        assert int(row["iterations"]) == est.iterations
-        assert row["converged"] == str(est.converged)
-    assert rows[0]["seed"] == "12"

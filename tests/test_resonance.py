@@ -1,5 +1,4 @@
 import dataclasses
-import json
 from functools import cmp_to_key
 
 import numpy as np
@@ -26,9 +25,7 @@ from dirac_zero_lab.resonance import (
     birman_schwinger_spectrum,
     classify_threshold_state,
     decay_fit,
-    decay_table_to_csv,
     default_shell_edges,
-    eigenreport_to_json,
     fixed_point_subspace,
     mu_trend,
     real_eigenvalues,
@@ -593,37 +590,3 @@ def test_weighted_identity_magnetic_mode_improves_with_n(ly16):
     err64 = weighted_derivative_identity_check(ly64.zero_mode, 0.4)
     assert err32 <= 0.35  # measured 0.23 at h = 1
     assert err64 < err32
-
-
-# ---------------------------------------------------------------------------
-# report emission
-# ---------------------------------------------------------------------------
-
-
-def test_eigenreport_json_and_fields(tmp_path, spectrum_ly, ly16):
-    path = tmp_path / "report.json"
-    payload = eigenreport_to_json(
-        spectrum_ly, path, field_dir=tmp_path / "fields", reference=ly16.zero_mode
-    )
-    on_disk = json.loads(path.read_text())
-    assert on_disk["eigenvalues"] == payload["eigenvalues"]
-    assert on_disk["sectors"] == "+ copied"
-    assert on_disk["solve_s"] > 0.0
-    # one sector solve: its thick restarts, and the k pairs it converged
-    assert on_disk["restarts"] == spectrum_ly.restarts >= 1
-    assert on_disk["nconv"] == spectrum_ly.nconv == 6
-    assert len(on_disk["eigenfield_files"]) == len(spectrum_ly.eigenfields)
-    assert len(on_disk["overlaps"]) == len(spectrum_ly.eigenfields)
-    from dirac_zero_lab.field import load_field
-
-    first = load_field(on_disk["eigenfield_files"][0])
-    assert first.grid == spectrum_ly.eigenfields[0].grid
-
-
-def test_decay_table_csv(tmp_path, ly16):
-    fit = decay_fit(ly16.zero_mode)
-    path = tmp_path / "decay.csv"
-    decay_table_to_csv(fit, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0].startswith("radius_inner")
-    assert len(rows) == 1 + len(fit.masses)
