@@ -4,12 +4,13 @@
 
 Each command of ``COMMANDS`` runs through ``cli.main`` in this interpreter,
 with ``OUTDIR`` as the working directory and ``--out NAME`` where it takes
-one, so every path it records is relative.  ``NAME.log`` holds its exit
-code, stdout and stderr, and ``NAME/`` its output files.  ``OUTDIR/MANIFEST``
-then lists ``sha256  path`` for every other file under ``OUTDIR``, after
-the wall times are replaced by ``-``: ``solve_s`` in ``eigenreport.json``,
-``elapsed`` in ``acceptance.json`` and the ``(x.xs)`` of each acceptance
-criterion line.
+one, so every path it records is relative; it first writes the potential
+that ``zero-mode-file`` reads to ``OUTDIR/POTENTIAL_FILE``.  ``NAME.log``
+holds its exit code, stdout and stderr, and ``NAME/`` its output files.
+``OUTDIR/MANIFEST`` then lists ``sha256  path`` for every other file under
+``OUTDIR``, after the wall times are replaced by ``-``: ``solve_s`` in
+``eigenreport.json``, ``elapsed`` in ``acceptance.json`` and the ``(x.xs)``
+of each acceptance criterion line.
 
 Two checkouts give equal answers when their manifests are equal
 (``diff A/MANIFEST B/MANIFEST``), and two runs of one checkout must always
@@ -27,7 +28,12 @@ import os
 import re
 import sys
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# the chirality-mixing potential of zero-mode-file, so that a 4-spinor solve is in the manifest
+POTENTIAL_FILE = "chirality-mixing.dzl1"
 
 # (name, argv): the name is the --out directory and the log's stem
 COMMANDS = [
@@ -35,6 +41,8 @@ COMMANDS = [
     ("zero-mode-loss-yau-seed-1", ["zero-mode", "--potential", "loss-yau", "--seed", "1"]),
     ("zero-mode-loss-yau-seed-7", ["zero-mode", "--potential", "loss-yau", "--seed", "7"]),
     ("zero-mode-scalar-decay", ["zero-mode", "--potential", "scalar-decay", "--L", "8", "--N", "16"]),
+    ("zero-mode-em", ["zero-mode", "--potential", "em", "--L", "8", "--N", "16"]),
+    ("zero-mode-file", ["zero-mode", "--potential", f"file:{POTENTIAL_FILE}", "--L", "8", "--N", "16"]),
     ("verify-freeop", ["verify-freeop"]),
     ("nw-sweep", ["nw-sweep", "--a", "1", "--b", "1/2"]),
     ("nw-sweep-p3", ["nw-sweep", "--a", "1", "--b", "1/2", "--p", "3", "--scales", "4,6,8"]),
@@ -56,6 +64,16 @@ def argv_of(name: str, argv: list[str]) -> list[str]:
     return argv if argv[0] == "clifford-check" else [*argv, "--out", name]
 
 
+def write_potential_file(path: str) -> None:
+    """The Loss-Yau Q plus 0.2 <x>^-2 beta on the (8, 16) grid: beta = diag(1, 1, -1, -1) mixes chiralities."""
+    from dirac_zero_lab import field, potential
+
+    g = field.GridSpec(8.0, 16)
+    beta = np.diag([1.0, 1.0, -1.0, -1.0])
+    values = potential.loss_yau_potential(g).values + 0.2 * ((1.0 + g.radius2) ** -1.0)[..., None, None] * beta
+    potential.save_potential(potential.PotentialField(g, values), path)
+
+
 def run(outdir: str) -> str:
     """Run every command into ``outdir`` and return the manifest's text."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -65,6 +83,7 @@ def run(outdir: str) -> str:
         raise SystemExit(f"{outdir} is not empty: the manifest lists every file in it")
     os.makedirs(outdir, exist_ok=True)
     os.chdir(outdir)
+    write_potential_file(POTENTIAL_FILE)
     for name, argv in COMMANDS:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

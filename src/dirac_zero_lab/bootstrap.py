@@ -79,24 +79,6 @@ class BootstrapTrace:
     def exponents(self) -> tuple[Fraction, ...]:
         return tuple(step.exponent for step in self.steps)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rho": [self.rho.numerator, self.rho.denominator],
-            "requested_rho": [self.requested_rho.numerator, self.requested_rho.denominator],
-            "clamped": self.clamped,
-            "n0": self.n0,
-            "boundary_flag": self.boundary_flag,
-            "terminal": self.terminal,
-            "steps": [
-                {
-                    "n": s.n,
-                    "exponent": [s.exponent.numerator, s.exponent.denominator],
-                    "justification": s.justification,
-                }
-                for s in self.steps
-            ],
-        }
-
 
 def bootstrap_trace(rho) -> BootstrapTrace:
     """Full exact trace of the decay iteration for a rational rho > 1.

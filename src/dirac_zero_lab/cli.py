@@ -218,7 +218,7 @@ def cmd_bootstrap(args) -> int:
         raise ValueError(str(exc)) from exc
     cfg = _settings(args)
     _emit_settings(cfg)
-    payload = trace.to_json_dict()
+    payload = _bootstrap_json(trace)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -266,6 +266,22 @@ def _remove_numbered_outputs(out: str) -> None:
         for name in os.listdir(folder) if os.path.isdir(folder) else ():
             if re.fullmatch(pattern, name):
                 os.remove(os.path.join(folder, name))
+
+
+def _bootstrap_json(trace: bs.BootstrapTrace) -> dict:
+    """bootstrap-trace.json and ``bootstrap --json``: each fraction as [numerator, denominator]."""
+    return {
+        "rho": [trace.rho.numerator, trace.rho.denominator],
+        "requested_rho": [trace.requested_rho.numerator, trace.requested_rho.denominator],
+        "clamped": trace.clamped,
+        "n0": trace.n0,
+        "boundary_flag": trace.boundary_flag,
+        "terminal": trace.terminal,
+        "steps": [
+            {"n": s.n, "exponent": [s.exponent.numerator, s.exponent.denominator], "justification": s.justification}
+            for s in trace.steps
+        ],
+    }
 
 
 def _emit_eigenreport(cfg: dict, report: resonance.EigenReport, reference: field.SpinorField | None) -> None:
@@ -347,6 +363,11 @@ def _criterion_indices(only: str | None, criteria: dict) -> list[int]:
     return sorted(indices)
 
 
+def _check_line(check: acc.CheckResult) -> str:
+    """One acceptance check as ``acceptance`` prints it."""
+    return f"    [{'ok' if check.passed else 'FAIL'}] {check.name}: {check.detail}"
+
+
 def cmd_acceptance(args) -> int:
     cfg = _settings(args)
     criteria = acc.CRITERIA
@@ -359,7 +380,7 @@ def cmd_acceptance(args) -> int:
         # each criterion's lines print as soon as it finishes
         print(f"[{'PASS' if result.passed else 'FAIL'}] criterion {idx}: {result.title} ({elapsed:.1f}s)")
         for check in result.checks:
-            print(f"    [{'ok' if check.passed else 'FAIL'}] {check.name}: {check.detail}")
+            print(_check_line(check))
     _emit_settings(cfg)
     payload = {
         f"criterion_{r.index}": {

@@ -112,16 +112,6 @@ def _convolution_kernel_fft(grid: GridSpec, exponent: float) -> np.ndarray:
     return spec
 
 
-def _linear_convolve(kernel_hat: np.ndarray, psi: np.ndarray, N: int) -> np.ndarray:
-    """Exact linear convolution sum_{y in box} K[x - y] psi[y] via zero padding."""
-    if np.iscomplexobj(psi):
-        return _linear_convolve(kernel_hat, psi.real, N) + 1j * _linear_convolve(
-            kernel_hat, psi.imag, N
-        )
-    # In place: a second (2N)^3 spectrum would raise the peak memory.
-    return _padded_convolve(psi, N, lambda psi_hat: np.multiply(psi_hat, kernel_hat, out=psi_hat))
-
-
 def _nw_operator(spec: NwKernelSpec, grid: GridSpec):
     """(apply, adjoint) of K phi = h^3 |x|^{-a} (G * (|y|^{-b} phi)), with G's FFT computed once."""
     if spec.d != 3:
@@ -135,17 +125,17 @@ def _nw_operator(spec: NwKernelSpec, grid: GridSpec):
         raise ValueError(f"the kernel of a={spec.a}, b={spec.b} is not finite on the grid (L={grid.L}, N={grid.N})")
     h3 = grid.cell_volume
 
-    # The convolution runs first, so no h^3-weight temporary is alive at its peak memory.
-    def apply(phi: np.ndarray) -> np.ndarray:
-        conv = _linear_convolve(kernel_hat, right * phi, grid.N)
-        return h3 * left * conv
+    def sandwich(w_in: np.ndarray, w_out: np.ndarray):
+        def apply(phi: np.ndarray) -> np.ndarray:
+            # In place, so no second (2N)^3 spectrum; and the convolution runs before
+            # the h^3-weight product, so no temporary of it is alive at the peak memory.
+            conv = _padded_convolve(w_in * phi, grid.N, lambda psi_hat: np.multiply(psi_hat, kernel_hat, out=psi_hat))
+            return h3 * w_out * conv
 
-    def adjoint(phi: np.ndarray) -> np.ndarray:
-        # Real symmetric convolution factor: adjoint swaps the weights.
-        conv = _linear_convolve(kernel_hat, left * phi, grid.N)
-        return h3 * right * conv
+        return apply
 
-    return apply, adjoint
+    # The convolution factor is real and symmetric: the adjoint swaps the weights.
+    return sandwich(right, left), sandwich(left, right)
 
 
 def nw_apply(spec: NwKernelSpec, phi: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -160,6 +150,8 @@ def nw_apply(spec: NwKernelSpec, phi: np.ndarray, grid: GridSpec) -> np.ndarray:
     if not np.all(np.isfinite(phi)):
         raise ValueError("input function must be finite")
     apply, _ = _nw_operator(spec, grid)
+    if np.iscomplexobj(phi):  # the kernel is real
+        return apply(phi.real) + 1j * apply(phi.imag)
     return apply(phi)
 
 
@@ -233,7 +225,6 @@ def estimate_norm(
 
 @dataclass(frozen=True)
 class NormSweepReport:
-    spec: NwKernelSpec
     scales: tuple[float, ...]
     estimates: tuple[NormEstimate, ...]
     growth_class: str  # stable | growing | inconclusive
@@ -293,7 +284,6 @@ def scale_sweep(spec: NwKernelSpec, scales, h: float, seed: int = 0) -> NormSwee
     else:
         agreement = "disagree"
     return NormSweepReport(
-        spec=spec,
         scales=tuple(scales),
         estimates=tuple(estimates),
         growth_class=growth,

@@ -81,19 +81,18 @@ def _chiral_blocks(Q: PotentialField):
     return None
 
 
-def _sector_matvec(grid: GridSpec, m: np.ndarray, sign: int):
-    """T_sign v = -sign S (m v) on chiral 2-spinors, S = (sigma.D)^{-1} the 2-spinor block of A.
+def _sector_matvec(grid: GridSpec, m: np.ndarray):
+    """T v = -S (m v) on chiral 2-spinors, S = (sigma.D)^{-1} the 2-spinor block of A.
 
-    A 4x4 ``m`` acts on 4-spinors instead, where sign +1 gives T v = -A (m v).
-    The product m v is written straight into the component-major buffer that
+    A 4x4 ``m`` acts on 4-spinors instead, where T v = -A (m v).  The product
+    -m v is written straight into the component-major buffer that
     :func:`freeop._multiply_planar` transforms, and ``v`` is only read.
     """
     width = m.shape[-1]
     shape = (grid.N, grid.N, grid.N, width)
     symbol = _symbol(grid, True)
-    m = np.moveaxis(m, -2, 0).copy()  # (a, N, N, N, b): m v comes out component-major
-    if sign > 0:
-        np.negative(m, out=m)  # negation commutes exactly with the products and the FFT
+    # (a, N, N, N, b): -m v comes out component-major; the negation commutes exactly with the products and the FFT
+    m = np.negative(np.moveaxis(m, -2, 0), order="C")
 
     def matvec(v: np.ndarray) -> np.ndarray:
         planar = np.empty((width,) + shape[:3], np.complex128)
@@ -137,6 +136,11 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
                 break
         return h, beta if beta > 64 * np.finfo(float).eps * start else 0.0
 
+    def rotate(C):
+        """V[:c] = C^T V[:m] in place, a block of columns at a time: no second basis."""
+        for s in range(0, n, RESTART_BLOCK):
+            V[: C.shape[1], s : s + RESTART_BLOCK] = C.T @ V[:m, s : s + RESTART_BLOCK]
+
     p = matvecs = 0
     for restart in range(max_iter):
         for j in range(p, m):
@@ -154,12 +158,14 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
         theta, Y = theta[order], Y[:, order]
         ok = np.abs(H[m] @ Y[:, :k]) <= tol * np.maximum(np.abs(theta[:k]), np.finfo(float).eps ** (2 / 3))
         if ok.all() or restart == max_iter - 1:
-            return theta[:k][ok], (Y[:, :k][:, ok].T @ V[:m]).T, matvecs, bool(ok.all()), restart
+            ritz = Y[:, :k][:, ok]
+            rotate(ritz)
+            V.resize((ritz.shape[1], n))  # keeps the Ritz vectors' rows and frees the rest of the basis
+            return theta[:k][ok], V.T, matvecs, bool(ok.all()), restart
         p = (m + k) // 2
         Qp = np.linalg.qr(Y[:, :p])[0]
         H[:p, :p], H[p, :p], H[p + 1 :], H[:, p:] = Qp.conj().T @ H[:m] @ Qp, H[m] @ Qp, 0.0, 0.0
-        for s in range(0, n, RESTART_BLOCK):  # rotate in place, a block of columns at a time: no second basis
-            V[:p, s : s + RESTART_BLOCK] = Qp.T @ V[:m, s : s + RESTART_BLOCK]
+        rotate(Qp)
         V[p] = V[m]
 
 
@@ -237,16 +243,16 @@ def birman_schwinger_spectrum(Q: PotentialField, k: int = 6, seed: int = DEFAULT
     # A view (solve, eigenvalue sign, lower-component sign) reports a solve's pairs
     # in one sector; lower sign 0 marks a 4-spinor solve, whose vectors are used as they are.
     if blocks is None:
-        sectors, solves, views = "full", [_sector_matvec(grid, Q.values, 1)], [(0, 1, 0)]
+        sectors, solves, views = "full", [_sector_matvec(grid, Q.values)], [(0, 1, 0)]
     else:
         a, b = blocks
         if not np.any(a):
-            sectors, solves, views = "+ copied", [_sector_matvec(grid, b, 1)], [(0, 1, 1), (0, 1, -1)]
+            sectors, solves, views = "+ copied", [_sector_matvec(grid, b)], [(0, 1, 1), (0, 1, -1)]
         elif not np.any(b):
-            sectors, solves, views = "+ negated", [_sector_matvec(grid, a, 1)], [(0, 1, 1), (0, -1, -1)]
+            sectors, solves, views = "+ negated", [_sector_matvec(grid, a)], [(0, 1, 1), (0, -1, -1)]
         else:
             sectors = "+-"
-            solves = [_sector_matvec(grid, a + b, 1), _sector_matvec(grid, a - b, -1)]
+            solves = [_sector_matvec(grid, a + b), _sector_matvec(grid, b - a)]  # T- = S (a - b) = -S (b - a)
             views = [(0, 1, 1), (1, 1, -1)]
     results = [_eigs(matvec, grid.npoints * width, k, seed) for matvec in solves]
 

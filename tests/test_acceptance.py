@@ -1,19 +1,20 @@
 """Release-gating acceptance criteria, one test per criterion.
 
-Each test prints one line per check.  Two checks encode tolerances that the
-pinned desk grids measurably cannot reach (see the failure details and the
-project notes); they are asserted as stated rather than loosened, so this
-module is expected to report their failures honestly.
+Each test prints one line per check, as ``acceptance`` prints it.  Two
+checks encode tolerances that the pinned desk grids measurably cannot reach
+(see the failure details and the project notes); they are asserted as stated
+rather than loosened, so this module is expected to report their failures
+honestly.
 """
 
-from dirac_zero_lab import acceptance
+from dirac_zero_lab import acceptance, cli
 
 
 def _run(index):
     result = acceptance.CRITERIA[index]()
     print()
     for check in result.checks:
-        print(f"[{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.detail}")
+        print(cli._check_line(check))
     failed = [c for c in result.checks if not c.passed]
     assert not failed, "; ".join(f"{c.name} ({c.detail})" for c in failed)
 

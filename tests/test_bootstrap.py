@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dirac_zero_lab import cli
 from dirac_zero_lab.bootstrap import (
     bootstrap_trace,
     map_weight_through_a,
@@ -157,7 +158,7 @@ def test_trace_exponents_strictly_increase_and_stay_exact():
 
 
 def test_trace_json_dict_is_exact():
-    payload = bootstrap_trace(F(8, 5)).to_json_dict()
+    payload = cli._bootstrap_json(bootstrap_trace(F(8, 5)))
     assert payload["rho"] == [8, 5]
     assert payload["n0"] == 3
     assert payload["steps"][1]["exponent"] == [-9, 10]

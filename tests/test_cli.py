@@ -262,6 +262,8 @@ def test_bootstrap_json_exact_pairs(capsys):
     code, out, _ = run_cli(capsys, "bootstrap", "--rho", "8/5", "--json")
     assert code == 0
     payload = json.loads(out)
+    assert payload["rho"] == [8, 5]
+    assert payload["n0"] == 3
     assert payload["steps"][1]["exponent"] == [-9, 10]
     assert payload["boundary_flag"] is False
 

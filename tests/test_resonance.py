@@ -162,7 +162,7 @@ def test_sector_report_matches_four_spinor_reference(sectors):
     rep = birman_schwinger_spectrum(Q, k=6)
     assert rep.sectors == sectors
     assert rep.converged and all(r <= 1e-8 for r in rep.residuals)
-    ref = _eigs(_sector_matvec(g, Q.values, 1), g.npoints * 4, 12, 20240301)[0]
+    ref = _eigs(_sector_matvec(g, Q.values), g.npoints * 4, 12, 20240301)[0]
     for lam in rep.eigenvalues:
         assert min(abs(lam - r) for r in ref) <= 1e-8
     _assert_pinned_order(rep)
@@ -219,18 +219,19 @@ def _random_block(g, width, seed):
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("width", [2, 4])
 def test_sector_matvec_is_bit_identical_to_joint_transform(width, sign):
-    # T v = -sign S (m v), S the inverse symbol: the sign folded into m gives the
-    # bits of an interleaved einsum, one joint transform pair and an explicit negation
+    # T+- v = -+S ((a +- b) v), S the inverse symbol, and the minus sector passes b - a:
+    # the negation folded into m gives the bits of an interleaved einsum on a +- b,
+    # one joint transform pair and, for T+, an explicit negation
     g = make_grid(6.0, 12)
-    m = _random_block(g, width, seed=width)
+    a, b = _random_block(g, width, seed=width), _random_block(g, width, seed=width + 4)
     rng = np.random.default_rng(sign + 2)
     v = rng.standard_normal(g.npoints * width) + 1j * rng.standard_normal(g.npoints * width)
-    mv = np.einsum("...ab,...b->...a", m, v.reshape((g.N,) * 3 + (width,)))
+    mv = np.einsum("...ab,...b->...a", a + b if sign > 0 else a - b, v.reshape((g.N,) * 3 + (width,)))
     ref = np.fft.ifftn(_dot_contract(_symbol(g, True), np.fft.fftn(mv, axes=(0, 1, 2))), axes=(0, 1, 2))
     ref = ref.ravel()
     if sign > 0:
         ref = np.negative(ref)
-    assert np.array_equal(_sector_matvec(g, m, sign)(v), ref)
+    assert np.array_equal(_sector_matvec(g, a + b if sign > 0 else b - a)(v), ref)
 
 
 @pytest.mark.parametrize("width", [2, 4])
@@ -241,7 +242,7 @@ def test_sector_matvec_leaves_its_argument_alone(width):
     rng = np.random.default_rng(width)
     V = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
     before = V.copy()
-    out = _sector_matvec(g, _random_block(g, width, seed=5), 1)(V[1])
+    out = _sector_matvec(g, _random_block(g, width, seed=5))(V[1])
     assert np.array_equal(V, before)
     assert out.shape == (n,) and out.flags.c_contiguous
 
@@ -329,15 +330,30 @@ def test_eigs_restart_blocking_changes_no_bit(monkeypatch):
 
 
 def test_eigs_holds_no_second_basis(grid16, q_ly16):
-    # the (16, 32) loss-yau sector solve: the basis, k Ritz vectors and a few
-    # n-vectors of matvec and Gram-Schmidt work, but no copy of the basis at a restart
-    matvec = _sector_matvec(grid16, resonance._chiral_blocks(q_ly16)[1], 1)
+    # the (16, 32) loss-yau sector solve: the basis and a few n-vectors of matvec and
+    # Gram-Schmidt work, but no copy of the basis at a restart and no Ritz vectors
+    # formed beside it: they are rotated into the basis's leading rows
+    matvec = _sector_matvec(grid16, resonance._chiral_blocks(q_ly16)[1])
     n, k = grid16.npoints * 2, 6
     m = max(2 * k + 1, resonance.ARNOLDI_MIN_BASIS)
     solves = []
     peak = traced_peak_bytes(lambda: solves.append(_eigs(matvec, n, k, resonance.DEFAULT_SEED)))
     assert solves[0][4] >= 1  # the solve restarted
-    assert peak < (m + 1 + k + 4) * n * 16
+    assert peak < (m + 8) * n * 16
+    vecs = solves[0][1]
+    assert vecs.shape == (n, k) and vecs.flags.f_contiguous and vecs.base.shape == (k, n)
+
+
+def test_two_sector_solve_frees_the_first_basis(grid16, ly16):
+    # the "+-" solve of the mixed em + scalar potential: while the second sector
+    # runs, the first keeps only its k Ritz rows, so no two bases are alive at once
+    Q = from_em(0.1 * (1.0 + grid16.radius2) ** -1.0, ly16.vector_potential, grid16)
+    n, k = grid16.npoints * 2, 6
+    m = max(2 * k + 1, resonance.ARNOLDI_MIN_BASIS)
+    reports = []
+    peak = traced_peak_bytes(lambda: reports.append(birman_schwinger_spectrum(Q, k=k)))
+    assert reports[0].sectors == "+-" and reports[0].converged
+    assert peak < 2 * (m + 1) * n * 16
 
 
 def _point_potential():
