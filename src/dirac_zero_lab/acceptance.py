@@ -276,11 +276,8 @@ def criterion_5() -> CriterionResult:
     fit = resonance.decay_fit(ly.zero_mode)
     res.add("decay fit sigma = 2.0 +- 0.15", abs(fit.sigma - 2.0) <= 0.15, f"sigma {fit.sigma:.3f}")
 
-    w = grid.bracket
-    dens = np.sum(np.abs(ly.zero_mode.values) ** 2, axis=-1) * w
-    r = np.sqrt(grid.radius2)
-    mask = (r >= 8.0) & (r < 16.0)
-    mass = float(np.sum(dens[mask]) * grid.cell_volume)
+    dens = np.sum(np.abs(ly.zero_mode.values) ** 2, axis=-1) * grid.bracket
+    (mass,), _ = resonance.shell_masses(grid, dens, [8.0, 16.0])
     target = 4.0 * np.pi * np.log(2.0)
     res.add(
         "weighted shell mass [8,16) within 15% of 4 pi ln 2",
@@ -440,10 +437,14 @@ def criterion_8() -> CriterionResult:
         modes = resonance.zero_modes(scaled, Q)
         any_modes += len(modes)
         for mode, resid in modes:
-            cls = resonance.classify_threshold_state(mode, resid)
+            try:
+                cls = resonance.classify_threshold_state(mode, resid)
+            except ValueError as exc:  # as zero-mode reports it: an outcome, not a usage error
+                kinds.append(f"{name}: unclassified ({exc})")
+                continue
             kinds.append(f"{name}: {cls.kind} (sigma {cls.fit.sigma:.2f})")
             mu_ok = mu_ok and all(v == "finite-trend" for v in cls.mu_check.values())
-    bad = [k for k in kinds if "resonance_candidate" in k or "inconclusive" in k]
+    bad = [k for k in kinds if any(word in k for word in ("resonance_candidate", "inconclusive", "unclassified"))]
     res.add(
         "every residual-gated state classifies zero_mode",
         not bad and any_modes > 0,

@@ -342,7 +342,7 @@ def cmd_zero_mode(args) -> int:
         )
         print(
             f"mode {i}: kind={cls.kind} sigma={fit.sigma:.3f}+-{fit.stderr:.3f} "
-            f"residual={cls.residual:.3e} mu_check={cls.mu_check}"
+            f"residual={resid:.3e} mu_check={cls.mu_check}"
         )
         exit_code = max(exit_code, {"inconclusive": 1, "resonance_candidate": 3}.get(cls.kind, 0))
     return exit_code

@@ -19,14 +19,12 @@ __all__ = [
     "FREQUENCY",
     "GridSpec",
     "SpinorField",
-    "ShellProfile",
     "make_grid",
     "random_field",
     "forward_fourier",
     "inverse_fourier",
     "l2_norm",
     "sobolev_norm",
-    "shell_profile",
     "restrict_to_subbox",
     "save_field",
     "load_field",
@@ -275,50 +273,6 @@ def sobolev_norm(f: SpinorField, s: float) -> float:
     weight = (1.0 + f.grid.freq_radius2) ** s  # <xi>^{2s}
     total = np.sum(weight * _pointwise_square(fhat.values)) * f.grid.freq_cell_volume
     return float(np.sqrt(total))
-
-
-@dataclass(frozen=True)
-class ShellProfile:
-    """Per-shell L^2 masses m_k = sum_{R_k <= |x| < R_{k+1}} |f|^2 h^3."""
-
-    edges: tuple[float, ...]
-    masses: tuple[float, ...]
-    counts: tuple[int, ...]
-
-    @property
-    def empty_shells(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.counts) if c == 0)
-
-    @property
-    def radii(self) -> tuple[float, ...]:
-        """Geometric-mean representative radius per shell."""
-        return tuple(
-            float(np.sqrt(a * b)) for a, b in zip(self.edges[:-1], self.edges[1:])
-        )
-
-
-def shell_profile(f: SpinorField, shell_edges) -> ShellProfile:
-    """L^2 mass of f between consecutive radii.  Empty shells are flagged."""
-    if f.space != POSITION:
-        raise ValueError("shell_profile expects a position-space field")
-    edges = [float(e) for e in shell_edges]
-    if len(edges) < 2:
-        raise ValueError("need at least two shell edges")
-    if any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ValueError("shell edges must be strictly increasing")
-    if edges[0] < 0:
-        raise ValueError("shell edges must be nonnegative")
-    rmax = f.grid.L * np.sqrt(3.0)
-    if edges[-1] > rmax * (1 + 1e-12):
-        raise ValueError(f"outermost edge {edges[-1]} exceeds the box corner radius {rmax:.6g}")
-    r = np.sqrt(f.grid.radius2)
-    density = _pointwise_square(f.values)
-    masses, counts = [], []
-    for a, b in zip(edges, edges[1:]):
-        mask = (r >= a) & (r < b)
-        counts.append(int(np.count_nonzero(mask)))
-        masses.append(float(np.sum(density[mask]) * f.grid.cell_volume))
-    return ShellProfile(edges=tuple(edges), masses=tuple(masses), counts=tuple(counts))
 
 
 def restrict_to_subbox(f: SpinorField) -> SpinorField:

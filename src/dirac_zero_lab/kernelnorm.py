@@ -166,15 +166,18 @@ def _power_iteration(apply_fwd, apply_adj, start, iterations) -> NormEstimate:
     """sqrt of the top eigenvalue of K^adj K by power iteration (L^2 operator norm).
 
     ``start`` is the seeded start vector; it becomes the iterate's buffer and
-    is overwritten.
+    is overwritten.  An image of K^adj K out of float range raises ValueError.
     """
     v = start
     v /= np.linalg.norm(v)
     est_prev = 0.0
     for it in range(1, iterations + 1):
-        u = apply_adj(apply_fwd(v))
+        with np.errstate(over="ignore", invalid="ignore"):  # an image out of float range is reported below
+            u = apply_adj(apply_fwd(v))
+            nu = np.linalg.norm(u)
+        if not np.isfinite(nu):
+            raise ValueError(f"K^T K left the floating-point range in power iteration (image norm {nu})")
         est = float(np.sqrt(max(np.real(np.vdot(v, u)), 0.0)))
-        nu = np.linalg.norm(u)
         if nu == 0.0:
             return NormEstimate(0.0, it, True)
         np.divide(u, nu, out=v)
@@ -194,7 +197,7 @@ def _lp_norm(x: np.ndarray, p: float, h3: float) -> float:
 
 
 def _random_trials_norm(apply, grid: GridSpec, p: float, seed: int, trials: int) -> NormEstimate:
-    """Lower-bound proxy for p != 2: max ||K phi||_p / ||phi||_p over seeded trials."""
+    """Lower-bound proxy for p != 2: max ||K phi||_p / ||phi||_p over seeded trials (ValueError if K phi overflows)."""
     rng = np.random.default_rng(seed)
     h3 = grid.cell_volume
     best = 0.0
@@ -203,7 +206,11 @@ def _random_trials_norm(apply, grid: GridSpec, p: float, seed: int, trials: int)
         width = rng.uniform(0.5, grid.L / 2)
         phi = np.exp(-_squared_norm([x - c for x, c in zip(grid.coords, center)]) / (2 * width**2))
         phi += 0.1 * rng.standard_normal(phi.shape)
-        best = max(best, _lp_norm(apply(phi), p, h3) / _lp_norm(phi, p, h3))
+        with np.errstate(over="ignore", invalid="ignore"):  # an image out of float range is reported below
+            norm = _lp_norm(apply(phi), p, h3)
+        if not np.isfinite(norm):
+            raise ValueError(f"K left the floating-point range on a trial function (image L^{p} norm {norm})")
+        best = max(best, norm / _lp_norm(phi, p, h3))
     return NormEstimate(best, trials, True)
 
 

@@ -23,9 +23,9 @@ from .field import (
     POSITION,
     GridSpec,
     SpinorField,
+    _pointwise_square,
     l2_norm,
     restrict_to_subbox,
-    shell_profile,
     sobolev_norm,
 )
 from .freeop import _dot_contract, _multiply_planar, _sigma_coeffs, _symbol, apply_h0
@@ -43,6 +43,7 @@ __all__ = [
     "real_eigenvalues",
     "decay_fit",
     "default_shell_edges",
+    "shell_masses",
     "mu_trend",
     "classify_threshold_state",
     "weighted_derivative_identity_check",
@@ -160,7 +161,9 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
         if ok.all() or restart == max_iter - 1:
             ritz = Y[:, :k][:, ok]
             rotate(ritz)
-            V.resize((ritz.shape[1], n))  # keeps the Ritz vectors' rows and frees the rest of the basis
+            # keeps the Ritz rows and frees the rest; no view of V outlives rotate, and the reference
+            # check would refuse the V that a tracer's frame-locals snapshot holds (cProfile, pdb, coverage)
+            V.resize((ritz.shape[1], n), refcheck=False)
             return theta[:k][ok], V.T, matvecs, bool(ok.all()), restart
         p = (m + k) // 2
         Qp = np.linalg.qr(Y[:, :p])[0]
@@ -363,20 +366,43 @@ def default_shell_edges(grid: GridSpec) -> list[float]:
     return sorted(edges)
 
 
+def shell_masses(grid: GridSpec, density: np.ndarray, edges) -> tuple[list[float], list[int]]:
+    """Per shell R_k <= |x| < R_{k+1} of ``edges``: sum density h^3, and the number of lattice points."""
+    r = np.sqrt(grid.radius2)
+    masses, counts = [], []
+    for a, b in zip(edges, edges[1:]):
+        mask = (r >= a) & (r < b)
+        masses.append(float(np.sum(density[mask]) * grid.cell_volume))
+        counts.append(int(np.count_nonzero(mask)))
+    return masses, counts
+
+
 def decay_fit(f: SpinorField, shells=None) -> DecayFit:
-    """Fit log shell mass against log radius; mass(R..2R) ~ R^{3 - 2 sigma}."""
+    """Fit log shell mass against log radius; mass(R..2R) ~ R^{3 - 2 sigma}.
+
+    ``shells``: at least 5 strictly increasing, nonnegative edges within the box corner (default_shell_edges).
+    """
+    if f.space != POSITION:
+        raise ValueError("decay_fit expects a position-space field")
     edges = list(shells) if shells is not None else default_shell_edges(f.grid)
     if len(edges) < 5:
         raise ValueError(f"need at least 4 shells (5 edges), got {len(edges) - 1}")
-    prof = shell_profile(f, edges)
-    if prof.empty_shells:
-        raise ValueError(f"empty shells at indices {prof.empty_shells}")
-    masses = np.array(prof.masses)
-    if np.any(masses <= 0):
-        dead = [i for i, m in enumerate(masses) if m <= 0]
+    if any(b <= a for a, b in zip(edges, edges[1:])):
+        raise ValueError("shell edges must be strictly increasing")
+    if edges[0] < 0:
+        raise ValueError("shell edges must be nonnegative")
+    rmax = f.grid.L * np.sqrt(3.0)
+    if edges[-1] > rmax * (1 + 1e-12):
+        raise ValueError(f"outermost edge {float(edges[-1])} exceeds the box corner radius {rmax:.6g}")
+    masses, counts = shell_masses(f.grid, _pointwise_square(f.values), edges)
+    if 0 in counts:
+        raise ValueError(f"empty shells at indices {tuple(i for i, c in enumerate(counts) if c == 0)}")
+    dead = [i for i, m in enumerate(masses) if m <= 0]
+    if dead:
         raise ValueError(f"zero-mass shells at indices {dead}; decay fit is undefined")
-    logs_r = np.log(np.array(prof.radii))
-    logs_m = np.log(masses)
+    radii = [float(np.sqrt(a * b)) for a, b in zip(edges[:-1], edges[1:])]  # geometric mean of each shell's edges
+    logs_r = np.log(np.array(radii))
+    logs_m = np.log(np.array(masses))
     coeffs, cov = np.polyfit(logs_r, logs_m, 1, cov=True)
     slope = float(coeffs[0])
     slope_err = float(np.sqrt(cov[0, 0]))
@@ -385,7 +411,7 @@ def decay_fit(f: SpinorField, shells=None) -> DecayFit:
         stderr=slope_err / 2.0,
         slope=slope,
         edges=tuple(edges),
-        masses=tuple(prof.masses),
+        masses=tuple(masses),
     )
 
 
@@ -394,7 +420,6 @@ class ThresholdClassification:
     kind: str  # zero_mode | resonance_candidate | inconclusive
     fit: DecayFit
     mu_check: dict
-    residual: float
 
 
 def _h1_partial_quantity(f: SpinorField, mu: float) -> float:
@@ -436,12 +461,7 @@ def classify_threshold_state(f: SpinorField, res: float) -> ThresholdClassificat
     else:
         kind = "resonance_candidate"
     checks = {mu: mu_trend(f, mu) for mu in MU_CHECKS}
-    return ThresholdClassification(
-        kind=kind,
-        fit=fit,
-        mu_check=checks,
-        residual=res,
-    )
+    return ThresholdClassification(kind=kind, fit=fit, mu_check=checks)
 
 
 def weighted_derivative_identity_check(f: SpinorField, mu: float) -> float:

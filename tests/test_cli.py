@@ -556,9 +556,7 @@ def test_zero_mode_exit_three_on_resonance_candidate(capsys, tmp_path, monkeypat
 
     def fake_classify(f, res, **kwargs):
         fit = resonance.DecayFit(sigma=1.0, stderr=0.1, slope=1.0, edges=(1.0, 2.0), masses=(1.0,))
-        return resonance.ThresholdClassification(
-            kind="resonance_candidate", fit=fit, mu_check={}, residual=0.01
-        )
+        return resonance.ThresholdClassification(kind="resonance_candidate", fit=fit, mu_check={})
 
     monkeypatch.setattr(cli.resonance, "birman_schwinger_spectrum", fake_spectrum)
     monkeypatch.setattr(cli.resonance, "residual", lambda f, Q: 0.01)
@@ -728,6 +726,10 @@ def test_grid_without_finite_cell_volume_is_usage_error(capsys, tmp_path, comman
         (["--a", "1e300", "--b", "1/2"], "not finite on the grid"),
         (["--a", "1", "--b", "1e300"], "not finite on the grid"),
         (["--a", "1", "--b", "1/2", "--p", "3", "--h", "1e-300"], "cell volume"),
+        # a finite kernel whose K^T K image overflows (to inf at a = 100, to nan at a = 200)
+        (["--a", "100", "--b", "1"], "left the floating-point range"),
+        (["--a", "200", "--b", "1"], "left the floating-point range"),
+        (["--a", "300", "--b", "1", "--p", "3"], "left the floating-point range"),
     ],
 )
 def test_nw_sweep_unevaluable_kernel_is_usage_error(capsys, tmp_path, flags, message):

@@ -15,7 +15,6 @@ from dirac_zero_lab.field import (
     random_field,
     restrict_to_subbox,
     save_field,
-    shell_profile,
     sobolev_norm,
 )
 
@@ -256,66 +255,6 @@ def test_sobolev_gaussian_moment_ratio():
     f = gaussian_field(g)
     ratio = sobolev_norm(f, 1.0) / l2_norm(f)
     assert ratio == pytest.approx(np.sqrt(2.5), rel=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# shells
-# ---------------------------------------------------------------------------
-
-
-def test_shell_profile_uniform_field_equal_volume_shells():
-    g = make_grid(16.0, 32)
-    vals = np.zeros((g.N, g.N, g.N, 4), dtype=complex)
-    vals[..., 0] = 1.0
-    f = SpinorField(g, vals)
-    # equal-volume shells: cube the radii arithmetically
-    lo, hi = 4.0**3, 8.0**3
-    edges = [(lo + k * (hi - lo) / 3.0) ** (1.0 / 3.0) for k in range(4)]
-    prof = shell_profile(f, edges)
-    masses = np.array(prof.masses)
-    assert np.all(np.abs(masses / masses.mean() - 1.0) <= 0.05)
-
-
-def test_shell_profile_support():
-    g = make_grid(8.0, 16)
-    vals = np.zeros((g.N, g.N, g.N, 4), dtype=complex)
-    vals[..., 0] = np.where(g.radius2 < 1.0, 1.0, 0.0)
-    f = SpinorField(g, vals)
-    prof = shell_profile(f, [2.0, 3.0])
-    assert prof.masses[0] == 0.0
-    assert prof.counts[0] > 0
-
-
-def test_shell_profile_dyadic_halving_for_inverse_square_bracket():
-    g = make_grid(32.0, 64)
-    f = bracket_power_field(g, -2.0)
-    prof = shell_profile(f, [4.0, 8.0, 16.0, 32.0])
-
-    def radial(rr):  # integral of r^2 (1+r^2)^{-2}
-        return 0.5 * np.arctan(rr) - rr / (2.0 * (1.0 + rr**2))
-
-    for (a, b), mass in zip(((4, 8), (8, 16), (16, 32)), prof.masses):
-        oracle = 4.0 * np.pi * (radial(b) - radial(a))
-        assert mass == pytest.approx(oracle, rel=0.05)
-    assert prof.masses[1] / prof.masses[0] == pytest.approx(0.5, abs=0.08)
-
-
-def test_shell_profile_flags_empty_shells():
-    g = make_grid(8.0, 16)
-    f = random_field(g, seed=12)
-    prof = shell_profile(f, [1e-9, 0.5, 1.5])  # no lattice point has 0 < |x| < 0.5 at h = 1
-    assert prof.empty_shells == (0,)
-
-
-def test_shell_profile_rejects_bad_edges():
-    g = make_grid(8.0, 16)
-    f = random_field(g, seed=13)
-    with pytest.raises(ValueError):
-        shell_profile(f, [2.0, 1.0])
-    with pytest.raises(ValueError):
-        shell_profile(f, [1.0, 100.0])
-    total = sum(shell_profile(f, [0.0, 4.0, 8.0]).masses)
-    assert total <= l2_norm(f) ** 2 + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from functools import cmp_to_key
 
 import numpy as np
@@ -9,6 +10,8 @@ from dirac_zero_lab.clifford import ALPHA
 from dirac_zero_lab.field import (
     POSITION,
     SpinorField,
+    _pointwise_square,
+    forward_fourier,
     l2_norm,
     make_grid,
     random_field,
@@ -30,6 +33,7 @@ from dirac_zero_lab.resonance import (
     mu_trend,
     real_eigenvalues,
     residual,
+    shell_masses,
     subspace_overlap,
     weighted_derivative_identity_check,
     zero_modes,
@@ -356,6 +360,24 @@ def test_two_sector_solve_frees_the_first_basis(grid16, ly16):
     assert peak < 2 * (m + 1) * n * 16
 
 
+@pytest.mark.parametrize("hook", [sys.setprofile, sys.settrace])
+@pytest.mark.parametrize("scalar", [0.0, 0.1])
+def test_spectrum_is_unchanged_under_a_tracer(hook, scalar):
+    # a profiler's or debugger's frame-locals snapshot holds a second reference to the
+    # Krylov basis, which the in-place shrink of its rows must not refuse
+    g = make_grid(8.0, 16)
+    Q = from_em(scalar * (1.0 + g.radius2) ** -1.0, loss_yau(g).vector_potential, g)
+    plain = birman_schwinger_spectrum(Q, k=4)
+    hook(lambda frame, event, arg: None)
+    try:
+        traced = birman_schwinger_spectrum(Q, k=4)
+    finally:
+        hook(None)
+    assert traced.sectors == plain.sectors == ("+ copied" if scalar == 0.0 else "+-")
+    assert np.array_equal(traced.eigenvalues, plain.eigenvalues)
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(traced.eigenfields, plain.eigenfields))
+
+
 def _point_potential():
     """Q = -alpha_3 delta at the origin of the (L=4, N=8) grid: T has rank 2 on each chiral sector."""
     g = make_grid(4.0, 8)
@@ -527,6 +549,60 @@ def test_decay_fit_flags_empty_outer_shells(grid16):
 def test_decay_fit_requires_enough_shells(ly16):
     with pytest.raises(ValueError, match="shells"):
         decay_fit(ly16.zero_mode, shells=[2.0, 4.0, 8.0])
+
+
+def test_shell_masses_uniform_field_equal_volume_shells():
+    g = make_grid(16.0, 32)
+    # equal-volume shells: cube the radii arithmetically
+    lo, hi = 4.0**3, 8.0**3
+    edges = [(lo + k * (hi - lo) / 3.0) ** (1.0 / 3.0) for k in range(4)]
+    masses = np.array(shell_masses(g, np.ones((g.N,) * 3), edges)[0])
+    assert np.all(np.abs(masses / masses.mean() - 1.0) <= 0.05)
+
+
+def test_shell_masses_support():
+    g = make_grid(8.0, 16)
+    masses, counts = shell_masses(g, np.where(g.radius2 < 1.0, 1.0, 0.0), [2.0, 3.0])
+    assert masses[0] == 0.0
+    assert counts[0] > 0
+
+
+def test_shell_masses_dyadic_halving_for_inverse_square_bracket():
+    g = make_grid(32.0, 64)
+    f = bracket_field(g, -2.0)
+    masses, _ = shell_masses(g, _pointwise_square(f.values), [4.0, 8.0, 16.0, 32.0])
+
+    def radial(rr):  # integral of r^2 (1+r^2)^{-2}
+        return 0.5 * np.arctan(rr) - rr / (2.0 * (1.0 + rr**2))
+
+    for (a, b), mass in zip(((4, 8), (8, 16), (16, 32)), masses):
+        oracle = 4.0 * np.pi * (radial(b) - radial(a))
+        assert mass == pytest.approx(oracle, rel=0.05)
+    assert masses[1] / masses[0] == pytest.approx(0.5, abs=0.08)
+
+
+def test_decay_fit_flags_empty_shells():
+    g = make_grid(8.0, 16)
+    f = random_field(g, seed=12)
+    edges = [1e-9, 0.5, 1.5, 2.5, 3.5]  # no lattice point has 0 < |x| < 0.5 at h = 1
+    assert shell_masses(g, _pointwise_square(f.values), edges)[1][0] == 0
+    with pytest.raises(ValueError, match=r"empty shells at indices \(0,\)"):
+        decay_fit(f, shells=edges)
+
+
+def test_decay_fit_rejects_bad_edges():
+    g = make_grid(8.0, 16)
+    f = random_field(g, seed=13)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        decay_fit(f, shells=[1.0, 2.0, 4.0, 3.0, 5.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        decay_fit(f, shells=[-1.0, 1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="box corner"):
+        decay_fit(f, shells=[1.0, 2.0, 3.0, 4.0, 100.0])
+    with pytest.raises(ValueError, match="position-space"):
+        decay_fit(forward_fourier(f))
+    total = sum(shell_masses(g, _pointwise_square(f.values), [0.0, 4.0, 8.0])[0])
+    assert total <= l2_norm(f) ** 2 + 1e-12
 
 
 def test_default_shell_edges_geometric(grid16):
