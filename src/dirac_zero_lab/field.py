@@ -9,6 +9,9 @@ comparable on well-resolved grids and makes Parseval exact on the lattice.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -229,31 +232,118 @@ def _padded_offsets(grid: GridSpec) -> tuple[tuple[np.ndarray, ...], np.ndarray]
     return z, r2
 
 
+_SHARED_MIN = 1 << 15  # elements of a pass below which it runs serially: sharing broke even near N = 24 on 2 cores
+_BLOCK = 8  # lines of the split axis in one block
+_helper = None  # the one helper thread (a ThreadPoolExecutor), started by the first shared pass
+_helper_lock = threading.Lock()
+_on_helper = threading.local()
+
+
+def _allowed_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _in_blocks(job, length: int, size: int) -> None:
+    """Call ``job(s)`` for consecutive slices ``s`` of ``_BLOCK`` lines that cover ``range(length)``.
+
+    ``size`` is the element count of the pass.  On two or more allowed CPUs a
+    large pass is shared: the caller works through the blocks, and one helper
+    thread pulls from the same iterator whenever it gets a CPU, in a copy of
+    the caller's context (numpy's ``errstate`` is a context variable).  The
+    caller never waits for a job that has not started, only for the block the
+    helper is running, so a busy helper costs about a serial pass; and the
+    helper runs its own passes serially, so it never waits for itself.
+    """
+    blocks = iter([slice(i, i + _BLOCK) for i in range(0, length, _BLOCK)])
+    if size < _SHARED_MIN or getattr(_on_helper, "active", False) or _allowed_cpus() < 2:
+        for b in blocks:
+            job(b)
+        return
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                b = next(blocks, None)
+            if b is None:
+                return
+            job(b)
+
+    future = _helper_pool().submit(contextvars.copy_context().run, drain)
+    try:
+        drain()
+    finally:
+        if not future.cancel():
+            future.result()
+
+
+def _helper_pool():
+    """The helper thread's executor, started on first use; its thread marks itself in ``_on_helper``."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            from concurrent.futures import ThreadPoolExecutor  # here, not at import: it loads logging
+
+            _helper = ThreadPoolExecutor(1, initializer=setattr, initargs=(_on_helper, "active", True))
+        return _helper
+
+
 def _padded_convolve(values: np.ndarray, N: int, apply_kernel) -> np.ndarray:
     """Exact linear convolution sum_{y in box} K[x - y] values[y] by zero padding.
 
-    The box is on the leading three axes; ``apply_kernel`` multiplies the
-    (2N)^3 spectrum (``rfftn`` layout for real input, else ``fftn``) by the
-    kernel's transform and returns the product.  The transforms are pruned:
-    forward, axis 2 runs on only the N^2 input rows and axis 1 on only the N
-    nonzero planes; inverse, each axis runs in place and is cropped to N before
-    the next.  That runs 7/12 of the full pair's length-2N transforms (1/2 for
-    real input), in one spectrum buffer and no (2N)^3 pad.  The axes run in
-    numpy's order (``irfftn``: 0, 1, 2; ``ifftn``: 2, 1, 0), so the result is
-    bit-identical to padding, transforming in full and cropping.
+    The box is on the leading three axes.  ``apply_kernel(spec, cols)`` multiplies
+    the axis-1 columns ``cols`` of the (2N)^3 spectrum (``rfftn`` layout for
+    real input, else ``fftn``) by the kernel's transform and returns the product.
+    The transforms are pruned: forward, axis 2 runs on only the N^2 input rows
+    and axis 1 on only the N nonzero planes; inverse, each axis is cropped to N
+    before the next.  Real input never builds the (2N)^3 spectrum: axis 0 runs
+    on blocks of columns of the (N, 2N, N+1) half spectrum, each padded, multiplied,
+    inverted and cropped on its own.  Its passes are shared with a helper thread
+    (:func:`_in_blocks`); complex input runs serially in one spectrum buffer.
+    Each 1-D line is transformed exactly once, on the same data and in numpy's
+    axis order (``irfftn``: 0, 1, 2; ``ifftn``: 2, 1, 0), so the result is
+    bit-identical to padding, transforming in full and cropping, whatever the
+    blocks, the thread that runs each, or the CPU count.
     """
     n = 2 * N
-    real = not np.iscomplexobj(values)
-    rows = (np.fft.rfft if real else np.fft.fft)(values, n=n, axis=2)
-    spec = np.empty((n, n) + rows.shape[2:], np.complex128)
-    np.fft.fft(rows, n=n, axis=1, out=spec[:N])
-    del rows
-    spec[N:] = 0.0
-    conv = apply_kernel(np.fft.fft(spec, axis=0, out=spec))
-    for axis in (0, 1) if real else (2, 1, 0):
-        np.fft.ifft(conv, axis=axis, out=conv)
-        conv = conv[(slice(None),) * axis + (slice(N),)]
-    return np.fft.irfft(conv, n=n, axis=2)[:, :, :N] if real else conv
+    if np.iscomplexobj(values):
+        rows = np.fft.fft(values, n=n, axis=2)
+        spec = np.empty((n, n) + rows.shape[2:], np.complex128)
+        np.fft.fft(rows, n=n, axis=1, out=spec[:N])
+        del rows
+        spec[N:] = 0.0
+        conv = apply_kernel(np.fft.fft(spec, axis=0, out=spec), slice(None))
+        for axis in (2, 1, 0):
+            np.fft.ifft(conv, axis=axis, out=conv)
+            conv = conv[(slice(None),) * axis + (slice(N),)]
+        return conv
+    half = np.empty((N, n, N + 1), np.complex128)  # transformed on axes 2 and 1, not yet padded on 0
+    out = np.empty((N, N, n))
+    pads = threading.local()  # one padded column block per thread: a new one per block page-faults again
+
+    def forward_planes(b):
+        np.fft.rfft(values[b], n=n, axis=2, out=half[b, :N])
+        half[b, N:] = 0.0
+        np.fft.fft(half[b], axis=1, out=half[b])
+
+    def columns(cols):
+        if not hasattr(pads, "block"):
+            pads.block = np.empty((n, _BLOCK, N + 1), np.complex128)
+        src = half[:, cols]
+        block = pads.block[:, : src.shape[1]]
+        block[:N] = src
+        block[N:] = 0.0
+        block = apply_kernel(np.fft.fft(block, axis=0, out=block), cols)
+        src[...] = np.fft.ifft(block, axis=0, out=block)[:N]
+
+    def inverse_planes(b):
+        np.fft.ifft(half[b], axis=1, out=half[b])
+        np.fft.irfft(half[b, :N], n=n, axis=2, out=out[b])
+
+    for job, length in ((forward_planes, N), (columns, n), (inverse_planes, N)):
+        _in_blocks(job, length, half.size)
+    return out[:, :, :N]
 
 
 def _pointwise_square(values: np.ndarray) -> np.ndarray:

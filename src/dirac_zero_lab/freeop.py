@@ -171,7 +171,7 @@ def apply_a_quadrature(f: SpinorField) -> SpinorField:
     inv_r3 = 1.0 / (r2 * np.sqrt(r2))
     inv_r3[0, 0, 0] = 0.0  # principal value: drop y = x
     kernel_hat = _sigma_coeffs(*(np.fft.fftn(c * inv_r3) for c in z))
-    out = _padded_convolve(f.values, g.N, lambda fhat: _dot_contract(kernel_hat, fhat))
+    out = _padded_convolve(f.values, g.N, lambda fhat, cols: _dot_contract([c[:, cols] for c in kernel_hat], fhat))
     return SpinorField(g, out * (1j / (4.0 * np.pi) * g.cell_volume), POSITION)
 
 

@@ -18,7 +18,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .field import GridSpec, _padded_convolve, _padded_offsets, _squared_norm
+from .field import GridSpec, _in_blocks, _padded_convolve, _padded_offsets, _squared_norm
 from .freeop import _multiply_planar, _symbol
 
 __all__ = [
@@ -105,10 +105,17 @@ def _convolution_kernel_fft(grid: GridSpec, exponent: float) -> np.ndarray:
     _, zz = _padded_offsets(grid)
     kernel = np.power(zz, -exponent / 2.0, out=zz)
     kernel[0, 0, 0] = 0.0  # diagonal omitted, whatever the exponent sign
-    # rfftn's own axis order (2, then 1, then 0), with the complex axes in place
-    spec = np.fft.rfft(kernel, axis=2)
-    for axis in (1, 0):
-        np.fft.fft(spec, axis=axis, out=spec)
+    # rfftn's own axis order (2, then 1, then 0), in place, in two passes
+    # that are each split along an axis they do not transform
+    n = 2 * grid.N
+    spec = np.empty((n, n, grid.N + 1), np.complex128)
+
+    def planes(b):
+        np.fft.rfft(kernel[b], axis=2, out=spec[b])
+        np.fft.fft(spec[b], axis=1, out=spec[b])
+
+    _in_blocks(planes, n, spec.size)
+    _in_blocks(lambda cols: np.fft.fft(spec[:, cols], axis=0, out=spec[:, cols]), n, spec.size)
     return spec
 
 
@@ -127,9 +134,11 @@ def _nw_operator(spec: NwKernelSpec, grid: GridSpec):
 
     def sandwich(w_in: np.ndarray, w_out: np.ndarray):
         def apply(phi: np.ndarray) -> np.ndarray:
-            # In place, so no second (2N)^3 spectrum; and the convolution runs before
+            # In place on each block of columns; and the convolution runs before
             # the h^3-weight product, so no temporary of it is alive at the peak memory.
-            conv = _padded_convolve(w_in * phi, grid.N, lambda psi_hat: np.multiply(psi_hat, kernel_hat, out=psi_hat))
+            conv = _padded_convolve(
+                w_in * phi, grid.N, lambda psi_hat, cols: np.multiply(psi_hat, kernel_hat[:, cols], out=psi_hat)
+            )
             return h3 * w_out * conv
 
         return apply

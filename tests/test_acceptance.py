@@ -92,6 +92,7 @@ def test_criterion_8_reports_an_unclassifiable_mode(monkeypatch, tmp_path, ly16)
     assert not checks[0]["passed"]
     assert checks[0]["detail"].split("; ")[0] == "loss-yau: unclassified (too few shells)"
     assert not checks[1]["passed"] and checks[1]["detail"] == "5 bad outcomes"
+    assert not checks[2]["passed"] and checks[2]["detail"] == "0 of 5 modes checked"
 
 
 def test_mutation_smoke_corrupted_matrix_fails_criterion_1(monkeypatch):

@@ -582,6 +582,31 @@ def test_cli_outputs_are_bit_for_bit_reproducible(capsys, tmp_path):
     assert strip(tmp_path / "one" / "run-config.cfg") == strip(tmp_path / "two" / "run-config.cfg")
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_nw_sweep_on_one_cpu_writes_the_same_bytes(tmp_path):
+    # the convolution shares its passes with a helper thread only where two CPUs are allowed;
+    # L = 16 and 17 (N = 32, 34) take that path. The child restricts itself as its first
+    # statement, because preexec_fn is unsafe in this process, which may hold a helper thread.
+    # BLAS sizes its own thread pool from the allowed CPUs, which moves the last bits of
+    # the L = 17 estimate at the parent commit too, so both children run one BLAS thread.
+    import dirac_zero_lab
+
+    src = os.path.dirname(os.path.dirname(dirac_zero_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    cpu = min(os.sched_getaffinity(0))
+    runs = []
+    for name, restrict in (("one", f"os.sched_setaffinity(0, {{{cpu}}})"), ("all", "pass")):
+        out = tmp_path / name
+        argv = ["nw-sweep", "--a", "1", "--b", "1/2", "--scales", "8,16,17", "--out", str(out)]
+        probe = f"import os; {restrict}; from dirac_zero_lab.cli import main; raise SystemExit(main({argv!r}))"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, timeout=300)
+        stdout = proc.stdout.replace(str(out).encode(), b"OUT")
+        runs.append((proc.returncode, stdout, (out / "nw-sweep.csv").read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and b"L=17.0: norm estimate" in runs[0][1]
+
+
 def test_zero_mode_output_root_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("DZL_OUTPUT_ROOT", str(tmp_path))
     code, out, _ = run_cli(capsys, "zero-mode", "--potential", "zero", "--L", "8", "--N", "16")

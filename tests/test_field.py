@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import coordinate_mesh, traced_peak_bytes
+from dirac_zero_lab import field
 from dirac_zero_lab.field import (
     FREQUENCY,
     POSITION,
@@ -138,15 +139,15 @@ def padded_convolve_reference(values, N, apply_kernel):
     pad = np.zeros(shape + values.shape[3:], dtype=values.dtype)
     pad[:N, :N, :N] = values
     if np.iscomplexobj(values):
-        conv = np.fft.ifftn(apply_kernel(np.fft.fftn(pad, axes=axes)), axes=axes)
+        conv = np.fft.ifftn(apply_kernel(np.fft.fftn(pad, axes=axes), slice(None)), axes=axes)
     else:
-        conv = np.fft.irfftn(apply_kernel(np.fft.rfftn(pad, axes=axes)), s=shape, axes=axes)
+        conv = np.fft.irfftn(apply_kernel(np.fft.rfftn(pad, axes=axes), slice(None)), s=shape, axes=axes)
     return conv[:N, :N, :N]
 
 
-@pytest.mark.parametrize("N", [4, 8, 16])
+@pytest.mark.parametrize("N", [4, 8, 16, 32, 34])
 @pytest.mark.parametrize("trailing", [(), (4,)])
-def test_pruned_padded_convolve_is_bit_identical_to_full_padding(N, trailing):
+def test_pruned_padded_convolve_is_bit_identical_to_full_padding(monkeypatch, N, trailing):
     rng = np.random.default_rng(N + len(trailing))
     values = rng.standard_normal((N, N, N) + trailing)
     if trailing:
@@ -156,15 +157,35 @@ def test_pruned_padded_convolve_is_bit_identical_to_full_padding(N, trailing):
     kernel_hat = rng.standard_normal((2 * N, 2 * N, last))
     kernel_hat = kernel_hat * np.exp(1j * rng.uniform(0, 2 * np.pi, kernel_hat.shape))
 
-    def apply_kernel(spec):  # in place as in kernelnorm, or a new array as in freeop
+    def apply_kernel(spec, cols):  # in place as in kernelnorm, or a new array as in freeop
         if not trailing:
-            return np.multiply(spec, kernel_hat, out=spec)
-        return kernel_hat[..., None] * spec[..., ::-1] + spec
+            return np.multiply(spec, kernel_hat[:, cols], out=spec)
+        return kernel_hat[:, cols, :, None] * spec[..., ::-1] + spec
 
-    out = _padded_convolve(values, N, apply_kernel)
     ref = padded_convolve_reference(values, N, apply_kernel)
-    assert out.shape == ref.shape
-    assert np.array_equal(out, ref)
+    # on the shared path and on one CPU; N = 32 and 34 share their real passes,
+    # and the 2N = 68 columns of N = 34 end in a short block
+    for cpus in (2, 1):
+        monkeypatch.setattr(field, "_allowed_cpus", lambda: cpus)
+        out = _padded_convolve(values, N, apply_kernel)
+        assert out.shape == ref.shape
+        assert np.array_equal(out, ref)
+
+
+def test_padded_convolve_inside_a_helper_job_matches_the_serial_one(monkeypatch):
+    # the helper thread runs its own passes serially, so a convolution started on it
+    # never waits for itself; the result is the serial one
+    N = 32
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((N, N, N))
+    kernel_hat = rng.standard_normal((2 * N, 2 * N, N + 1)) + 1j * rng.standard_normal((2 * N, 2 * N, N + 1))
+
+    def apply_kernel(spec, cols):
+        return spec * kernel_hat[:, cols]
+
+    on_helper = field._helper_pool().submit(_padded_convolve, values, N, apply_kernel).result(timeout=60)
+    monkeypatch.setattr(field, "_allowed_cpus", lambda: 1)
+    assert np.array_equal(on_helper, _padded_convolve(values, N, apply_kernel))
 
 
 def test_space_tag_enforced():

@@ -1,9 +1,12 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import coordinate_mesh
+from dirac_zero_lab import field
 from dirac_zero_lab.field import make_grid
 from dirac_zero_lab.kernelnorm import (
     NwKernelSpec,
@@ -13,6 +16,7 @@ from dirac_zero_lab.kernelnorm import (
     nw_classify,
     scale_sweep,
 )
+from dirac_zero_lab.resonance import DEFAULT_SEED
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +174,35 @@ def test_estimate_norm_reproducible():
     b = estimate_norm(spec, g, iterations=20, seed=3)
     assert a.value == b.value
     assert a.iterations == b.iterations
+
+
+@pytest.mark.parametrize("L, value", [(8, 21.139645992791632), (16, 23.989834632868398)])
+def test_estimate_norm_frozen_on_the_sweep_grids(L, value):
+    # nw-sweep's (1, 1/2) estimates at h = 1, pinned to the bit; N = 32 shares its passes with the helper
+    est = estimate_norm(NwKernelSpec(a=1, b=Fraction(1, 2)), make_grid(float(L), 2 * L), seed=DEFAULT_SEED)
+    assert est.value == value
+
+
+def test_estimate_norm_overflow_in_a_shared_pass_is_value_error():
+    # at N = 32 the first apply already shares its passes with the helper thread, which runs
+    # under the caller's errstate: the overflow is the estimate's ValueError, with no RuntimeWarning
+    with pytest.raises(ValueError, match="left the floating-point range"):
+        estimate_norm(NwKernelSpec(a=100, b=1), make_grid(16.0, 32))
+
+
+def test_two_estimates_at_once_match_the_serial_ones(monkeypatch):
+    # both callers share the one helper thread; neither waits for a job of the other's
+    spec, grid = NwKernelSpec(a=1, b=Fraction(1, 2)), make_grid(16.0, 32)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            jobs = [pool.submit(estimate_norm, spec, grid, seed=seed) for seed in (1, 2)]
+            together = [job.result(timeout=120) for job in jobs]
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(field, "_allowed_cpus", lambda: 1)
+    assert together == [estimate_norm(spec, grid, seed=seed) for seed in (1, 2)]
 
 
 @pytest.mark.parametrize("a, b", [(1e300, 1), (1, 1e300), (-1, 1e300), (1e300, -1)])
