@@ -14,9 +14,12 @@ of each acceptance criterion line.
 
 Two checkouts give equal answers when their manifests are equal
 (``diff A/MANIFEST B/MANIFEST``), and two runs of one checkout must always
-give equal manifests.  The last bits depend on the host and its BLAS thread
-count, so compare manifests made on one host with one environment.  The run
-takes about 20 s, most of it the acceptance suite.
+give equal manifests.  The last bits of a BLAS reduction depend on how many
+threads BLAS runs, so the script sets ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 before numpy loads, as the
+benchmark does, whatever the shell exported; they still depend on the host,
+so compare manifests made on one host.  The run takes about 20 s, most of it
+the acceptance suite.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ import io
 import os
 import re
 import sys
-
-import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -66,6 +67,8 @@ def argv_of(name: str, argv: list[str]) -> list[str]:
 
 def write_potential_file(path: str) -> None:
     """The Loss-Yau Q plus 0.2 <x>^-2 beta on the (8, 16) grid: beta = diag(1, 1, -1, -1) mixes chiralities."""
+    import numpy as np
+
     from dirac_zero_lab import field, potential
 
     g = field.GridSpec(8.0, 16)
@@ -112,4 +115,6 @@ def run(outdir: str) -> str:
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit(__doc__.split("\n\n")[1])
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # read once, when numpy first loads
     print(run(sys.argv[1]), end="")

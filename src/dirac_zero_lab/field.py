@@ -253,7 +253,9 @@ def _in_blocks(job, length: int, size: int) -> None:
     the caller's context (numpy's ``errstate`` is a context variable).  The
     caller never waits for a job that has not started, only for the block the
     helper is running, so a busy helper costs about a serial pass; and the
-    helper runs its own passes serially, so it never waits for itself.
+    helper runs its own passes serially, so it never waits for itself.  Jobs run
+    private numpy passes and call no public function: the benchmark's tracer keeps
+    one call stack, and a traced call on the helper thread would break its nesting.
     """
     blocks = iter([slice(i, i + _BLOCK) for i in range(0, length, _BLOCK)])
     if size < _SHARED_MIN or getattr(_on_helper, "active", False) or _allowed_cpus() < 2:
@@ -289,47 +291,53 @@ def _helper_pool():
         return _helper
 
 
+def _padded_kernel_fft(table: np.ndarray, real: bool) -> np.ndarray:
+    """``rfftn`` (``real``) or ``fftn`` of a real (2N)^3 kernel table, bit for bit: numpy's
+    axis order (2, 1, 0), in two passes split along an axis they do not transform."""
+    n = table.shape[0]
+    spec = np.empty((n, n, n // 2 + 1 if real else n), np.complex128)
+
+    def planes(b):
+        (np.fft.rfft if real else np.fft.fft)(table[b], axis=2, out=spec[b])
+        np.fft.fft(spec[b], axis=1, out=spec[b])
+
+    _in_blocks(planes, n, spec.size)
+    _in_blocks(lambda cols: np.fft.fft(spec[:, cols], axis=0, out=spec[:, cols]), n, spec.size)
+    return spec
+
+
 def _padded_convolve(values: np.ndarray, N: int, apply_kernel) -> np.ndarray:
     """Exact linear convolution sum_{y in box} K[x - y] values[y] by zero padding.
 
-    The box is on the leading three axes.  ``apply_kernel(spec, cols)`` multiplies
-    the axis-1 columns ``cols`` of the (2N)^3 spectrum (``rfftn`` layout for
-    real input, else ``fftn``) by the kernel's transform and returns the product.
-    The transforms are pruned: forward, axis 2 runs on only the N^2 input rows
-    and axis 1 on only the N nonzero planes; inverse, each axis is cropped to N
-    before the next.  Real input never builds the (2N)^3 spectrum: axis 0 runs
-    on blocks of columns of the (N, 2N, N+1) half spectrum, each padded, multiplied,
-    inverted and cropped on its own.  Its passes are shared with a helper thread
-    (:func:`_in_blocks`); complex input runs serially in one spectrum buffer.
-    Each 1-D line is transformed exactly once, on the same data and in numpy's
-    axis order (``irfftn``: 0, 1, 2; ``ifftn``: 2, 1, 0), so the result is
-    bit-identical to padding, transforming in full and cropping, whatever the
-    blocks, the thread that runs each, or the CPU count.
+    The box is on the leading three axes; complex input may add a spinor axis.
+    ``apply_kernel(spec, cols)`` multiplies the axis-1 columns ``cols`` of the
+    (2N)^3 spectrum (``rfftn`` layout for real input, else ``fftn``) by the
+    kernel's transform and returns the product.  Both dtypes take one path,
+    with ``rfft``/``irfft`` or ``fft``/``ifft`` on axis 2: axes 2 and 1 fill an
+    (N, 2N, N+1 or 2N) half spectrum from the N input rows and planes, axis 0
+    runs on padded blocks of its columns, and each plane is then inverted on
+    axis 1, cropped, and inverted on axis 2.  The forward order is (2, 1, 0)
+    and the inverse (0, 1, 2), as in ``rfftn`` and ``irfftn``.  Each 1-D line
+    is transformed once, on the same data and in that order, whatever block or
+    thread (:func:`_in_blocks`) holds it, so the result is bit-identical to
+    full padding, transforming in full and cropping, whatever the CPU count.
     """
     n = 2 * N
-    if np.iscomplexobj(values):
-        rows = np.fft.fft(values, n=n, axis=2)
-        spec = np.empty((n, n) + rows.shape[2:], np.complex128)
-        np.fft.fft(rows, n=n, axis=1, out=spec[:N])
-        del rows
-        spec[N:] = 0.0
-        conv = apply_kernel(np.fft.fft(spec, axis=0, out=spec), slice(None))
-        for axis in (2, 1, 0):
-            np.fft.ifft(conv, axis=axis, out=conv)
-            conv = conv[(slice(None),) * axis + (slice(N),)]
-        return conv
-    half = np.empty((N, n, N + 1), np.complex128)  # transformed on axes 2 and 1, not yet padded on 0
-    out = np.empty((N, N, n))
+    real = not np.iscomplexobj(values)
+    forward, inverse, last = (np.fft.rfft, np.fft.irfft, N + 1) if real else (np.fft.fft, np.fft.ifft, n)
+    trailing = values.shape[3:]
+    half = np.empty((N, n, last) + trailing, np.complex128)  # transformed on axes 2 and 1, not yet padded on 0
+    out = np.empty((N, N, n) + trailing, float if real else complex)
     pads = threading.local()  # one padded column block per thread: a new one per block page-faults again
 
     def forward_planes(b):
-        np.fft.rfft(values[b], n=n, axis=2, out=half[b, :N])
+        forward(values[b], n=n, axis=2, out=half[b, :N])
         half[b, N:] = 0.0
         np.fft.fft(half[b], axis=1, out=half[b])
 
     def columns(cols):
         if not hasattr(pads, "block"):
-            pads.block = np.empty((n, _BLOCK, N + 1), np.complex128)
+            pads.block = np.empty((n, _BLOCK, last) + trailing, np.complex128)
         src = half[:, cols]
         block = pads.block[:, : src.shape[1]]
         block[:N] = src
@@ -339,7 +347,7 @@ def _padded_convolve(values: np.ndarray, N: int, apply_kernel) -> np.ndarray:
 
     def inverse_planes(b):
         np.fft.ifft(half[b], axis=1, out=half[b])
-        np.fft.irfft(half[b, :N], n=n, axis=2, out=out[b])
+        inverse(half[b, :N], n=n, axis=2, out=out[b])
 
     for job, length in ((forward_planes, N), (columns, n), (inverse_planes, N)):
         _in_blocks(job, length, half.size)

@@ -34,6 +34,7 @@ from .field import (
     SpinorField,
     _coords,
     _padded_convolve,
+    _padded_kernel_fft,
     _padded_offsets,
     _squared_norm,
     forward_fourier,
@@ -170,7 +171,7 @@ def apply_a_quadrature(f: SpinorField) -> SpinorField:
     z, r2 = _padded_offsets(g)
     inv_r3 = 1.0 / (r2 * np.sqrt(r2))
     inv_r3[0, 0, 0] = 0.0  # principal value: drop y = x
-    kernel_hat = _sigma_coeffs(*(np.fft.fftn(c * inv_r3) for c in z))
+    kernel_hat = _sigma_coeffs(*(_padded_kernel_fft(c * inv_r3, real=False) for c in z))
     out = _padded_convolve(f.values, g.N, lambda fhat, cols: _dot_contract([c[:, cols] for c in kernel_hat], fhat))
     return SpinorField(g, out * (1j / (4.0 * np.pi) * g.cell_volume), POSITION)
 

@@ -18,7 +18,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .field import GridSpec, _in_blocks, _padded_convolve, _padded_offsets, _squared_norm
+from .field import GridSpec, _padded_convolve, _padded_kernel_fft, _padded_offsets, _squared_norm
 from .freeop import _multiply_planar, _symbol
 
 __all__ = [
@@ -98,25 +98,11 @@ def _regularized_radius(grid: GridSpec) -> np.ndarray:
 
 
 def _convolution_kernel_fft(grid: GridSpec, exponent: float) -> np.ndarray:
-    """rfftn of |z|^{-exponent} tabulated on the padded (2N)^3 offset lattice.
-
-    The z = 0 entry is zeroed (diagonal omitted), matching the direct sum.
-    """
+    """rfftn of |z|^{-exponent} on the padded (2N)^3 offset lattice, z = 0 zeroed as in the direct sum."""
     _, zz = _padded_offsets(grid)
     kernel = np.power(zz, -exponent / 2.0, out=zz)
     kernel[0, 0, 0] = 0.0  # diagonal omitted, whatever the exponent sign
-    # rfftn's own axis order (2, then 1, then 0), in place, in two passes
-    # that are each split along an axis they do not transform
-    n = 2 * grid.N
-    spec = np.empty((n, n, grid.N + 1), np.complex128)
-
-    def planes(b):
-        np.fft.rfft(kernel[b], axis=2, out=spec[b])
-        np.fft.fft(spec[b], axis=1, out=spec[b])
-
-    _in_blocks(planes, n, spec.size)
-    _in_blocks(lambda cols: np.fft.fft(spec[:, cols], axis=0, out=spec[:, cols]), n, spec.size)
-    return spec
+    return _padded_kernel_fft(kernel, real=True)
 
 
 def _nw_operator(spec: NwKernelSpec, grid: GridSpec):

@@ -409,6 +409,25 @@ def test_zero_mode_loss_yau_end_to_end(capsys, tmp_path):
     assert (out_dir / "decay-fit-0.csv").exists()
 
 
+def test_zero_mode_that_stops_short_says_so(capsys, tmp_path, monkeypatch):
+    # one Arnoldi pass converges only some of the pairs; stdout says so, and a converged run
+    # (every other zero-mode test) prints no such line
+    import functools
+
+    from dirac_zero_lab import resonance
+
+    monkeypatch.setattr(resonance, "_eigs", functools.partial(resonance._eigs, max_iter=1))
+    out_dir = tmp_path / "short"
+    args = ["zero-mode", "--potential", "loss-yau", "--L", "8", "--N", "16", "--out", str(out_dir)]
+    _, out, _ = run_cli(capsys, *args)
+    payload = json.loads((out_dir / "eigenreport.json").read_text())
+    assert payload["converged"] is False and payload["nconv"] == 2
+    assert "solver stopped short: 2 converged pairs after 0 restarts\n" in out
+    monkeypatch.undo()
+    _, out, _ = run_cli(capsys, *args)
+    assert "stopped short" not in out
+
+
 def test_zero_mode_eigenreport_json_and_fields(capsys, tmp_path, q_ly16, ly16):
     # eigenreport.json records the solve that birman_schwinger_spectrum returns, field files included
     from dirac_zero_lab import resonance
@@ -584,9 +603,10 @@ def test_cli_outputs_are_bit_for_bit_reproducible(capsys, tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_nw_sweep_on_one_cpu_writes_the_same_bytes(tmp_path):
-    # the convolution shares its passes with a helper thread only where two CPUs are allowed;
-    # L = 16 and 17 (N = 32, 34) take that path. The child restricts itself as its first
-    # statement, because preexec_fn is unsafe in this process, which may hold a helper thread.
+    # the convolutions share their passes with a helper thread only where two CPUs are allowed;
+    # nw-sweep's L = 16 and 17 (N = 32, 34) and verify-freeop's quadrature at (12, 24) take that
+    # path. The child restricts itself as its first statement, because preexec_fn is unsafe in
+    # this process, which may hold a helper thread.
     # BLAS sizes its own thread pool from the allowed CPUs, which moves the last bits of
     # the L = 17 estimate at the parent commit too, so both children run one BLAS thread.
     import dirac_zero_lab
@@ -595,16 +615,21 @@ def test_nw_sweep_on_one_cpu_writes_the_same_bytes(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     cpu = min(os.sched_getaffinity(0))
-    runs = []
-    for name, restrict in (("one", f"os.sched_setaffinity(0, {{{cpu}}})"), ("all", "pass")):
-        out = tmp_path / name
-        argv = ["nw-sweep", "--a", "1", "--b", "1/2", "--scales", "8,16,17", "--out", str(out)]
-        probe = f"import os; {restrict}; from dirac_zero_lab.cli import main; raise SystemExit(main({argv!r}))"
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, timeout=300)
-        stdout = proc.stdout.replace(str(out).encode(), b"OUT")
-        runs.append((proc.returncode, stdout, (out / "nw-sweep.csv").read_bytes()))
-    assert runs[0] == runs[1]
-    assert runs[0][0] == 0 and b"L=17.0: norm estimate" in runs[0][1]
+    cases = [
+        (["nw-sweep", "--a", "1", "--b", "1/2", "--scales", "8,16,17"], "nw-sweep.csv", b"L=17.0: norm estimate"),
+        (["verify-freeop"], "verify-freeop.json", b"[ok] spectral-vs-quadrature"),
+    ]
+    for argv, output, marker in cases:
+        runs = []
+        for name, restrict in (("one", f"os.sched_setaffinity(0, {{{cpu}}})"), ("all", "pass")):
+            out = tmp_path / argv[0] / name
+            child = [*argv, "--out", str(out)]
+            probe = f"import os; {restrict}; from dirac_zero_lab.cli import main; raise SystemExit(main({child!r}))"
+            proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, timeout=300)
+            stdout = proc.stdout.replace(str(out).encode(), b"OUT")
+            runs.append((proc.returncode, stdout, (out / output).read_bytes()))
+        assert runs[0] == runs[1], argv[0]
+        assert runs[0][0] == 0 and marker in runs[0][1]
 
 
 def test_zero_mode_output_root_env(capsys, tmp_path, monkeypatch):

@@ -134,12 +134,15 @@ def test_parseval():
 
 
 def padded_convolve_reference(values, N, apply_kernel):
-    """Zero-fill the (2N)^3 box, full rfftn/irfftn (real) or fftn/ifftn, crop."""
+    """Zero-fill the (2N)^3 box, full rfftn/irfftn (real) or fftn/ifftn, crop.
+
+    Both inverses take axis 0 first, as ``irfftn`` does; ``ifftn`` over axes
+    (2, 1, 0) transforms them in that reversed order."""
     shape, axes = (2 * N,) * 3, (0, 1, 2)
     pad = np.zeros(shape + values.shape[3:], dtype=values.dtype)
     pad[:N, :N, :N] = values
     if np.iscomplexobj(values):
-        conv = np.fft.ifftn(apply_kernel(np.fft.fftn(pad, axes=axes), slice(None)), axes=axes)
+        conv = np.fft.ifftn(apply_kernel(np.fft.fftn(pad, axes=axes), slice(None)), axes=(2, 1, 0))
     else:
         conv = np.fft.irfftn(apply_kernel(np.fft.rfftn(pad, axes=axes), slice(None)), s=shape, axes=axes)
     return conv[:N, :N, :N]
@@ -174,18 +177,36 @@ def test_pruned_padded_convolve_is_bit_identical_to_full_padding(monkeypatch, N,
 
 def test_padded_convolve_inside_a_helper_job_matches_the_serial_one(monkeypatch):
     # the helper thread runs its own passes serially, so a convolution started on it
-    # never waits for itself; the result is the serial one
+    # never waits for itself; the result is the serial one, for real and complex input
     N = 32
     rng = np.random.default_rng(5)
-    values = rng.standard_normal((N, N, N))
-    kernel_hat = rng.standard_normal((2 * N, 2 * N, N + 1)) + 1j * rng.standard_normal((2 * N, 2 * N, N + 1))
+    for trailing in ((), (4,)):
+        values = rng.standard_normal((N, N, N) + trailing)
+        if trailing:
+            values = values + 1j * rng.standard_normal(values.shape)
+        last = 2 * N if trailing else N + 1
+        kernel_hat = rng.standard_normal((2 * N, 2 * N, last)) + 1j * rng.standard_normal((2 * N, 2 * N, last))
 
-    def apply_kernel(spec, cols):
-        return spec * kernel_hat[:, cols]
+        def apply_kernel(spec, cols):
+            return spec * kernel_hat[:, cols][(...,) + (None,) * len(trailing)]
 
-    on_helper = field._helper_pool().submit(_padded_convolve, values, N, apply_kernel).result(timeout=60)
-    monkeypatch.setattr(field, "_allowed_cpus", lambda: 1)
-    assert np.array_equal(on_helper, _padded_convolve(values, N, apply_kernel))
+        on_helper = field._helper_pool().submit(_padded_convolve, values, N, apply_kernel).result(timeout=60)
+        with monkeypatch.context() as m:
+            m.setattr(field, "_allowed_cpus", lambda: 1)
+            assert np.array_equal(on_helper, _padded_convolve(values, N, apply_kernel))
+
+
+@pytest.mark.parametrize("real, reference", [(True, np.fft.rfftn), (False, np.fft.fftn)])
+def test_padded_kernel_fft_equals_numpy_bit_for_bit(monkeypatch, real, reference):
+    # the one builder of the kernel transforms (kernelnorm real, the quadrature complex),
+    # on the shared path and on one CPU
+    table = np.random.default_rng(11).standard_normal((64, 64, 64))
+    expected = reference(table)
+    for cpus in (2, 1):
+        monkeypatch.setattr(field, "_allowed_cpus", lambda: cpus)
+        spec = field._padded_kernel_fft(table, real)
+        assert spec.shape == expected.shape
+        assert np.array_equal(spec, expected)
 
 
 def test_space_tag_enforced():
