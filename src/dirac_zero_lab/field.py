@@ -10,6 +10,7 @@ comparable on well-resolved grids and makes Parseval exact on the lattice.
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -222,16 +223,6 @@ def inverse_fourier(fhat: SpinorField) -> SpinorField:
     return SpinorField(g, _centered_transform(np.fft.ifftn, fhat.values, scale), POSITION)
 
 
-def _padded_offsets(grid: GridSpec) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Offset axes h * {0, ..., N-1, -N, ..., -1} of the padded (2N)^3 lattice
-    (FFT order, broadcastable), and |z|^2 with its z = 0 entry set to 1."""
-    N = grid.N
-    z = _coords(np.fft.ifftshift(grid.h * np.arange(-N, N, dtype=float)))
-    r2 = _squared_norm(z)
-    r2[0, 0, 0] = 1.0
-    return z, r2
-
-
 _SHARED_MIN = 1 << 15  # elements of a pass below which it runs serially: sharing broke even near N = 24 on 2 cores
 _BLOCK = 8  # lines of the split axis in one block
 _helper = None  # the one helper thread (a ThreadPoolExecutor), started by the first shared pass
@@ -245,19 +236,19 @@ def _allowed_cpus() -> int:
 
 
 def _in_blocks(job, length: int, size: int) -> None:
-    """Call ``job(s)`` for consecutive slices ``s`` of ``_BLOCK`` lines that cover ``range(length)``.
+    """Call ``job`` on slices covering ``range(length)``: one if ``size < _SHARED_MIN``, else blocks.
 
-    ``size`` is the element count of the pass.  On two or more allowed CPUs a
-    large pass is shared: the caller works through the blocks, and one helper
-    thread pulls from the same iterator whenever it gets a CPU, in a copy of
-    the caller's context (numpy's ``errstate`` is a context variable).  The
-    caller never waits for a job that has not started, only for the block the
-    helper is running, so a busy helper costs about a serial pass; and the
-    helper runs its own passes serially, so it never waits for itself.  Jobs run
-    private numpy passes and call no public function: the benchmark's tracer keeps
-    one call stack, and a traced call on the helper thread would break its nesting.
+    ``size`` is the pass's element count, and a block is ``_BLOCK`` lines.  On two or more allowed
+    CPUs a blocked pass is shared: the caller works through the blocks, and one helper thread pulls
+    from the same iterator whenever it gets a CPU, in a copy of the caller's context (numpy's
+    ``errstate`` is a context variable).  The caller never waits for a job that has not started,
+    only for the block the helper is running, so a busy helper costs about a serial pass; and the
+    helper runs its own passes serially, so it never waits for itself.  Jobs, and the kernels they
+    call, run private numpy passes and call no public function: the benchmark's tracer keeps one
+    call stack, and a traced call on the helper thread would break its nesting.
     """
-    blocks = iter([slice(i, i + _BLOCK) for i in range(0, length, _BLOCK)])
+    step = length if size < _SHARED_MIN else _BLOCK
+    blocks = iter([slice(i, i + step) for i in range(0, length, step)])
     if size < _SHARED_MIN or getattr(_on_helper, "active", False) or _allowed_cpus() < 2:
         for b in blocks:
             job(b)
@@ -291,14 +282,39 @@ def _helper_pool():
         return _helper
 
 
-def _padded_kernel_fft(table: np.ndarray, real: bool) -> np.ndarray:
-    """``rfftn`` (``real``) or ``fftn`` of a real (2N)^3 kernel table, bit for bit: numpy's
-    axis order (2, 1, 0), in two passes split along an axis they do not transform."""
-    n = table.shape[0]
+def _scratch(store: threading.local, shape: tuple, dtype) -> np.ndarray:
+    """This thread's buffer in ``store`` as a ``shape`` view, grown if too small (a new one per block page-faults)."""
+    size = math.prod(shape)
+    if getattr(store, "buf", None) is None or store.buf.size < size:
+        store.buf = np.empty(size, dtype)
+    return store.buf[:size].reshape(shape)
+
+
+def _padded_kernel_fft(grid: GridSpec, kernel, real: bool) -> np.ndarray:
+    """``rfftn`` (``real``) or ``fftn`` of a real kernel on the padded (2N)^3 offsets, z = 0 zeroed.
+
+    Per block of axis-0 planes, ``kernel(z, r2)`` gets the block's broadcast offsets
+    z = h * {0, ..., N-1, -N, ..., -1} (FFT order) and this thread's scratch of |z|^2,
+    1 at z = 0, and returns the table block (``r2`` or a new array), whose z = 0 entry
+    is then zeroed: every convolution omits y = x.  ``kernel`` may run on the helper
+    thread, so it calls no public function (:func:`_in_blocks`).  No (2N)^3 table is
+    built; the transform is numpy's bit for bit, axis order (2, 1, 0).
+    """
+    n = 2 * grid.N
+    z0, z1, z2 = _coords(np.fft.ifftshift(grid.h * np.arange(-grid.N, grid.N, dtype=float)))
     spec = np.empty((n, n, n // 2 + 1 if real else n), np.complex128)
+    scratch = threading.local()
 
     def planes(b):
-        (np.fft.rfft if real else np.fft.fft)(table[b], axis=2, out=spec[b])
+        z = (z0[b], z1, z2)
+        r2 = _scratch(scratch, (len(z[0]), n, n), float)
+        r2[...] = z[0] ** 2 + z[1] ** 2  # summed as _squared_norm sums, without its new array
+        r2 += z[2] ** 2
+        origin = z[0][:, 0, 0] == 0.0  # the block's plane z[0] = 0, if it has it
+        r2[origin, 0, 0] = 1.0
+        table = kernel(z, r2)
+        table[origin, 0, 0] = 0.0
+        (np.fft.rfft if real else np.fft.fft)(table, axis=2, out=spec[b])
         np.fft.fft(spec[b], axis=1, out=spec[b])
 
     _in_blocks(planes, n, spec.size)
@@ -328,7 +344,7 @@ def _padded_convolve(values: np.ndarray, N: int, apply_kernel) -> np.ndarray:
     trailing = values.shape[3:]
     half = np.empty((N, n, last) + trailing, np.complex128)  # transformed on axes 2 and 1, not yet padded on 0
     out = np.empty((N, N, n) + trailing, float if real else complex)
-    pads = threading.local()  # one padded column block per thread: a new one per block page-faults again
+    pads = threading.local()  # one padded column block per thread
 
     def forward_planes(b):
         forward(values[b], n=n, axis=2, out=half[b, :N])
@@ -336,10 +352,8 @@ def _padded_convolve(values: np.ndarray, N: int, apply_kernel) -> np.ndarray:
         np.fft.fft(half[b], axis=1, out=half[b])
 
     def columns(cols):
-        if not hasattr(pads, "block"):
-            pads.block = np.empty((n, _BLOCK, last) + trailing, np.complex128)
         src = half[:, cols]
-        block = pads.block[:, : src.shape[1]]
+        block = _scratch(pads, (n,) + src.shape[1:], np.complex128)
         block[:N] = src
         block[N:] = 0.0
         block = apply_kernel(np.fft.fft(block, axis=0, out=block), cols)

@@ -35,7 +35,6 @@ from .field import (
     _coords,
     _padded_convolve,
     _padded_kernel_fft,
-    _padded_offsets,
     _squared_norm,
     forward_fourier,
     l2_norm,
@@ -168,10 +167,9 @@ def apply_a_quadrature(f: SpinorField) -> SpinorField:
     if f.space != POSITION:
         raise ValueError("apply_a_quadrature expects a position-space field")
     g = f.grid
-    z, r2 = _padded_offsets(g)
-    inv_r3 = 1.0 / (r2 * np.sqrt(r2))
-    inv_r3[0, 0, 0] = 0.0  # principal value: drop y = x
-    kernel_hat = _sigma_coeffs(*(_padded_kernel_fft(c * inv_r3, real=False) for c in z))
+    kernel_hat = _sigma_coeffs(  # of K_j(z) = z_j / |z|^3, the y = x term omitted by the builder
+        *(_padded_kernel_fft(g, lambda z, r2, j=j: z[j] * (1.0 / (r2 * np.sqrt(r2))), real=False) for j in range(3))
+    )
     out = _padded_convolve(f.values, g.N, lambda fhat, cols: _dot_contract([c[:, cols] for c in kernel_hat], fhat))
     return SpinorField(g, out * (1j / (4.0 * np.pi) * g.cell_volume), POSITION)
 

@@ -18,7 +18,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .field import GridSpec, _padded_convolve, _padded_kernel_fft, _padded_offsets, _squared_norm
+from .field import GridSpec, _padded_convolve, _padded_kernel_fft, _squared_norm
 from .freeop import _multiply_planar, _symbol
 
 __all__ = [
@@ -91,29 +91,16 @@ def nw_classify(spec: NwKernelSpec) -> str:
     return "bounded" if all(x < edge for x, edge in spec._criterion_sides()) else "unbounded"
 
 
-def _regularized_radius(grid: GridSpec) -> np.ndarray:
-    """|x| with lattice zeros replaced by h/2 (cell midpoint)."""
-    r = np.sqrt(grid.radius2)
-    return np.maximum(r, grid.h / 2.0)
-
-
-def _convolution_kernel_fft(grid: GridSpec, exponent: float) -> np.ndarray:
-    """rfftn of |z|^{-exponent} on the padded (2N)^3 offset lattice, z = 0 zeroed as in the direct sum."""
-    _, zz = _padded_offsets(grid)
-    kernel = np.power(zz, -exponent / 2.0, out=zz)
-    kernel[0, 0, 0] = 0.0  # diagonal omitted, whatever the exponent sign
-    return _padded_kernel_fft(kernel, real=True)
-
-
 def _nw_operator(spec: NwKernelSpec, grid: GridSpec):
     """(apply, adjoint) of K phi = h^3 |x|^{-a} (G * (|y|^{-b} phi)), with G's FFT computed once."""
     if spec.d != 3:
         raise ValueError("grid evaluation supports d = 3 only")
-    r = _regularized_radius(grid)
+    r = np.maximum(np.sqrt(grid.radius2), grid.h / 2.0)  # |x|, with its zero at the origin set to h/2
     with np.errstate(over="ignore", invalid="ignore"):  # a weight or table out of float range is reported below
         left = r ** (-float(spec.a))
         right = r ** (-float(spec.b))
-        kernel_hat = _convolution_kernel_fft(grid, float(spec.convolution_exponent))
+        e = float(spec.convolution_exponent)
+        kernel_hat = _padded_kernel_fft(grid, lambda z, r2: np.power(r2, -e / 2.0, out=r2), real=True)
     if not all(np.isfinite(x).all() for x in (left, right, kernel_hat)):
         raise ValueError(f"the kernel of a={spec.a}, b={spec.b} is not finite on the grid (L={grid.L}, N={grid.N})")
     h3 = grid.cell_volume

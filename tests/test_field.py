@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -196,17 +198,47 @@ def test_padded_convolve_inside_a_helper_job_matches_the_serial_one(monkeypatch)
             assert np.array_equal(on_helper, _padded_convolve(values, N, apply_kernel))
 
 
+def _skewed_kernel(z, r2):  # nonzero at z = 0, where the builder passes |z|^2 = 1; not symmetric in the axes
+    return (1.0 + z[0] - 2.0 * z[1] * z[2]) / (r2 + 0.5)
+
+
+def _inverse_power(z, r2):  # in place, as kernelnorm's |z|^{-e}
+    return np.power(r2, -0.75, out=r2)
+
+
 @pytest.mark.parametrize("real, reference", [(True, np.fft.rfftn), (False, np.fft.fftn)])
 def test_padded_kernel_fft_equals_numpy_bit_for_bit(monkeypatch, real, reference):
-    # the one builder of the kernel transforms (kernelnorm real, the quadrature complex),
-    # on the shared path and on one CPU
-    table = np.random.default_rng(11).standard_normal((64, 64, 64))
-    expected = reference(table)
-    for cpus in (2, 1):
-        monkeypatch.setattr(field, "_allowed_cpus", lambda: cpus)
-        spec = field._padded_kernel_fft(table, real)
-        assert spec.shape == expected.shape
-        assert np.array_equal(spec, expected)
+    # the one builder of the kernel transforms (kernelnorm real, the quadrature complex), against
+    # numpy's transform of the full table on the same offsets with z = 0 zeroed; on the shared path
+    # and on one CPU. N = 8 runs each pass as one slice, and the 2N = 68 planes of N = 34 end in a short block
+    for N, kernel in itertools.product((8, 32, 34), (_skewed_kernel, _inverse_power)):
+        grid = make_grid(N / 4, N)
+        z = coordinate_mesh(np.fft.ifftshift(grid.h * np.arange(-N, N, dtype=float)))
+        r2 = np.sum(z**2, axis=-1)
+        r2[0, 0, 0] = 1.0
+        table = kernel(np.moveaxis(z, -1, 0), r2)
+        assert table[0, 0, 0] != 0.0
+        table[0, 0, 0] = 0.0
+        expected = reference(table)
+        for cpus in (2, 1):
+            monkeypatch.setattr(field, "_allowed_cpus", lambda: cpus)
+            spec = field._padded_kernel_fft(grid, kernel, real)
+            assert spec.shape == expected.shape
+            assert np.array_equal(spec, expected), (N, kernel.__name__, cpus)
+
+
+def test_padded_kernel_fft_builds_no_full_table(monkeypatch):
+    # the table is made block by block in each thread's scratch: the traced peak of a warm N = 32
+    # real build stays under the spectrum, the two threads' block scratches and one more block for
+    # numpy's 64 KiB ufunc and FFT buffers in each thread, where one (64)^3 table alone is 2 MiB
+    monkeypatch.setattr(field, "_allowed_cpus", lambda: 2)
+    grid = make_grid(16.0, 32)
+    n = 2 * grid.N
+    spec_bytes = n * n * (n // 2 + 1) * 16
+    scratch_bytes = field._BLOCK * n * n * 8
+    field._padded_kernel_fft(grid, _inverse_power, True)  # numpy caches its FFT plans on first use
+    peak = traced_peak_bytes(field._padded_kernel_fft, grid, _inverse_power, True)
+    assert peak < spec_bytes + 3 * scratch_bytes
 
 
 def test_space_tag_enforced():
