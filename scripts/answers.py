@@ -73,7 +73,8 @@ def write_potential_file(path: str) -> None:
 
     g = field.GridSpec(8.0, 16)
     beta = np.diag([1.0, 1.0, -1.0, -1.0])
-    values = potential.loss_yau_potential(g).values + 0.2 * ((1.0 + g.radius2) ** -1.0)[..., None, None] * beta
+    Q = potential.from_em(None, potential.loss_yau(g).vector_potential, g)
+    values = Q.values + 0.2 * ((1.0 + g.radius2) ** -1.0)[..., None, None] * beta
     potential.save_potential(potential.PotentialField(g, values), path)
 
 

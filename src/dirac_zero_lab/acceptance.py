@@ -411,19 +411,24 @@ def _smooth_test_field(N: int) -> field.SpinorField:
     return field.SpinorField(g, vals, field.POSITION)
 
 
+def _outcome(cls) -> str:
+    """Criterion 8's words for a detected mode's outcome, or for a potential with no real eigenvalue (None)."""
+    if cls is None:
+        return "no real eigenvalue"
+    return f"unclassified ({cls.reason})" if cls.fit is None else f"{cls.kind} (sigma {cls.fit.sigma:.2f})"
+
+
 def criterion_8() -> CriterionResult:
     res = CriterionResult(8, "No-resonance property suite")
     grid = field.GridSpec(DEFAULT_L, DEFAULT_N)
-    kinds = []
-    mu_ok = True
-    any_modes = checked = 0
+    found = []  # (name, the outcome of one detected mode, or None if the potential has no real eigenvalue)
     for name, Q0, rescale in _admissible_family(grid):
         rep = resonance.birman_schwinger_spectrum(Q0, k=4, seed=DEFAULT_SEED)
         lam1 = 1.0
         if rescale:
             reals = resonance.real_eigenvalues(rep)
             if not reals:
-                kinds.append(f"{name}: no real eigenvalue")
+                found.append((name, None))
                 continue
             lam1 = reals[0]
         # The solve is covariant under Q -> c Q (criterion 6 checks it), so the
@@ -434,26 +439,18 @@ def criterion_8() -> CriterionResult:
             eigenvalues=[lam / lam1 for lam in rep.eigenvalues],
             residuals=[r / abs(lam1) for r in rep.residuals],
         )
-        modes = resonance.zero_modes(scaled, Q)
-        any_modes += len(modes)
-        for mode, resid in modes:
-            try:
-                cls = resonance.classify_threshold_state(mode, resid)
-            except ValueError as exc:  # as zero-mode reports it: an outcome, not a usage error
-                kinds.append(f"{name}: unclassified ({exc})")
-                continue
-            kinds.append(f"{name}: {cls.kind} (sigma {cls.fit.sigma:.2f})")
-            mu_ok = mu_ok and all(v == "finite-trend" for v in cls.mu_check.values())
-            checked += 1
-    bad = [k for k in kinds if any(word in k for word in ("resonance_candidate", "inconclusive", "unclassified"))]
+        found += [(name, resonance.classify_threshold_state(f, r)) for f, r in resonance.zero_modes(scaled, Q)]
+    outcomes = [cls for _, cls in found if cls]
+    bad = sum(cls.kind != "zero_mode" for cls in outcomes)
     res.add(
         "every residual-gated state classifies zero_mode",
-        not bad and any_modes > 0,
-        "; ".join(kinds),
+        not bad and outcomes,
+        "; ".join(f"{name}: {_outcome(cls)}" for name, cls in found),
     )
-    res.add("no resonance_candidate outcomes", not bad, f"{len(bad)} bad outcomes")
-    counted = f"{checked} of {any_modes}" if checked < any_modes else any_modes
-    mu_ok = mu_ok and checked == any_modes  # a mode that did not classify had no trend checked
+    res.add("no resonance_candidate outcomes", not bad, f"{bad} bad outcomes")
+    checked = sum(cls.fit is not None for cls in outcomes)  # an unclassified mode has no trend to check
+    mu_ok = checked == len(outcomes) and all(v == "finite-trend" for cls in outcomes for v in cls.mu_check.values())
+    counted = f"{checked} of {len(outcomes)}" if checked < len(outcomes) else checked
     res.add("mu < 1/2 weighted-H1 finite-trend on every detected mode", mu_ok, f"{counted} modes checked")
 
     err64 = resonance.weighted_derivative_identity_check(_smooth_test_field(64), 0.4)

@@ -329,13 +329,12 @@ def cmd_zero_mode(args) -> int:
     print(f"zero modes at tolerance {resonance.ZERO_MODE_TOL}: {len(modes)}")
     exit_code = 0  # 3 if any mode is a resonance candidate, else 1 if any is inconclusive or unclassified
     for i, (mode, resid) in enumerate(modes):
-        try:
-            cls = resonance.classify_threshold_state(mode, resid)
-        except ValueError as exc:
-            print(f"mode {i}: unclassified ({exc})")
-            exit_code = max(exit_code, 1)
-            continue
+        cls = resonance.classify_threshold_state(mode, resid)
+        exit_code = max(exit_code, {"zero_mode": 0, "resonance_candidate": 3}.get(cls.kind, 1))
         fit = cls.fit
+        if fit is None:
+            print(f"mode {i}: unclassified ({cls.reason})")
+            continue
         _emit_csv(
             cfg,
             f"decay-fit-{i}.csv",
@@ -346,7 +345,6 @@ def cmd_zero_mode(args) -> int:
             f"mode {i}: kind={cls.kind} sigma={fit.sigma:.3f}+-{fit.stderr:.3f} "
             f"residual={resid:.3e} mu_check={cls.mu_check}"
         )
-        exit_code = max(exit_code, {"inconclusive": 1, "resonance_candidate": 3}.get(cls.kind, 0))
     return exit_code
 
 

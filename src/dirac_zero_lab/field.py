@@ -322,7 +322,7 @@ def _padded_kernel_fft(grid: GridSpec, kernel, real: bool) -> np.ndarray:
     return spec
 
 
-def _padded_convolve(values: np.ndarray, N: int, apply_kernel) -> np.ndarray:
+def _padded_convolve(values: np.ndarray, apply_kernel) -> np.ndarray:
     """Exact linear convolution sum_{y in box} K[x - y] values[y] by zero padding.
 
     The box is on the leading three axes; complex input may add a spinor axis.
@@ -338,6 +338,7 @@ def _padded_convolve(values: np.ndarray, N: int, apply_kernel) -> np.ndarray:
     thread (:func:`_in_blocks`) holds it, so the result is bit-identical to
     full padding, transforming in full and cropping, whatever the CPU count.
     """
+    N = values.shape[0]
     n = 2 * N
     real = not np.iscomplexobj(values)
     forward, inverse, last = (np.fft.rfft, np.fft.irfft, N + 1) if real else (np.fft.fft, np.fft.ifft, n)

@@ -170,7 +170,7 @@ def apply_a_quadrature(f: SpinorField) -> SpinorField:
     kernel_hat = _sigma_coeffs(  # of K_j(z) = z_j / |z|^3, the y = x term omitted by the builder
         *(_padded_kernel_fft(g, lambda z, r2, j=j: z[j] * (1.0 / (r2 * np.sqrt(r2))), real=False) for j in range(3))
     )
-    out = _padded_convolve(f.values, g.N, lambda fhat, cols: _dot_contract([c[:, cols] for c in kernel_hat], fhat))
+    out = _padded_convolve(f.values, lambda fhat, cols: _dot_contract([c[:, cols] for c in kernel_hat], fhat))
     return SpinorField(g, out * (1j / (4.0 * np.pi) * g.cell_volume), POSITION)
 
 

@@ -110,7 +110,7 @@ def _nw_operator(spec: NwKernelSpec, grid: GridSpec):
             # In place on each block of columns; and the convolution runs before
             # the h^3-weight product, so no temporary of it is alive at the peak memory.
             conv = _padded_convolve(
-                w_in * phi, grid.N, lambda psi_hat, cols: np.multiply(psi_hat, kernel_hat[:, cols], out=psi_hat)
+                w_in * phi, lambda psi_hat, cols: np.multiply(psi_hat, kernel_hat[:, cols], out=psi_hat)
             )
             return h3 * w_out * conv
 

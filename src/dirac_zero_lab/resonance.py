@@ -417,9 +417,10 @@ def decay_fit(f: SpinorField, shells=None) -> DecayFit:
 
 @dataclass(frozen=True)
 class ThresholdClassification:
-    kind: str  # zero_mode | resonance_candidate | inconclusive
-    fit: DecayFit
+    kind: str  # zero_mode | resonance_candidate | inconclusive | unclassified
+    fit: DecayFit | None  # None when unclassified
     mu_check: dict
+    reason: str = ""  # why the state is unclassified
 
 
 def _h1_partial_quantity(f: SpinorField, mu: float) -> float:
@@ -446,21 +447,28 @@ def classify_threshold_state(f: SpinorField, res: float) -> ThresholdClassificat
     sigma > 3/2 within margin is the L^2-membership proxy (zero mode); decay
     consistent with the borderline space but not L^2 flags a resonance
     candidate, which the no-resonance property suite treats as a failure to
-    investigate.  The mu trends are those of MU_CHECKS.
+    investigate.  The mu trends are those of MU_CHECKS.  A state that cannot
+    be classified is ``unclassified``, with no fit, no trends and the reason:
+    a residual over RESIDUAL_GATE, too few, empty or zero-mass decay shells,
+    or an N that :func:`mu_trend`'s half box cannot halve.
     """
     if res > RESIDUAL_GATE:
-        raise ValueError(
+        reason = (
             f"residual {res:.3g} exceeds the classification gate {RESIDUAL_GATE}; "
             "the field is not close to a kernel state of this potential"
         )
-    fit = decay_fit(f)
+        return ThresholdClassification("unclassified", None, {}, reason)
+    try:
+        fit = decay_fit(f)
+        checks = {mu: mu_trend(f, mu) for mu in MU_CHECKS}
+    except ValueError as exc:
+        return ThresholdClassification("unclassified", None, {}, str(exc))
     if fit.sigma >= 1.5 + SIGMA_MARGIN:
         kind = "zero_mode"
     elif fit.sigma > 1.5 - SIGMA_MARGIN:
         kind = "inconclusive"
     else:
         kind = "resonance_candidate"
-    checks = {mu: mu_trend(f, mu) for mu in MU_CHECKS}
     return ThresholdClassification(kind=kind, fit=fit, mu_check=checks)
 
 

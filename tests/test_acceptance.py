@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from dirac_zero_lab import acceptance, cli, resonance
+from dirac_zero_lab import acceptance, cli, potential, resonance
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +61,65 @@ def test_criterion_8_no_resonance_property_suite(criterion):
     _run(criterion(8))
 
 
+CHECK_NAMES = {
+    1: [
+        "anticommutators exact",
+        "(alpha.v)^2 = |v|^2 I over 100 seeded v",
+        "contraction inverse over 100 seeded v",
+    ],
+    2: [
+        "symbol product = I at xi != 0 (N=24)",
+        "symbol product = I at xi != 0 (N=32)",
+        "A(alpha.D) f = f on 20 mean-zero band-limited fields",
+        "spectral vs quadrature on Gaussian bump <= 5% (L=12, N=24)",
+        "quadrature gap strictly smaller at N=32",
+    ],
+    3: ["two-sided agreement on 10 seeded pairs"],
+    4: [
+        "100% agreement on the 8-spec matrix",
+        "boundary specs classify unbounded; inconclusive growth allowed",
+        "conjugated norm stable for t=-1.0 (top drift <= 10%)",
+        "conjugated norm stable for t=0.0 (top drift <= 10%)",
+        "conjugated norm grows for t=1/2",
+        "dominating-kernel bound",
+    ],
+    5: [
+        "|phi| <x>^2 = 1 at every grid point",
+        "Weyl residual <= 0.05 at (L=16, N=32)",
+        "Weyl residual smaller at L=24",
+        "decay fit sigma = 2.0 +- 0.15",
+        "weighted shell mass [8,16) within 15% of 4 pi ln 2",
+        "mu=0.4 weighted-H1 partial quantities finite-trend",
+        "mu=0.6 diverging",
+    ],
+    6: [
+        "eigenvalue within 0.1 of 1",
+        "eigenspace overlap with the magnetic zero mode >= 0.95",
+        "spectrum scales linearly in the amplitude",
+        "Q = 0 yields no zero modes",
+        "small scalar potential yields no zero modes",
+    ],
+    7: [
+        "traces match brute-force enumeration exactly",
+        "n0 formula on 100 random rationals in (1,3)",
+        "boundary flag is exactly the equality case",
+    ],
+    8: [
+        "every residual-gated state classifies zero_mode",
+        "no resonance_candidate outcomes",
+        "mu < 1/2 weighted-H1 finite-trend on every detected mode",
+        "weighted derivative identity <= 0.02 on smooth fields",
+        "identity error at least halves when N doubles",
+    ],
+}
+
+
+def test_the_35_check_names_in_order(criterion):
+    # the names half of the acceptance contract; after the tests above, the cached results cost no solve
+    assert {i: [c.name for c in criterion(i).checks] for i in acceptance.CRITERIA} == CHECK_NAMES
+    assert sum(map(len, CHECK_NAMES.values())) == 35
+
+
 @pytest.mark.parametrize(
     "index, name, measured",
     [
@@ -75,24 +134,40 @@ def test_known_red_check_is_the_criterions_only_failure(criterion, index, name, 
     assert failed[0].detail.startswith(measured)
 
 
-def test_criterion_8_reports_an_unclassifiable_mode(monkeypatch, tmp_path, ly16):
-    # a detected mode that classify_threshold_state rejects is a bad outcome, printed as
-    # zero-mode prints it, and the run still writes acceptance.json: no usage error
-    def fake_spectrum(Q, k=6, seed=0):
-        return resonance.EigenReport([1.0 + 0.0j], [ly16.zero_mode], [0.0], 1, True)
+def _fake_detected_mode(monkeypatch, mode):
+    """Every potential's spectrum is the eigenvalue 1 with ``mode``, at residual 0.01."""
 
-    def refuse(f, res):
-        raise ValueError("too few shells")
+    def fake_spectrum(Q, k=6, seed=0):
+        return resonance.EigenReport([1.0 + 0.0j], [mode], [0.0], 1, True)
 
     monkeypatch.setattr(resonance, "birman_schwinger_spectrum", fake_spectrum)
     monkeypatch.setattr(resonance, "residual", lambda f, Q: 0.01)
-    monkeypatch.setattr(resonance, "classify_threshold_state", refuse)
+
+
+def test_criterion_8_reports_an_unclassifiable_mode(monkeypatch, tmp_path, ly16):
+    # a detected mode that classify_threshold_state returns unclassified is a bad outcome,
+    # printed as zero-mode prints it, and the run still writes acceptance.json: no usage error
+    def cannot_classify(f, res):
+        return resonance.ThresholdClassification("unclassified", None, {}, "too few shells")
+
+    _fake_detected_mode(monkeypatch, ly16.zero_mode)
+    monkeypatch.setattr(resonance, "classify_threshold_state", cannot_classify)
     assert cli.main(["acceptance", "--only", "8", "--out", str(tmp_path)]) == 1
     checks = json.loads((tmp_path / "acceptance.json").read_text())["criterion_8"]["checks"]
     assert not checks[0]["passed"]
     assert checks[0]["detail"].split("; ")[0] == "loss-yau: unclassified (too few shells)"
     assert not checks[1]["passed"] and checks[1]["detail"] == "5 bad outcomes"
     assert not checks[2]["passed"] and checks[2]["detail"] == "0 of 5 modes checked"
+
+
+def test_criterion_8_counts_outcomes_not_words_of_its_detail(monkeypatch, ly16, grid16):
+    # a zero_mode state of a potential whose name holds an outcome's word is no bad outcome
+    _fake_detected_mode(monkeypatch, ly16.zero_mode)
+    family = [("inconclusive-looking name", potential.from_em(None, None, grid16), False)]
+    monkeypatch.setattr(acceptance, "_admissible_family", lambda grid: iter(family))
+    checks = acceptance.criterion_8().checks
+    assert checks[0].passed and checks[0].detail == "inconclusive-looking name: zero_mode (sigma 1.97)"
+    assert checks[1].passed and checks[1].detail == "0 bad outcomes"
 
 
 def test_mutation_smoke_corrupted_matrix_fails_criterion_1(monkeypatch):

@@ -172,7 +172,7 @@ def test_pruned_padded_convolve_is_bit_identical_to_full_padding(monkeypatch, N,
     # and the 2N = 68 columns of N = 34 end in a short block
     for cpus in (2, 1):
         monkeypatch.setattr(field, "_allowed_cpus", lambda: cpus)
-        out = _padded_convolve(values, N, apply_kernel)
+        out = _padded_convolve(values, apply_kernel)
         assert out.shape == ref.shape
         assert np.array_equal(out, ref)
 
@@ -192,10 +192,10 @@ def test_padded_convolve_inside_a_helper_job_matches_the_serial_one(monkeypatch)
         def apply_kernel(spec, cols):
             return spec * kernel_hat[:, cols][(...,) + (None,) * len(trailing)]
 
-        on_helper = field._helper_pool().submit(_padded_convolve, values, N, apply_kernel).result(timeout=60)
+        on_helper = field._helper_pool().submit(_padded_convolve, values, apply_kernel).result(timeout=60)
         with monkeypatch.context() as m:
             m.setattr(field, "_allowed_cpus", lambda: 1)
-            assert np.array_equal(on_helper, _padded_convolve(values, N, apply_kernel))
+            assert np.array_equal(on_helper, _padded_convolve(values, apply_kernel))
 
 
 def _skewed_kernel(z, r2):  # nonzero at z = 0, where the builder passes |z|^2 = 1; not symmetric in the axes

@@ -634,8 +634,27 @@ def test_classify_gate_rejects_mismatched_pair(grid16, q_ly16):
     vals = np.zeros((32, 32, 32, 4), dtype=complex)
     vals[..., 0] = (1.0 + grid16.radius2) ** (-0.6) * phase
     fake = SpinorField(grid16, vals, POSITION)
-    with pytest.raises(ValueError, match="gate"):
-        classify_threshold_state(fake, residual(fake, q_ly16))
+    cls = classify_threshold_state(fake, residual(fake, q_ly16))
+    assert (cls.kind, cls.fit, cls.mu_check) == ("unclassified", None, {})
+    assert cls.reason.startswith("residual ")
+    assert cls.reason.endswith(
+        "exceeds the classification gate 0.75; the field is not close to a kernel state of this potential"
+    )
+
+
+@pytest.mark.parametrize(
+    "L, N, reason",
+    [
+        # three default decay shells on the (8, 16) box: the fit needs four
+        (8.0, 16, "need at least 4 shells (5 edges), got 3"),
+        # six edges fit at (16, 30), but the mu trends' half box needs N divisible by 4
+        (16.0, 30, "N=30 is not divisible by 4, so the half box has no even grid"),
+    ],
+)
+def test_classify_returns_unclassified_with_its_reason(L, N, reason):
+    mode = loss_yau(make_grid(L, N)).zero_mode
+    cls = classify_threshold_state(mode, 0.0)
+    assert (cls.kind, cls.fit, cls.mu_check, cls.reason) == ("unclassified", None, {}, reason)
 
 
 def test_mu_trend_diverges_past_half(ly16):
