@@ -302,12 +302,16 @@ def criterion_6() -> CriterionResult:
     grid = field.GridSpec(DEFAULT_L, DEFAULT_N)
     ly = potential.loss_yau(grid)
     Q = potential.from_em(None, ly.vector_potential, grid)
-    rep = resonance.birman_schwinger_spectrum(Q, k=6, seed=DEFAULT_SEED)
+    Q0 = potential.from_em(None, None, grid)
+    Qs = potential.from_em(0.1 * (1.0 + grid.radius2) ** (-1.0), None, grid)
+    reps = [resonance.birman_schwinger_spectrum(P, k=6, seed=DEFAULT_SEED) for P in (Q, 0.5 * Q, Q0, Qs)]
+    rep, rep_half, rep_zero, rep_small = reps
     near, fields = resonance.fixed_point_subspace(rep)
+    eigs = [f"{l.real:+.4f}{l.imag:+.4f}j" for l in rep.eigenvalues[:4]]
     res.add(
         f"eigenvalue within {resonance.ZERO_MODE_TOL} of 1",
         len(near) >= 1,
-        f"eigenvalues {[f'{l.real:+.4f}{l.imag:+.4f}j' for l in rep.eigenvalues[:4]]}",
+        "; ".join([f"eigenvalues {eigs}", *filter(None, (r.shortfall for r in reps))]),
     )
 
     overlap = resonance.subspace_overlap(fields, ly.zero_mode)
@@ -318,20 +322,16 @@ def criterion_6() -> CriterionResult:
         "(twofold chiral pair: subspace projection)",
     )
 
-    rep_half = resonance.birman_schwinger_spectrum(0.5 * Q, k=6, seed=DEFAULT_SEED)
     worst = 0.0
     for lam_h in rep_half.eigenvalues:
         best = min(abs(lam_h - 0.5 * lam) / abs(0.5 * lam) for lam in rep.eigenvalues)
         worst = max(worst, best)
     res.add("spectrum scales linearly in the amplitude", worst <= 1e-8, f"max matched dev {worst:.2e}")
 
-    Q0 = potential.from_em(None, None, grid)
-    zero_modes = resonance.zero_modes(resonance.birman_schwinger_spectrum(Q0, seed=DEFAULT_SEED), Q0)
+    zero_modes = resonance.zero_modes(rep_zero, Q0)
     res.add("Q = 0 yields no zero modes", len(zero_modes) == 0, f"{len(zero_modes)} modes")
 
-    amp = 0.1 * (1.0 + grid.radius2) ** (-1.0)
-    Qs = potential.from_em(amp, None, grid)
-    small_modes = resonance.zero_modes(resonance.birman_schwinger_spectrum(Qs, seed=DEFAULT_SEED), Qs)
+    small_modes = resonance.zero_modes(rep_small, Qs)
     res.add("small scalar potential yields no zero modes", len(small_modes) == 0, f"{len(small_modes)} modes")
     return res
 
@@ -422,8 +422,10 @@ def criterion_8() -> CriterionResult:
     res = CriterionResult(8, "No-resonance property suite")
     grid = field.GridSpec(DEFAULT_L, DEFAULT_N)
     found = []  # (name, the outcome of one detected mode, or None if the potential has no real eigenvalue)
+    shortfalls = []
     for name, Q0, rescale in _admissible_family(grid):
         rep = resonance.birman_schwinger_spectrum(Q0, k=4, seed=DEFAULT_SEED)
+        shortfalls.append(rep.shortfall)
         lam1 = 1.0
         if rescale:
             reals = resonance.real_eigenvalues(rep)
@@ -445,7 +447,7 @@ def criterion_8() -> CriterionResult:
     res.add(
         "every residual-gated state classifies zero_mode",
         not bad and outcomes,
-        "; ".join(f"{name}: {_outcome(cls)}" for name, cls in found),
+        "; ".join([*(f"{name}: {_outcome(cls)}" for name, cls in found), *filter(None, shortfalls)]),
     )
     res.add("no resonance_candidate outcomes", not bad, f"{bad} bad outcomes")
     checked = sum(cls.fit is not None for cls in outcomes)  # an unclassified mode has no trend to check

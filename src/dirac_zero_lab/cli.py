@@ -324,8 +324,8 @@ def cmd_zero_mode(args) -> int:
     _emit_eigenreport(cfg, report, reference)
     modes = resonance.zero_modes(report, Q)
     print(f"eigenvalues: {[f'{l.real:+.4f}{l.imag:+.4f}j' for l in report.eigenvalues]}")
-    if not report.converged:  # eigenreport.json records it too
-        print(f"solver stopped short: {report.nconv} converged pairs after {report.restarts} restarts")
+    if report.shortfall:  # eigenreport.json records it too
+        print(report.shortfall)
     print(f"zero modes at tolerance {resonance.ZERO_MODE_TOL}: {len(modes)}")
     exit_code = 0  # 3 if any mode is a resonance candidate, else 1 if any is inconclusive or unclassified
     for i, (mode, resid) in enumerate(modes):

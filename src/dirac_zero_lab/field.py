@@ -178,6 +178,11 @@ def _check_compatible(f: SpinorField, g: SpinorField) -> None:
         raise ValueError(f"space mismatch: {f.space} vs {g.space}")
 
 
+def _require_space(f: SpinorField, space: str, reader: str) -> None:
+    if f.space != space:
+        raise ValueError(f"{reader} expects a {space}-space field")
+
+
 def random_field(
     grid: GridSpec,
     seed: int,
@@ -208,16 +213,14 @@ def _centered_transform(transform, values: np.ndarray, scale: float) -> np.ndarr
 
 def forward_fourier(f: SpinorField) -> SpinorField:
     """Continuum-normalized transform: (2 pi)^{-3/2} h^3 sum_x f(x) e^{-i x.xi}."""
-    if f.space != POSITION:
-        raise ValueError("forward_fourier expects a position-space field")
+    _require_space(f, POSITION, "forward_fourier")
     scale = f.grid.cell_volume / _TWO_PI_32
     return SpinorField(f.grid, _centered_transform(np.fft.fftn, f.values, scale), FREQUENCY)
 
 
 def inverse_fourier(fhat: SpinorField) -> SpinorField:
     """Inverse of :func:`forward_fourier`; round trip is the identity."""
-    if fhat.space != FREQUENCY:
-        raise ValueError("inverse_fourier expects a frequency-space field")
+    _require_space(fhat, FREQUENCY, "inverse_fourier")
     g = fhat.grid
     scale = g.npoints * g.freq_cell_volume / _TWO_PI_32
     return SpinorField(g, _centered_transform(np.fft.ifftn, fhat.values, scale), POSITION)
@@ -380,8 +383,7 @@ def l2_norm(f: SpinorField) -> float:
 
 def sobolev_norm(f: SpinorField, s: float) -> float:
     """|| <xi>^s (F f) ||_2, the H^s norm of a position-space field."""
-    if f.space != POSITION:
-        raise ValueError("sobolev_norm expects a position-space field")
+    _require_space(f, POSITION, "sobolev_norm")
     fhat = forward_fourier(f)
     weight = (1.0 + f.grid.freq_radius2) ** s  # <xi>^{2s}
     total = np.sum(weight * _pointwise_square(fhat.values)) * f.grid.freq_cell_volume
@@ -390,8 +392,7 @@ def sobolev_norm(f: SpinorField, s: float) -> float:
 
 def restrict_to_subbox(f: SpinorField) -> SpinorField:
     """Restrict to the centered sub-box of half-width L / 2 (same spacing)."""
-    if f.space != POSITION:
-        raise ValueError("restrict_to_subbox expects a position-space field")
+    _require_space(f, POSITION, "restrict_to_subbox")
     N = f.grid.N
     if N % 4 != 0:
         raise ValueError(f"N={N} is not divisible by 4, so the half box has no even grid")

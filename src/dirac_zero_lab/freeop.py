@@ -35,6 +35,7 @@ from .field import (
     _coords,
     _padded_convolve,
     _padded_kernel_fft,
+    _require_space,
     _squared_norm,
     forward_fourier,
     l2_norm,
@@ -125,15 +126,13 @@ def _multiply_planar(coeffs, planar: np.ndarray) -> np.ndarray:
 
 def apply_h0(f: SpinorField) -> SpinorField:
     """alpha.D f via the exact multiplier alpha_dot(xi) on the frequency lattice."""
-    if f.space != POSITION:
-        raise ValueError("apply_h0 expects a position-space field")
+    _require_space(f, POSITION, "apply_h0")
     return SpinorField(f.grid, _multiply(_symbol(f.grid, False), f.values), POSITION)
 
 
 def zero_mode_mass(f: SpinorField) -> float:
     """L^2 mass carried by the xi = 0 Fourier mode of a position-space field."""
-    if f.space != POSITION:
-        raise ValueError("zero_mode_mass expects a position-space field")
+    _require_space(f, POSITION, "zero_mode_mass")
     dft0 = np.linalg.norm(np.sum(f.values, axis=_AXES))  # the raw DFT at xi = 0 is the lattice sum
     return float(np.sqrt(f.grid.freq_cell_volume) * f.grid.cell_volume / _TWO_PI_32 * dft0)
 
@@ -144,8 +143,7 @@ def apply_a_spectral(f: SpinorField, warn_threshold: float = 1e-8) -> SpinorFiel
     Emits :class:`ZeroModeAnnihilationWarning` when the annihilated L^2 mass
     exceeds ``warn_threshold`` relative to ||f||_2 (``inf`` skips the check).
     """
-    if f.space != POSITION:
-        raise ValueError("apply_a_spectral expects a position-space field")
+    _require_space(f, POSITION, "apply_a_spectral")
     g = f.grid
     if warn_threshold < np.inf:
         killed, total = zero_mode_mass(f), l2_norm(f)
@@ -164,20 +162,20 @@ def apply_a_quadrature(f: SpinorField) -> SpinorField:
     mode-wise matrix sum_j hat(K_j) alpha_j of K_j(z) = z_j / |z|^3, inverse FFT,
     crop), at O(N^3 log N) cost.
     """
-    if f.space != POSITION:
-        raise ValueError("apply_a_quadrature expects a position-space field")
+    _require_space(f, POSITION, "apply_a_quadrature")
     g = f.grid
-    kernel_hat = _sigma_coeffs(  # of K_j(z) = z_j / |z|^3, the y = x term omitted by the builder
-        *(_padded_kernel_fft(g, lambda z, r2, j=j: z[j] * (1.0 / (r2 * np.sqrt(r2))), real=False) for j in range(3))
-    )
+
+    def kernel(j):  # K_j(z) = z_j / |z|^3, made in place in the builder's scratch r2; the builder omits y = x
+        return lambda z, r2: np.multiply(z[j], np.divide(1.0, np.multiply(r2, np.sqrt(r2), out=r2), out=r2), out=r2)
+
+    kernel_hat = _sigma_coeffs(*(_padded_kernel_fft(g, kernel(j), real=False) for j in range(3)))
     out = _padded_convolve(f.values, lambda fhat, cols: _dot_contract([c[:, cols] for c in kernel_hat], fhat))
     return SpinorField(g, out * (1j / (4.0 * np.pi) * g.cell_volume), POSITION)
 
 
 def verify_ah0_identity(f: SpinorField) -> float:
     """Relative error of A (alpha.D) f against f with its xi = 0 mode removed."""
-    if f.space != POSITION:
-        raise ValueError("verify_ah0_identity expects a position-space field")
+    _require_space(f, POSITION, "verify_ah0_identity")
     spec = np.fft.fftn(f.values, axes=_AXES)
     spec[0, 0, 0] = 0.0  # xi = 0; unlike subtracting the mean, this leaves a constant exactly 0
     f0 = SpinorField(f.grid, np.fft.ifftn(spec, axes=_AXES, out=spec), POSITION)
@@ -197,8 +195,7 @@ def verify_pairing_identity(g_field: SpinorField, phi: SpinorField) -> tuple[com
     transform of g with the pointwise product invert_alpha_dot(w) phi(w).
     On the discrete lattice the two sides agree to rounding.
     """
-    if g_field.space != POSITION:
-        raise ValueError("verify_pairing_identity expects g in position space")
+    _require_space(g_field, POSITION, "verify_pairing_identity")
     if phi.space != FREQUENCY:
         raise ValueError("the test field phi must live on the dual (frequency) lattice")
     grid = g_field.grid

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import ALPHA, PAULI
-from .field import POSITION, GridSpec, SpinorField, _read_dzl1, _write_dzl1
+from .field import POSITION, GridSpec, SpinorField, _read_dzl1, _require_space, _write_dzl1
 from .freeop import _dot_contract, _multiply, _sigma_coeffs, _symbol
 
 __all__ = [
@@ -128,8 +128,7 @@ def loss_yau_potential(grid: GridSpec) -> PotentialField:
 
 def apply_potential(Q: PotentialField, f: SpinorField) -> SpinorField:
     """Pointwise matrix-vector product (Q f)(x)."""
-    if f.space != POSITION:
-        raise ValueError("apply_potential expects a position-space field")
+    _require_space(f, POSITION, "apply_potential")
     if f.grid != Q.grid:
         raise ValueError(f"grid mismatch: {Q.grid} vs {f.grid}")
     out = np.einsum("...ab,...b->...a", Q.values, f.values)

@@ -24,6 +24,7 @@ from .field import (
     GridSpec,
     SpinorField,
     _pointwise_square,
+    _require_space,
     l2_norm,
     restrict_to_subbox,
     sobolev_norm,
@@ -202,6 +203,13 @@ class EigenReport:
     solve_s: float = 0.0
     restarts: int = 0
     nconv: int = 0
+
+    @property
+    def shortfall(self) -> str:
+        """``solver stopped short: K converged pairs after R restarts``, or "" if every pair converged."""
+        if self.converged:
+            return ""
+        return f"solver stopped short: {self.nconv} converged pairs after {self.restarts} restarts"
 
 
 def birman_schwinger_spectrum(Q: PotentialField, k: int = 6, seed: int = DEFAULT_SEED) -> EigenReport:
@@ -382,8 +390,7 @@ def decay_fit(f: SpinorField, shells=None) -> DecayFit:
 
     ``shells``: at least 5 strictly increasing, nonnegative edges within the box corner (default_shell_edges).
     """
-    if f.space != POSITION:
-        raise ValueError("decay_fit expects a position-space field")
+    _require_space(f, POSITION, "decay_fit")
     edges = list(shells) if shells is not None else default_shell_edges(f.grid)
     if len(edges) < 5:
         raise ValueError(f"need at least 4 shells (5 edges), got {len(edges) - 1}")
@@ -450,8 +457,10 @@ def classify_threshold_state(f: SpinorField, res: float) -> ThresholdClassificat
     investigate.  The mu trends are those of MU_CHECKS.  A state that cannot
     be classified is ``unclassified``, with no fit, no trends and the reason:
     a residual over RESIDUAL_GATE, too few, empty or zero-mass decay shells,
-    or an N that :func:`mu_trend`'s half box cannot halve.
+    or an N that :func:`mu_trend`'s half box cannot halve.  A field not in
+    position space is a usage error: ``ValueError``, before the gate.
     """
+    _require_space(f, POSITION, "classify_threshold_state")
     if res > RESIDUAL_GATE:
         reason = (
             f"residual {res:.3g} exceeds the classification gate {RESIDUAL_GATE}; "

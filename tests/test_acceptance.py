@@ -134,11 +134,11 @@ def test_known_red_check_is_the_criterions_only_failure(criterion, index, name, 
     assert failed[0].detail.startswith(measured)
 
 
-def _fake_detected_mode(monkeypatch, mode):
-    """Every potential's spectrum is the eigenvalue 1 with ``mode``, at residual 0.01."""
+def _fake_detected_mode(monkeypatch, mode, converged=True):
+    """Every potential's spectrum is the eigenvalue 1 with ``mode``, at residual 0.01, after 9 restarts."""
 
     def fake_spectrum(Q, k=6, seed=0):
-        return resonance.EigenReport([1.0 + 0.0j], [mode], [0.0], 1, True)
+        return resonance.EigenReport([1.0 + 0.0j], [mode], [0.0], 1, converged, restarts=9, nconv=1)
 
     monkeypatch.setattr(resonance, "birman_schwinger_spectrum", fake_spectrum)
     monkeypatch.setattr(resonance, "residual", lambda f, Q: 0.01)
@@ -168,6 +168,21 @@ def test_criterion_8_counts_outcomes_not_words_of_its_detail(monkeypatch, ly16, 
     checks = acceptance.criterion_8().checks
     assert checks[0].passed and checks[0].detail == "inconclusive-looking name: zero_mode (sigma 1.97)"
     assert checks[1].passed and checks[1].detail == "0 bad outcomes"
+
+
+@pytest.mark.parametrize(
+    "converged, short", [(True, ""), (False, "; solver stopped short: 1 converged pairs after 9 restarts")]
+)
+def test_criteria_6_and_8_say_when_a_solve_stopped_short(monkeypatch, ly16, grid16, converged, short):
+    # each solve that stopped short is named in the first check's detail, in zero-mode's words;
+    # the pass/fail rules do not read it, and a run whose solves converge keeps its detail
+    _fake_detected_mode(monkeypatch, ly16.zero_mode, converged)
+    first = acceptance.criterion_6().checks[0]  # four solves
+    assert first.passed and first.detail == "eigenvalues ['+1.0000+0.0000j']" + 4 * short
+    family = [("loss-yau", potential.from_em(None, None, grid16), False)]
+    monkeypatch.setattr(acceptance, "_admissible_family", lambda grid: iter(family))
+    first = acceptance.criterion_8().checks[0]
+    assert first.passed and first.detail == "loss-yau: zero_mode (sigma 1.97)" + short
 
 
 def test_mutation_smoke_corrupted_matrix_fails_criterion_1(monkeypatch):

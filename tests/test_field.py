@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import coordinate_mesh, traced_peak_bytes
-from dirac_zero_lab import field
+from dirac_zero_lab import field, freeop, potential, resonance
 from dirac_zero_lab.field import (
     FREQUENCY,
     POSITION,
@@ -248,6 +248,33 @@ def test_space_tag_enforced():
         inverse_fourier(f)
     with pytest.raises(ValueError):
         forward_fourier(forward_fourier(f))
+
+
+# every reader of a field, called with the field in the wrong space (and valid other arguments)
+SPACE_READERS = {
+    "forward_fourier": forward_fourier,
+    "inverse_fourier": inverse_fourier,
+    "sobolev_norm": lambda f: sobolev_norm(f, 1.0),
+    "restrict_to_subbox": restrict_to_subbox,
+    "apply_h0": freeop.apply_h0,
+    "zero_mode_mass": freeop.zero_mode_mass,
+    "apply_a_spectral": freeop.apply_a_spectral,
+    "apply_a_quadrature": freeop.apply_a_quadrature,
+    "verify_ah0_identity": freeop.verify_ah0_identity,
+    "verify_pairing_identity": lambda f: freeop.verify_pairing_identity(f, f),
+    "apply_potential": lambda f: potential.apply_potential(potential.from_em(None, None, f.grid), f),
+    "decay_fit": resonance.decay_fit,
+    "classify_threshold_state": lambda f: resonance.classify_threshold_state(f, 0.0),
+}
+
+
+@pytest.mark.parametrize("reader", list(SPACE_READERS))
+def test_each_reader_names_itself_on_a_field_in_the_wrong_space(reader):
+    f = random_field(make_grid(4.0, 8), seed=3)
+    space = FREQUENCY if reader == "inverse_fourier" else POSITION
+    wrong = f if space == FREQUENCY else forward_fourier(f)
+    with pytest.raises(ValueError, match=f"^{reader} expects a {space}-space field$"):
+        SPACE_READERS[reader](wrong)
 
 
 # ---------------------------------------------------------------------------

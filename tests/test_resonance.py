@@ -657,6 +657,12 @@ def test_classify_returns_unclassified_with_its_reason(L, N, reason):
     assert (cls.kind, cls.fit, cls.mu_check, cls.reason) == ("unclassified", None, {}, reason)
 
 
+def test_classify_raises_on_a_frequency_space_field(ly16):
+    # a field in the wrong space is a usage error, not an unclassified outcome
+    with pytest.raises(ValueError, match="classify_threshold_state expects a position-space field"):
+        classify_threshold_state(forward_fourier(ly16.zero_mode), 0.0)
+
+
 def test_mu_trend_diverges_past_half(ly16):
     # decay sharpness: mu = 0.6 sits outside the guaranteed range
     assert mu_trend(ly16.zero_mode, 0.4) == "finite-trend"
