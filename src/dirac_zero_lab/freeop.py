@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _AXES = (0, 1, 2)
+CONTRACT_BLOCK = 4096  # elements of a component that a symbol contraction handles at once, in whole planes
 
 
 class ZeroModeAnnihilationWarning(UserWarning):
@@ -106,22 +107,29 @@ def _multiply(coeffs, values: np.ndarray) -> np.ndarray:
     return _multiply_planar(coeffs, np.moveaxis(values, -1, 0).astype(np.complex128, order="C"))
 
 
-def _multiply_planar(coeffs, planar: np.ndarray) -> np.ndarray:
+def _multiply_planar(coeffs, planar: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """:func:`_multiply` of a C-contiguous complex (w, N, N, N) buffer, which it overwrites.
 
-    Each component is transformed in place, the contraction writes a second
-    buffer whose components are inverted in place, and the interleaved
-    (N, N, N, w) result is copied back into the first buffer's memory: three
-    full-size buffers with the caller's input, as a joint transform needs.
+    Each component is transformed in place, contracted with the symbol in
+    place a block of planes at a time (``CONTRACT_BLOCK`` elements, at least
+    one plane), and inverted in place.  The interleaved (N, N, N, w) result is
+    written to ``out``, or to a new array if ``out`` is None; with ``out``, no
+    full-size buffer is allocated.
     """
     for comp in planar:
         np.fft.fftn(comp, out=comp)
-    out = _dot_contract(coeffs, planar, axis=0)
-    for comp in out:
+    coeffs = [np.broadcast_to(c, planar.shape[1:]) for c in coeffs]
+    step = max(1, CONTRACT_BLOCK // planar[0, 0].size)
+    for s in range(0, planar.shape[1], step):
+        rows = slice(s, s + step)
+        planar[:, rows] = _dot_contract([c[rows] for c in coeffs], planar[:, rows], axis=0)
+    for comp in planar:
         np.fft.ifftn(comp, out=comp)
-    result = planar.reshape(planar.shape[1:] + planar.shape[:1])
-    result[...] = np.moveaxis(out, 0, -1)
-    return result
+    interleaved = np.moveaxis(planar, 0, -1)
+    if out is None:
+        return interleaved.copy()
+    out[...] = interleaved
+    return out
 
 
 def apply_h0(f: SpinorField) -> SpinorField:

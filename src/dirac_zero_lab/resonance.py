@@ -87,25 +87,29 @@ def _sector_matvec(grid: GridSpec, m: np.ndarray):
     """T v = -S (m v) on chiral 2-spinors, S = (sigma.D)^{-1} the 2-spinor block of A.
 
     A 4x4 ``m`` acts on 4-spinors instead, where T v = -A (m v).  The product
-    -m v is written straight into the component-major buffer that
-    :func:`freeop._multiply_planar` transforms, and ``v`` is only read.
+    -m v is written straight into a component-major buffer that every call
+    reuses and :func:`freeop._multiply_planar` transforms, and ``v`` is only
+    read.  ``matvec(v, out=row)`` writes T v into ``row`` and allocates no
+    full-size buffer; without ``out`` it returns a new array.
     """
     width = m.shape[-1]
     shape = (grid.N, grid.N, grid.N, width)
     symbol = _symbol(grid, True)
     # (a, N, N, N, b): -m v comes out component-major; the negation commutes exactly with the products and the FFT
     m = np.negative(np.moveaxis(m, -2, 0), order="C")
+    planar = np.empty((width,) + shape[:3], np.complex128)
 
-    def matvec(v: np.ndarray) -> np.ndarray:
-        planar = np.empty((width,) + shape[:3], np.complex128)
+    def matvec(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         np.einsum("a...b,...b->a...", m, v.reshape(shape), out=planar)
-        return _multiply_planar(symbol, planar).ravel()
+        return _multiply_planar(symbol, planar, None if out is None else out.reshape(shape)).ravel()
 
     return matvec
 
 
 def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter: int = ARNOLDI_MAX_ITER):
     """Top-k (by modulus) eigenpairs of the n x n operator ``matvec`` by thick-restart Arnoldi.
+
+    ``matvec(v, out=row)`` writes the operator's image of ``v`` into the basis row ``row``.
 
     An ncv-step Arnoldi factorization from a seeded complex vector; pair
     theta of H converges when |beta y_ncv| <= tol max(|theta|, eps^(2/3)),
@@ -146,7 +150,7 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
     p = matvecs = 0
     for restart in range(max_iter):
         for j in range(p, m):
-            V[j + 1] = matvec(V[j])  # orthogonalized and normalized in place
+            matvec(V[j], out=V[j + 1])  # then orthogonalized and normalized in place
             matvecs += 1
             H[: j + 1, j], H[j + 1, j] = orthogonalize(V[j + 1], j + 1)
             beta = H[j + 1, j].real

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import coordinate_mesh
+from dirac_zero_lab import freeop
 from dirac_zero_lab.acceptance import annulus_test_field, pairing_discrepancy
 from dirac_zero_lab.clifford import alpha_dot, invert_alpha_dot
 from dirac_zero_lab.field import (
@@ -170,6 +171,17 @@ def test_component_major_multiply_is_bit_identical_to_joint_transform(N, width, 
     assert np.array_equal(out, joint_multiply(coeffs, v))
     assert np.array_equal(v, before)  # the input is copied, never transformed in place
     assert out.shape == v.shape and out.flags.c_contiguous
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_contraction_by_plane_blocks_is_bit_identical_to_joint_transform(monkeypatch, inverse):
+    # blocks of 5 planes over N = 12: two whole blocks and a partial one, for the broadcast
+    # symbol of alpha.D and the full one of A
+    monkeypatch.setattr(freeop, "CONTRACT_BLOCK", 5 * 12 * 12)
+    g = make_grid(6.0, 12)
+    v = random_field(g, seed=9).values
+    coeffs = _symbol(g, inverse)
+    assert np.array_equal(_multiply(coeffs, v), joint_multiply(coeffs, v))
 
 
 def test_pauli_derivative_is_bit_identical_to_joint_transform():

@@ -251,6 +251,22 @@ def test_sector_matvec_leaves_its_argument_alone(width):
     assert out.shape == (n,) and out.flags.c_contiguous
 
 
+@pytest.mark.parametrize("width", [2, 4])
+def test_sector_matvec_writes_its_out_row_without_a_full_buffer(grid16, width):
+    # the Krylov step: T v goes straight into the next basis row, bit for bit what a call
+    # without out returns, and allocates less than one n-vector besides
+    matvec = _sector_matvec(grid16, _random_block(grid16, width, seed=6))
+    n = grid16.npoints * width
+    rng = np.random.default_rng(width)
+    V = np.zeros((2, n), complex)
+    V[0] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    fresh = matvec(V[0])
+    matvec(V[0], out=V[1])
+    assert np.array_equal(V[1], fresh)
+    assert traced_peak_bytes(lambda: matvec(V[0], out=V[1])) < n * 16
+    assert not np.shares_memory(matvec(V[0]), fresh)  # without out, a new array each call
+
+
 # ---------------------------------------------------------------------------
 # the thick-restart Arnoldi solver, against independent references
 # ---------------------------------------------------------------------------
@@ -267,11 +283,16 @@ def _nonnormal(n, seed, lead=()):
     return U @ T @ U.conj().T
 
 
+def _dense(A):
+    """The matvec of a dense matrix, in the form ``_eigs`` calls: ``matvec(v, out=row)``."""
+    return lambda v, out: np.matmul(A, v, out=out)
+
+
 def test_eigs_dense_nonnormal_matches_eigvals():
     A = _nonnormal(300, 0)
     ref = np.linalg.eigvals(A)
     ref = ref[np.argsort(-np.abs(ref))][:6]
-    vals, vecs, _, converged, _ = _eigs(lambda v: A @ v, 300, 6, 1, tol=1e-12)
+    vals, vecs, _, converged, _ = _eigs(_dense(A), 300, 6, 1, tol=1e-12)
     assert converged and len(vals) == 6
     for lam in ref:
         assert np.min(np.abs(vals - lam)) <= 1e-10 * abs(lam)
@@ -285,7 +306,7 @@ def test_eigs_rank_deficient_operator():
     n = 200
     U, W = (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)) for _ in range(2))
     B = U @ np.diag([2.0, -1.0 + 0.5j, 0.3j]) @ W.conj().T / n
-    vals, vecs, _, converged, _ = _eigs(lambda v: B @ v, n, 6, 1)
+    vals, vecs, _, converged, _ = _eigs(_dense(B), n, 6, 1)
     assert converged and len(vals) == 6
     ref = np.linalg.eigvals(B)
     ref = ref[np.argsort(-np.abs(ref))][:3]
@@ -298,7 +319,7 @@ def test_eigs_rank_deficient_operator():
 def test_eigs_stopped_early_returns_only_converged_pairs():
     # two well-separated leading eigenvalues above a clustered bulk: one cycle converges only 3
     A = _nonnormal(300, 4, lead=(3.0, -2.0))
-    vals, vecs, matvecs, converged, restarts = _eigs(lambda v: A @ v, 300, 6, 1, max_iter=1)
+    vals, vecs, matvecs, converged, restarts = _eigs(_dense(A), 300, 6, 1, max_iter=1)
     assert not converged and restarts == 0 and matvecs == 30
     assert 1 <= len(vals) < 6 and vecs.shape == (300, len(vals))
     assert abs(vals[0] - 3.0) <= 1e-10
@@ -308,8 +329,8 @@ def test_eigs_stopped_early_returns_only_converged_pairs():
 
 def test_eigs_is_deterministic():
     A = _nonnormal(300, 0)
-    first = _eigs(lambda v: A @ v, 300, 6, 7)
-    again = _eigs(lambda v: A @ v, 300, 6, 7)
+    first = _eigs(_dense(A), 300, 6, 7)
+    again = _eigs(_dense(A), 300, 6, 7)
     assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
     assert first[2:] == again[2:]
 
@@ -321,8 +342,8 @@ def test_eigs_restart_blocking_changes_no_bit(monkeypatch):
     d = 0.9 * rng.uniform(0.0, 1.0, n) ** 0.25 * np.exp(2j * np.pi * rng.uniform(size=n))
     d[:4] = (2.0, -1.5, 1.2j, 1.0)
 
-    def matvec(v):
-        return d * v + 0.05 * np.roll(v, 1)
+    def matvec(v, out):
+        np.add(d * v, 0.05 * np.roll(v, 1), out=out)
 
     assert n > resonance.RESTART_BLOCK and n % resonance.RESTART_BLOCK
     blocked = _eigs(matvec, n, 4, 1)
