@@ -8,7 +8,8 @@ one, so every path it records is relative; it first writes the potential
 that ``zero-mode-file`` reads to ``OUTDIR/POTENTIAL_FILE``.  ``NAME.log``
 holds its exit code, stdout and stderr, and ``NAME/`` its output files.
 ``OUTDIR/MANIFEST`` then lists ``sha256  path`` for every other file under
-``OUTDIR``, after the wall times are replaced by ``-``: ``solve_s`` in
+``OUTDIR``, after the wall times are replaced by ``-``: ``solve_s`` and the
+solver's phase times ``matvec_s``, ``gram_schmidt_s`` and ``restart_s`` in
 ``eigenreport.json``, ``elapsed`` in ``acceptance.json`` and the ``(x.xs)``
 of each acceptance criterion line.
 
@@ -55,7 +56,7 @@ COMMANDS = [
 # (file-name pattern, regex, replacement): the wall times, which no two runs share
 WALL_TIMES = [
     (r".*\.log", r"^(\[(?:PASS|FAIL)\] criterion \d+: .*) \(\d+\.\ds\)$", r"\1 (-)"),
-    (r"eigenreport\.json", r'"solve_s": [^,\n]+', '"solve_s": "-"'),
+    (r"eigenreport\.json", r'"(solve_s|matvec_s|gram_schmidt_s|restart_s)": [^,\n]+', r'"\1": "-"'),
     (r"acceptance\.json", r'"elapsed": [^,\n]+', '"elapsed": "-"'),
 ]
 

@@ -307,7 +307,7 @@ def criterion_6() -> CriterionResult:
     reps = [resonance.birman_schwinger_spectrum(P, k=6, seed=DEFAULT_SEED) for P in (Q, 0.5 * Q, Q0, Qs)]
     rep, rep_half, rep_zero, rep_small = reps
     near, fields = resonance.fixed_point_subspace(rep)
-    eigs = [f"{l.real:+.4f}{l.imag:+.4f}j" for l in rep.eigenvalues[:4]]
+    eigs = [resonance.format_eigenvalue(lam) for lam in rep.eigenvalues[:4]]
     res.add(
         f"eigenvalue within {resonance.ZERO_MODE_TOL} of 1",
         len(near) >= 1,

@@ -305,6 +305,10 @@ def _emit_eigenreport(cfg: dict, report: resonance.EigenReport, reference: field
         "nconv": report.nconv,
         "sectors": report.sectors,
         "solve_s": report.solve_s,
+        "matvec_s": report.matvec_s,
+        "gram_schmidt_s": report.gram_schmidt_s,
+        "restart_s": report.restart_s,
+        "dgks_passes": report.dgks_passes,
         "converged": report.converged,
         "eigenfield_files": files,
         "overlaps": overlaps,
@@ -323,7 +327,7 @@ def cmd_zero_mode(args) -> int:
     _remove_numbered_outputs(cfg["out"])  # so the directory holds this run's fields and fits only
     _emit_eigenreport(cfg, report, reference)
     modes = resonance.zero_modes(report, Q)
-    print(f"eigenvalues: {[f'{l.real:+.4f}{l.imag:+.4f}j' for l in report.eigenvalues]}")
+    print(f"eigenvalues: {[resonance.format_eigenvalue(lam) for lam in report.eigenvalues]}")
     if report.shortfall:  # eigenreport.json records it too
         print(report.shortfall)
     print(f"zero modes at tolerance {resonance.ZERO_MODE_TOL}: {len(modes)}")

@@ -172,10 +172,15 @@ class SpinorField:
 
 
 def _check_compatible(f: SpinorField, g: SpinorField) -> None:
-    if f.grid != g.grid:
-        raise ValueError(f"grid mismatch: {f.grid} vs {g.grid}")
+    _require_same_grid(f, g)
     if f.space != g.space:
         raise ValueError(f"space mismatch: {f.space} vs {g.space}")
+
+
+def _require_same_grid(a, b) -> None:
+    """``a`` and ``b`` (fields or potentials) live on one grid, else ValueError."""
+    if a.grid != b.grid:
+        raise ValueError(f"grid mismatch: {a.grid} vs {b.grid}")
 
 
 def _require_space(f: SpinorField, space: str, reader: str) -> None:

@@ -35,6 +35,7 @@ from .field import (
     _coords,
     _padded_convolve,
     _padded_kernel_fft,
+    _require_same_grid,
     _require_space,
     _squared_norm,
     forward_fourier,
@@ -206,9 +207,8 @@ def verify_pairing_identity(g_field: SpinorField, phi: SpinorField) -> tuple[com
     _require_space(g_field, POSITION, "verify_pairing_identity")
     if phi.space != FREQUENCY:
         raise ValueError("the test field phi must live on the dual (frequency) lattice")
+    _require_same_grid(g_field, phi)
     grid = g_field.grid
-    if phi.grid != grid:
-        raise ValueError(f"grid mismatch: {grid} vs {phi.grid}")
     if np.any(phi.values[grid.origin_index] != 0):
         raise ValueError("test field must vanish at the origin lattice point")
 

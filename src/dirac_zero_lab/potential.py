@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import ALPHA, PAULI
-from .field import POSITION, GridSpec, SpinorField, _read_dzl1, _require_space, _write_dzl1
+from .field import POSITION, GridSpec, SpinorField, _read_dzl1, _require_same_grid, _require_space, _write_dzl1
 from .freeop import _dot_contract, _multiply, _sigma_coeffs, _symbol
 
 __all__ = [
@@ -129,8 +129,7 @@ def loss_yau_potential(grid: GridSpec) -> PotentialField:
 def apply_potential(Q: PotentialField, f: SpinorField) -> SpinorField:
     """Pointwise matrix-vector product (Q f)(x)."""
     _require_space(f, POSITION, "apply_potential")
-    if f.grid != Q.grid:
-        raise ValueError(f"grid mismatch: {Q.grid} vs {f.grid}")
+    _require_same_grid(Q, f)
     out = np.einsum("...ab,...b->...a", Q.values, f.values)
     return SpinorField(f.grid, out, POSITION)
 

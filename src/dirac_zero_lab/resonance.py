@@ -34,6 +34,7 @@ from .potential import PotentialField, apply_potential
 
 __all__ = [
     "EigenReport",
+    "format_eigenvalue",
     "DecayFit",
     "ThresholdClassification",
     "residual",
@@ -116,8 +117,12 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
     as in ARPACK.  Until the top k all pass, the (ncv + k) // 2 leading Ritz
     vectors are kept and extended again (Krylov-Schur restart, Stewart 2001).
     Returns (eigenvalues, eigenvector columns, matvec count, converged,
-    restarts); after ``max_iter`` restarts, only the converged pairs.  A
-    non-finite Krylov vector (an overflowing operator) raises ValueError.
+    restarts, cost); after ``max_iter`` restarts, only the converged pairs.
+    ``cost`` holds the seconds spent in the matvecs (``matvec_s``), in
+    Gram-Schmidt and normalization (``gram_schmidt_s``) and in the Ritz steps,
+    restarts and final rotation (``restart_s``), and the number of DGKS
+    second Gram-Schmidt passes (``dgks_passes``).  A non-finite Krylov vector
+    (an overflowing operator) raises ValueError.
     """
     rng = np.random.default_rng(seed)
     m = min(max(2 * k + 1, ARNOLDI_MIN_BASIS), n - 1)
@@ -126,6 +131,7 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
     V[0] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     V[0] /= np.linalg.norm(V[0])
     scratch = np.empty(n, dtype=np.complex128)  # conj(w), then the projection c V[:j]
+    cost = {"matvec_s": 0.0, "gram_schmidt_s": 0.0, "restart_s": 0.0, "dgks_passes": 0}
 
     def orthogonalize(w, j):
         """Gram-Schmidt of w against V[:j], again if DGKS asks: (coefficients, norm, 0 if w was in their span)."""
@@ -134,7 +140,8 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
         if not np.isfinite(start):
             raise ValueError(f"the operator returned a Krylov vector of norm {start}; is the potential too large?")
         h, beta = np.zeros(j, dtype=np.complex128), start
-        for _ in range(2):
+        for second in range(2):
+            cost["dgks_passes"] += second
             c = np.conj(V[:j] @ np.conj(w, out=scratch))
             w -= np.matmul(c, V[:j], out=scratch)
             h, prev, beta = h + c, beta, np.linalg.norm(w)
@@ -150,8 +157,10 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
     p = matvecs = 0
     for restart in range(max_iter):
         for j in range(p, m):
+            started = time.perf_counter()
             matvec(V[j], out=V[j + 1])  # then orthogonalized and normalized in place
             matvecs += 1
+            multiplied = time.perf_counter()
             H[: j + 1, j], H[j + 1, j] = orthogonalize(V[j + 1], j + 1)
             beta = H[j + 1, j].real
             if beta == 0:  # an invariant subspace (T rank-deficient, say): go on as ARPACK's getv0 does
@@ -159,6 +168,9 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
                 orthogonalize(V[j + 1], j + 1)
                 beta = np.linalg.norm(V[j + 1])
             V[j + 1] /= beta
+            cost["matvec_s"] += multiplied - started
+            cost["gram_schmidt_s"] += time.perf_counter() - multiplied
+        started = time.perf_counter()
         theta, Y = np.linalg.eig(H[:m])
         order = np.argsort(-np.abs(theta), kind="stable")
         theta, Y = theta[order], Y[:, order]
@@ -169,12 +181,20 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
             # keeps the Ritz rows and frees the rest; no view of V outlives rotate, and the reference
             # check would refuse the V that a tracer's frame-locals snapshot holds (cProfile, pdb, coverage)
             V.resize((ritz.shape[1], n), refcheck=False)
-            return theta[:k][ok], V.T, matvecs, bool(ok.all()), restart
+            cost["restart_s"] += time.perf_counter() - started
+            return theta[:k][ok], V.T, matvecs, bool(ok.all()), restart, cost
         p = (m + k) // 2
         Qp = np.linalg.qr(Y[:, :p])[0]
         H[:p, :p], H[p, :p], H[p + 1 :], H[:, p:] = Qp.conj().T @ H[:m] @ Qp, H[m] @ Qp, 0.0, 0.0
         rotate(Qp)
         V[p] = V[m]
+        cost["restart_s"] += time.perf_counter() - started
+
+
+def format_eigenvalue(lam: complex) -> str:
+    """``+1.0000-0.5000j``: four decimals a part, and a part that rounds to zero as ``+0.0000``, never ``-0.0000``."""
+    real, imag = ("+0.0000" if part == "-0.0000" else part for part in (f"{lam.real:+.4f}", f"{lam.imag:+.4f}"))
+    return f"{real}{imag}j"
 
 
 def _pinned_order(x, y) -> int:
@@ -196,6 +216,8 @@ class EigenReport:
     ``nconv`` count its matvecs, thick restarts and converged pairs over every
     sector solved; ``sectors`` says what was solved ("+ copied", "+ negated",
     "+-", "full", or "none" for Q = 0), ``solve_s`` the whole call's wall time.
+    ``matvec_s``, ``gram_schmidt_s``, ``restart_s`` and ``dgks_passes`` are
+    the solver's own cost (see :func:`_eigs`), summed over the sectors solved.
     """
 
     eigenvalues: list[complex]
@@ -207,6 +229,10 @@ class EigenReport:
     solve_s: float = 0.0
     restarts: int = 0
     nconv: int = 0
+    matvec_s: float = 0.0
+    gram_schmidt_s: float = 0.0
+    restart_s: float = 0.0
+    dgks_passes: int = 0
 
     @property
     def shortfall(self) -> str:
@@ -304,6 +330,7 @@ def birman_schwinger_spectrum(Q: PotentialField, k: int = 6, seed: int = DEFAULT
         solve_s=time.perf_counter() - started,
         restarts=sum(r[4] for r in results),
         nconv=sum(len(r[0]) for r in results),
+        **{key: sum(r[5][key] for r in results) for key in results[0][5]},
     )
 
 

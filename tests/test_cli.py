@@ -450,6 +450,10 @@ def test_zero_mode_eigenreport_json_and_fields(capsys, tmp_path, q_ly16, ly16):
     # one sector solve: its thick restarts, and the k pairs it converged
     assert on_disk["restarts"] == report.restarts >= 1
     assert on_disk["nconv"] == report.nconv == 6
+    # the solver's own cost: phase times within the solve's wall time, at most one DGKS pass a matvec
+    phases = [on_disk[key] for key in ("matvec_s", "gram_schmidt_s", "restart_s")]
+    assert all(t >= 0.0 for t in phases) and sum(phases) <= on_disk["solve_s"]
+    assert 0 <= on_disk["dgks_passes"] <= on_disk["iterations"]
     files = [str(out_dir / "eigenfields" / f"eigenfield_{i}.dzl1") for i in range(6)]
     assert on_disk["eigenfield_files"] == files
     for path, fld in zip(files, report.eigenfields):

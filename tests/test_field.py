@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -275,6 +276,22 @@ def test_each_reader_names_itself_on_a_field_in_the_wrong_space(reader):
     wrong = f if space == FREQUENCY else forward_fourier(f)
     with pytest.raises(ValueError, match=f"^{reader} expects a {space}-space field$"):
         SPACE_READERS[reader](wrong)
+
+
+# every reader of two fields (or of a potential and a field), called with them on two grids
+GRID_PAIRS = {
+    "field arithmetic": lambda f, g: f - g,
+    "verify_pairing_identity": lambda f, g: freeop.verify_pairing_identity(f, forward_fourier(g)),
+    "apply_potential": lambda f, g: potential.apply_potential(potential.from_em(None, None, f.grid), g),
+}
+
+
+@pytest.mark.parametrize("reader", list(GRID_PAIRS))
+def test_each_reader_of_two_fields_refuses_two_grids(reader):
+    # equal N, so the grid check and not a shape mismatch refuses them; the first argument's grid is named first
+    f, g = (random_field(make_grid(L, 8), seed=3) for L in (4.0, 6.0))
+    with pytest.raises(ValueError, match=f"^grid mismatch: {re.escape(str(f.grid))} vs {re.escape(str(g.grid))}$"):
+        GRID_PAIRS[reader](f, g)
 
 
 # ---------------------------------------------------------------------------

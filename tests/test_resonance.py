@@ -30,6 +30,7 @@ from dirac_zero_lab.resonance import (
     decay_fit,
     default_shell_edges,
     fixed_point_subspace,
+    format_eigenvalue,
     mu_trend,
     real_eigenvalues,
     residual,
@@ -292,7 +293,7 @@ def test_eigs_dense_nonnormal_matches_eigvals():
     A = _nonnormal(300, 0)
     ref = np.linalg.eigvals(A)
     ref = ref[np.argsort(-np.abs(ref))][:6]
-    vals, vecs, _, converged, _ = _eigs(_dense(A), 300, 6, 1, tol=1e-12)
+    vals, vecs, _, converged, _, _ = _eigs(_dense(A), 300, 6, 1, tol=1e-12)
     assert converged and len(vals) == 6
     for lam in ref:
         assert np.min(np.abs(vals - lam)) <= 1e-10 * abs(lam)
@@ -306,7 +307,7 @@ def test_eigs_rank_deficient_operator():
     n = 200
     U, W = (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)) for _ in range(2))
     B = U @ np.diag([2.0, -1.0 + 0.5j, 0.3j]) @ W.conj().T / n
-    vals, vecs, _, converged, _ = _eigs(_dense(B), n, 6, 1)
+    vals, vecs, _, converged, _, _ = _eigs(_dense(B), n, 6, 1)
     assert converged and len(vals) == 6
     ref = np.linalg.eigvals(B)
     ref = ref[np.argsort(-np.abs(ref))][:3]
@@ -319,7 +320,7 @@ def test_eigs_rank_deficient_operator():
 def test_eigs_stopped_early_returns_only_converged_pairs():
     # two well-separated leading eigenvalues above a clustered bulk: one cycle converges only 3
     A = _nonnormal(300, 4, lead=(3.0, -2.0))
-    vals, vecs, matvecs, converged, restarts = _eigs(_dense(A), 300, 6, 1, max_iter=1)
+    vals, vecs, matvecs, converged, restarts, _ = _eigs(_dense(A), 300, 6, 1, max_iter=1)
     assert not converged and restarts == 0 and matvecs == 30
     assert 1 <= len(vals) < 6 and vecs.shape == (300, len(vals))
     assert abs(vals[0] - 3.0) <= 1e-10
@@ -332,7 +333,7 @@ def test_eigs_is_deterministic():
     first = _eigs(_dense(A), 300, 6, 7)
     again = _eigs(_dense(A), 300, 6, 7)
     assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
-    assert first[2:] == again[2:]
+    assert first[2:5] == again[2:5] and first[5]["dgks_passes"] == again[5]["dgks_passes"]
 
 
 def test_eigs_restart_blocking_changes_no_bit(monkeypatch):
@@ -351,7 +352,7 @@ def test_eigs_restart_blocking_changes_no_bit(monkeypatch):
     monkeypatch.setattr(resonance, "RESTART_BLOCK", n)
     whole = _eigs(matvec, n, 4, 1)
     assert np.array_equal(blocked[0], whole[0]) and np.array_equal(blocked[1], whole[1])
-    assert blocked[2:] == whole[2:]
+    assert blocked[2:5] == whole[2:5] and blocked[5]["dgks_passes"] == whole[5]["dgks_passes"]
 
 
 def test_eigs_holds_no_second_basis(grid16, q_ly16):
@@ -419,6 +420,13 @@ def test_point_supported_potential_reproduces_reference():
     # the conjugate pair is pinned: Im lambda descending, then sector + before -
     assert [_sector_of(f) for f in rep.eigenfields[:4]] == [0, 1, 0, 1]
     _assert_pinned_order(rep)
+
+
+def test_eigenvalues_print_without_a_rounding_level_sign():
+    # a part that rounds to zero prints as +0.0000, whatever the sign of its last bit
+    assert format_eigenvalue(1 - 1e-17j) == format_eigenvalue(1 + 1e-17j) == "+1.0000+0.0000j"
+    assert format_eigenvalue(-4e-5 - 0.5j) == "+0.0000-0.5000j"
+    assert format_eigenvalue(-1.00274 - 6e-5j) == "-1.0027-0.0001j"
 
 
 def test_pinned_order_ties_conjugates_by_imaginary_part():
