@@ -420,6 +420,7 @@ def test_zero_mode_that_stops_short_says_so(capsys, tmp_path, monkeypatch):
     from dirac_zero_lab import resonance
 
     monkeypatch.setattr(resonance, "_eigs", functools.partial(resonance._eigs, max_iter=1))
+    monkeypatch.setattr(resonance, "ARNOLDI_MIN_BASIS", 30)  # the pass that converges 2 pairs
     out_dir = tmp_path / "short"
     args = ["zero-mode", "--potential", "loss-yau", "--L", "8", "--N", "16", "--out", str(out_dir)]
     _, out, _ = run_cli(capsys, *args)

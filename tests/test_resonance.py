@@ -317,8 +317,10 @@ def test_eigs_rank_deficient_operator():
         assert np.linalg.norm(B @ vec - lam * vec) / np.linalg.norm(vec) <= 1e-12
 
 
-def test_eigs_stopped_early_returns_only_converged_pairs():
-    # two well-separated leading eigenvalues above a clustered bulk: one cycle converges only 3
+def test_eigs_stopped_early_returns_only_converged_pairs(monkeypatch):
+    # two well-separated leading eigenvalues above a clustered bulk: one cycle of a 30-vector basis
+    # converges only some of them
+    monkeypatch.setattr(resonance, "ARNOLDI_MIN_BASIS", 30)
     A = _nonnormal(300, 4, lead=(3.0, -2.0))
     vals, vecs, matvecs, converged, restarts, _ = _eigs(_dense(A), 300, 6, 1, max_iter=1)
     assert not converged and restarts == 0 and matvecs == 30
@@ -454,7 +456,21 @@ def test_pinned_order_does_not_follow_the_krylov_basis_size(monkeypatch, grid16)
     monkeypatch.setattr(resonance, "ARNOLDI_MIN_BASIS", 24)
     rep = birman_schwinger_spectrum(Q, k=4)
     assert [np.sign(lam.real) for lam in rep.eigenvalues] == [1, 1, -1, -1]
-    assert [_sector_of(f) for f in rep.eigenfields] == [0, 1, 0, 1]  # the order at the default floor of 30
+    assert [_sector_of(f) for f in rep.eigenfields] == [0, 1, 0, 1]  # the order at floors 22 and 30
+    _assert_pinned_order(rep)
+
+
+def test_mixed_report_does_not_follow_the_basis_floor(monkeypatch, grid16, ly16):
+    # the "+-" report of the em + scalar potential at the default floor and at 30: the same
+    # eigenvalues to 1e-10 relative, in the same pinned order, sector by sector
+    Q = from_em(0.1 * (1.0 + grid16.radius2) ** -1.0, ly16.vector_potential, grid16)
+    rep = birman_schwinger_spectrum(Q)
+    monkeypatch.setattr(resonance, "ARNOLDI_MIN_BASIS", 30)
+    ref = birman_schwinger_spectrum(Q)
+    assert rep.sectors == ref.sectors == "+-" and rep.converged and ref.converged
+    assert [_sector_of(f) for f in rep.eigenfields] == [_sector_of(f) for f in ref.eigenfields]
+    for lam, lam_ref in zip(rep.eigenvalues, ref.eigenvalues, strict=True):
+        assert abs(lam - lam_ref) <= 1e-10 * abs(lam_ref)
     _assert_pinned_order(rep)
 
 
