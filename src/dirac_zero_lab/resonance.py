@@ -102,7 +102,8 @@ def _sector_matvec(grid: GridSpec, m: np.ndarray):
 
     def matvec(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         np.einsum("a...b,...b->a...", m, v.reshape(shape), out=planar)
-        return _multiply_planar(symbol, planar, None if out is None else out.reshape(shape)).ravel()
+        result = np.empty(shape, np.complex128) if out is None else out.reshape(shape)
+        return _multiply_planar(symbol, planar, result).ravel()
 
     return matvec
 

@@ -19,6 +19,7 @@ from dirac_zero_lab.freeop import (
     ZeroModeAnnihilationWarning,
     _dot_contract,
     _multiply,
+    _multiply_planar,
     _symbol,
     apply_a_quadrature,
     apply_a_spectral,
@@ -175,13 +176,15 @@ def test_component_major_multiply_is_bit_identical_to_joint_transform(N, width, 
 
 @pytest.mark.parametrize("inverse", [False, True])
 def test_contraction_by_plane_blocks_is_bit_identical_to_joint_transform(monkeypatch, inverse):
-    # blocks of 5 planes over N = 12: two whole blocks and a partial one, for the broadcast
-    # symbol of alpha.D and the full one of A
+    # with out, the contraction works in place by blocks; blocks of 5 planes over N = 12 are two
+    # whole blocks and a partial one, for the broadcast symbol of alpha.D and the full one of A
     monkeypatch.setattr(freeop, "CONTRACT_BLOCK", 5 * 12 * 12)
     g = make_grid(6.0, 12)
     v = random_field(g, seed=9).values
     coeffs = _symbol(g, inverse)
-    assert np.array_equal(_multiply(coeffs, v), joint_multiply(coeffs, v))
+    out = np.empty_like(v)
+    _multiply_planar(coeffs, np.moveaxis(v, -1, 0).copy(), out=out)
+    assert np.array_equal(out, joint_multiply(coeffs, v))
 
 
 def test_pauli_derivative_is_bit_identical_to_joint_transform():
