@@ -111,30 +111,26 @@ def _multiply(coeffs, values: np.ndarray) -> np.ndarray:
 def _multiply_planar(coeffs, planar: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """:func:`_multiply` of a C-contiguous complex (w, N, N, N) buffer, which it overwrites.
 
-    Each component is transformed in place, contracted with the symbol and
-    inverted in place, and the interleaved (N, N, N, w) result is written to
-    ``out``, which is returned.  With ``out`` (a Krylov basis row), the
-    contraction works in place a block of planes at a time (``CONTRACT_BLOCK``
-    elements, at least one plane), and no full-size buffer is allocated.
-    Without it, the result takes ``planar``'s memory, so the contraction
-    writes a second buffer: three full-size buffers with the caller's input,
-    as a joint transform needs.
+    Each component is transformed in place, contracted with the symbol in
+    place a block of planes at a time (``CONTRACT_BLOCK`` elements, at least
+    one plane) and inverted in place, and the interleaved (N, N, N, w) result
+    is written to ``out`` (a new array if none is given), which is returned.
+    The contraction's scratch is one block, so for N > 16, given ``out`` (a
+    Krylov basis row), no full-size buffer is allocated; for N <= 16 a block
+    is the whole field.
     """
     for comp in planar:
         np.fft.fftn(comp, out=comp)
-    if out is None:
-        spectral = _dot_contract(coeffs, planar, axis=0)
-        out = planar.reshape(planar.shape[1:] + planar.shape[:1])
-    else:
-        spectral = planar
-        coeffs = [np.broadcast_to(c, planar.shape[1:]) for c in coeffs]
-        step = max(1, CONTRACT_BLOCK // planar[0, 0].size)
-        for s in range(0, planar.shape[1], step):
-            rows = slice(s, s + step)
-            planar[:, rows] = _dot_contract([c[rows] for c in coeffs], planar[:, rows], axis=0)
-    for comp in spectral:
+    coeffs = [np.broadcast_to(c, planar.shape[1:]) for c in coeffs]
+    step = max(1, CONTRACT_BLOCK // planar[0, 0].size)
+    for s in range(0, planar.shape[1], step):
+        rows = slice(s, s + step)
+        planar[:, rows] = _dot_contract([c[rows] for c in coeffs], planar[:, rows], axis=0)
+    for comp in planar:
         np.fft.ifftn(comp, out=comp)
-    out[...] = np.moveaxis(spectral, 0, -1)
+    if out is None:
+        out = np.empty(planar.shape[1:] + planar.shape[:1], np.complex128)
+    out[...] = np.moveaxis(planar, 0, -1)
     return out
 
 

@@ -176,8 +176,8 @@ def test_component_major_multiply_is_bit_identical_to_joint_transform(N, width, 
 
 @pytest.mark.parametrize("inverse", [False, True])
 def test_contraction_by_plane_blocks_is_bit_identical_to_joint_transform(monkeypatch, inverse):
-    # with out, the contraction works in place by blocks; blocks of 5 planes over N = 12 are two
-    # whole blocks and a partial one, for the broadcast symbol of alpha.D and the full one of A
+    # the contraction works in place by blocks; blocks of 5 planes over N = 12 are two whole
+    # blocks and a partial one, for the broadcast symbol of alpha.D and the full one of A
     monkeypatch.setattr(freeop, "CONTRACT_BLOCK", 5 * 12 * 12)
     g = make_grid(6.0, 12)
     v = random_field(g, seed=9).values
