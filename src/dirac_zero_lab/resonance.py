@@ -53,7 +53,7 @@ __all__ = [
 
 ARNOLDI_TOL = 1e-8
 ARNOLDI_MAX_ITER = 500
-ARNOLDI_MIN_BASIS = 22  # the Krylov basis holds max(2k + 1, this) vectors; chosen by measurement, see README
+ARNOLDI_MIN_BASIS = 20  # the Krylov basis holds max(2k + 1, this) vectors; chosen by measurement, see README
 RESTART_BLOCK = 4096  # basis columns a thick restart rotates at once
 ZERO_MODE_TOL = 0.1
 DEFAULT_SEED = 20240301  # the seeded start vector of every solve
