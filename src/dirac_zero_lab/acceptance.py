@@ -370,10 +370,8 @@ def criterion_7() -> CriterionResult:
     flag_ok = True
     for _ in range(100):
         den = int(rng.integers(2, 60))
-        num = int(rng.integers(den + 1, 3 * den))  # rho in (1, 3)
+        num = int(rng.integers(den + 1, 3 * den))  # rho = num / den lies in [1 + 1/den, 3 - 1/den], inside (1, 3)
         rho = Fraction(num, den)
-        if rho <= 1 or rho >= 3:
-            continue
         trace = bs.bootstrap_trace(rho)
         ref_steps, ref_n0 = _brute_force_trace(rho)
         prop_ok = prop_ok and trace.n0 == ref_n0 and list(trace.exponents()) == ref_steps

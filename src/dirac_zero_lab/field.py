@@ -291,11 +291,14 @@ def _helper_pool():
 
 
 def _scratch(store: threading.local, shape: tuple, dtype) -> np.ndarray:
-    """This thread's buffer in ``store`` as a ``shape`` view, grown if too small (a new one per block page-faults)."""
-    size = math.prod(shape)
-    if getattr(store, "buf", None) is None or store.buf.size < size:
-        store.buf = np.empty(size, dtype)
-    return store.buf[:size].reshape(shape)
+    """This thread's byte buffer in ``store`` as a ``shape`` array of ``dtype``, grown if too small.
+
+    A new buffer per block would page-fault; one buffer serves every pass of a call, whatever its dtype.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if getattr(store, "buf", None) is None or store.buf.size < nbytes:
+        store.buf = np.empty(nbytes, np.uint8)
+    return store.buf[:nbytes].view(dtype).reshape(shape)
 
 
 def _padded_kernel_fft(grid: GridSpec, kernel, real: bool) -> np.ndarray:
@@ -330,21 +333,26 @@ def _padded_kernel_fft(grid: GridSpec, kernel, real: bool) -> np.ndarray:
     return spec
 
 
-def _padded_convolve(values: np.ndarray, apply_kernel) -> np.ndarray:
+def _padded_convolve(values: np.ndarray, apply_kernel, weight: np.ndarray | None = None) -> np.ndarray:
     """Exact linear convolution sum_{y in box} K[x - y] values[y] by zero padding.
 
     The box is on the leading three axes; complex input may add a spinor axis.
-    ``apply_kernel(spec, cols)`` multiplies the axis-1 columns ``cols`` of the
-    (2N)^3 spectrum (``rfftn`` layout for real input, else ``fftn``) by the
-    kernel's transform and returns the product.  Both dtypes take one path,
-    with ``rfft``/``irfft`` or ``fft``/``ifft`` on axis 2: axes 2 and 1 fill an
-    (N, 2N, N+1 or 2N) half spectrum from the N input rows and planes, axis 0
-    runs on padded blocks of its columns, and each plane is then inverted on
-    axis 1, cropped, and inverted on axis 2.  The forward order is (2, 1, 0)
-    and the inverse (0, 1, 2), as in ``rfftn`` and ``irfftn``.  Each 1-D line
-    is transformed once, on the same data and in that order, whatever block or
-    thread (:func:`_in_blocks`) holds it, so the result is bit-identical to
-    full padding, transforming in full and cropping, whatever the CPU count.
+    ``weight``, an (N, N, N) array or None, multiplies the input first: the
+    product ``weight * values`` is formed per block of planes in the forward
+    pass, so no full-size weighted copy is made.  ``apply_kernel(spec, cols)``
+    multiplies the axis-1 columns ``cols`` of the (2N)^3 spectrum (``rfftn``
+    layout for real input, else ``fftn``) by the kernel's transform and
+    returns the product.  Both dtypes take one path, with ``rfft``/``irfft``
+    or ``fft``/``ifft`` on axis 2: axes 2 and 1 fill an (N, 2N, N+1 or 2N) half
+    spectrum from the N input rows and planes, axis 0 runs on padded blocks of
+    its columns, and each plane is then inverted on axis 1, cropped, and
+    inverted on axis 2 into its thread's line scratch, whose first N points go
+    to the result.  The result is a new C-contiguous (N, N, N[, w]) array.
+    The forward order is (2, 1, 0) and the inverse (0, 1, 2), as in ``rfftn``
+    and ``irfftn``.  Each 1-D line is transformed once, on the same data and
+    in that order, whatever block or thread (:func:`_in_blocks`) holds it, so
+    the result is bit-identical to full padding, transforming in full and
+    cropping, whatever the CPU count.
     """
     N = values.shape[0]
     n = 2 * N
@@ -352,17 +360,21 @@ def _padded_convolve(values: np.ndarray, apply_kernel) -> np.ndarray:
     forward, inverse, last = (np.fft.rfft, np.fft.irfft, N + 1) if real else (np.fft.fft, np.fft.ifft, n)
     trailing = values.shape[3:]
     half = np.empty((N, n, last) + trailing, np.complex128)  # transformed on axes 2 and 1, not yet padded on 0
-    out = np.empty((N, N, n) + trailing, float if real else complex)
-    pads = threading.local()  # one padded column block per thread
+    out = np.empty(values.shape, float if real else complex)
+    scratch = threading.local()  # per thread: weighted input planes, a padded column block, then inverted lines
 
     def forward_planes(b):
-        forward(values[b], n=n, axis=2, out=half[b, :N])
+        src = values[b]
+        if weight is not None:
+            w = weight[b][(...,) + (None,) * len(trailing)]
+            src = np.multiply(w, src, out=_scratch(scratch, src.shape, out.dtype))
+        forward(src, n=n, axis=2, out=half[b, :N])
         half[b, N:] = 0.0
         np.fft.fft(half[b], axis=1, out=half[b])
 
     def columns(cols):
         src = half[:, cols]
-        block = _scratch(pads, (n,) + src.shape[1:], np.complex128)
+        block = _scratch(scratch, (n,) + src.shape[1:], np.complex128)
         block[:N] = src
         block[N:] = 0.0
         block = apply_kernel(np.fft.fft(block, axis=0, out=block), cols)
@@ -370,11 +382,12 @@ def _padded_convolve(values: np.ndarray, apply_kernel) -> np.ndarray:
 
     def inverse_planes(b):
         np.fft.ifft(half[b], axis=1, out=half[b])
-        inverse(half[b, :N], n=n, axis=2, out=out[b])
+        full = _scratch(scratch, (len(out[b]), N, n) + trailing, out.dtype)
+        out[b] = inverse(half[b, :N], n=n, axis=2, out=full)[:, :, :N]
 
     for job, length in ((forward_planes, N), (columns, n), (inverse_planes, N)):
         _in_blocks(job, length, half.size)
-    return out[:, :, :N]
+    return out
 
 
 def _pointwise_square(values: np.ndarray) -> np.ndarray:

@@ -95,7 +95,8 @@ def _nw_operator(spec: NwKernelSpec, grid: GridSpec):
     """(apply, adjoint) of K phi = h^3 |x|^{-a} (G * (|y|^{-b} phi)), with G's FFT computed once."""
     if spec.d != 3:
         raise ValueError("grid evaluation supports d = 3 only")
-    r = np.maximum(np.sqrt(grid.radius2), grid.h / 2.0)  # |x|, with its zero at the origin set to h/2
+    r = np.sqrt(_squared_norm(grid.coords))  # |x|, not cached on the grid, with its zero at the origin set to h/2
+    np.maximum(r, grid.h / 2.0, out=r)
     with np.errstate(over="ignore", invalid="ignore"):  # a weight or table out of float range is reported below
         left = r ** (-float(spec.a))
         right = r ** (-float(spec.b))
@@ -107,12 +108,14 @@ def _nw_operator(spec: NwKernelSpec, grid: GridSpec):
 
     def sandwich(w_in: np.ndarray, w_out: np.ndarray):
         def apply(phi: np.ndarray) -> np.ndarray:
-            # In place on each block of columns; and the convolution runs before
-            # the h^3-weight product, so no temporary of it is alive at the peak memory.
+            # w_in enters per block of planes and the kernel in place on each block of columns;
+            # the convolution runs before the output weight, so no full-size temporary is alive at its peak
             conv = _padded_convolve(
-                w_in * phi, lambda psi_hat, cols: np.multiply(psi_hat, kernel_hat[:, cols], out=psi_hat)
+                phi, lambda psi_hat, cols: np.multiply(psi_hat, kernel_hat[:, cols], out=psi_hat), weight=w_in
             )
-            return h3 * w_out * conv
+            out = np.multiply(h3, w_out)
+            out *= conv
+            return out
 
         return apply
 
@@ -163,6 +166,7 @@ def _power_iteration(apply_fwd, apply_adj, start, iterations) -> NormEstimate:
         if nu == 0.0:
             return NormEstimate(0.0, it, True)
         np.divide(u, nu, out=v)
+        del u  # so the next apply does not run beside the last image
         if est_prev > 0 and abs(est - est_prev) <= POWER_RTOL * est:
             return NormEstimate(est, it, True)
         est_prev = est
@@ -262,7 +266,7 @@ def scale_sweep(spec: NwKernelSpec, scales, h: float, seed: int = 0) -> NormSwee
             raise ValueError(f"scale L={L} is not an even multiple of the spacing {h}, or is below 2h")
         GridSpec(L, round(n))  # the grid's own checks, before any estimate
         points.append(round(n))
-    # a grid caches its radii, so each one is built only for its own estimate
+    # each grid is built only for its own estimate, so its arrays are freed before the next one
     estimates = [estimate_norm(spec, GridSpec(L, n), seed=seed) for L, n in zip(scales, points)]
     growth = _classify_growth([e.value for e in estimates])
     criterion = nw_classify(spec)

@@ -74,11 +74,14 @@ def from_em(q, A, grid: GridSpec) -> PotentialField:
 
     vals = np.zeros(shape + (4, 4), dtype=np.complex128)
     if q is not None:
-        vals += real_finite(q, "scalar", ())[..., None, None] * np.eye(4)
+        q_arr = real_finite(q, "scalar", ())
+        for r in range(4):
+            vals[..., r, r] += q_arr
     if A is not None:
         a_arr = real_finite(A, "vector", (3,))
-        for j in range(3):
-            vals -= a_arr[..., j, None, None] * ALPHA[j]
+        for j in range(3):  # each nonzero entry of alpha_j is +-1 or +-i, written straight into its place
+            for r, c in zip(*np.nonzero(ALPHA[j])):
+                vals[..., r, c] -= a_arr[..., j] * ALPHA[j][r, c]
     return PotentialField(grid, vals)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dirac_zero_lab import field
-from dirac_zero_lab.cli import main
+from dirac_zero_lab.cli import _criterion_indices, main
 
 
 def run_cli(capsys, *argv):
@@ -343,6 +343,31 @@ def test_zero_mode_bad_potential_header_is_usage_error(capsys, tmp_path):
     assert code == 2
     assert "'N'" in err
     assert "Traceback" not in err
+
+
+def test_zero_mode_non_ascii_potential_header_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "pot.dzl1"
+    path.write_bytes("DZL1 L=8.0 N=16 space=position components=16 \u00b5\n".encode())
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(
+        capsys, "zero-mode", "--potential", f"file:{path}", "--L", "8", "--N", "16", "--out", str(out_dir)
+    )
+    assert code == 2
+    assert f"corrupt DZL1 header in {path}" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_zero_mode_scalar_decay_needs_rho_over_one(capsys, tmp_path):
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(
+        capsys, "zero-mode", "--potential", "scalar-decay", "--rho", "1", "--L", "8", "--N", "16",
+        "--out", str(out_dir),
+    )
+    assert code == 2
+    assert "scalar-decay needs rho > 1, got 1.0" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
 
 
 def test_zero_mode_repeated_potential_header_key_is_usage_error(capsys, tmp_path):
@@ -707,6 +732,10 @@ def test_zero_mode_output_root_env(capsys, tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 # acceptance driver
 # ---------------------------------------------------------------------------
+
+
+def test_acceptance_without_only_runs_every_criterion_in_order():
+    assert _criterion_indices(None, {3: None, 1: None, 2: None}) == [1, 2, 3]
 
 
 def test_acceptance_only_bootstrap(capsys, tmp_path):

@@ -174,8 +174,31 @@ def test_pruned_padded_convolve_is_bit_identical_to_full_padding(monkeypatch, N,
     for cpus in (2, 1):
         monkeypatch.setattr(field, "_allowed_cpus", lambda: cpus)
         out = _padded_convolve(values, apply_kernel)
-        assert out.shape == ref.shape
+        assert out.shape == ref.shape and out.flags.c_contiguous
         assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("trailing", [(), (4,)])
+def test_padded_convolve_weights_its_input_per_block_bit_for_bit(monkeypatch, trailing):
+    # weight * values is formed one block of planes at a time in the forward pass, with the
+    # same bits as weighting the whole input first; N = 34 ends its planes in a short block
+    N = 34
+    rng = np.random.default_rng(7 + len(trailing))
+    values = rng.standard_normal((N, N, N) + trailing)
+    if trailing:
+        values = values + 1j * rng.standard_normal(values.shape)
+    weight = rng.uniform(0.5, 2.0, (N, N, N))
+    last = 2 * N if trailing else N + 1
+    kernel_hat = rng.standard_normal((2 * N, 2 * N, last)) + 1j * rng.standard_normal((2 * N, 2 * N, last))
+
+    def apply_kernel(spec, cols):
+        return spec * kernel_hat[:, cols][(...,) + (None,) * len(trailing)]
+
+    weighted = weight[(...,) + (None,) * len(trailing)] * values
+    for cpus in (2, 1):
+        monkeypatch.setattr(field, "_allowed_cpus", lambda: cpus)
+        out = _padded_convolve(values, apply_kernel, weight=weight)
+        assert np.array_equal(out, _padded_convolve(weighted, apply_kernel))
 
 
 def test_padded_convolve_inside_a_helper_job_matches_the_serial_one(monkeypatch):
@@ -240,6 +263,22 @@ def test_padded_kernel_fft_builds_no_full_table(monkeypatch):
     field._padded_kernel_fft(grid, _inverse_power, True)  # numpy caches its FFT plans on first use
     peak = traced_peak_bytes(field._padded_kernel_fft, grid, _inverse_power, True)
     assert peak < spec_bytes + 3 * scratch_bytes
+
+
+def test_spinor_field_rejects_a_wrong_shape_or_space_tag():
+    g = make_grid(4.0, 8)
+    with pytest.raises(ValueError, match=r"field values must have shape \(8, 8, 8, 4\), got \(8, 8, 8, 2\)"):
+        SpinorField(g, np.zeros((8, 8, 8, 2)))
+    with pytest.raises(ValueError, match="unknown space tag 'momentum'"):
+        SpinorField(g, np.zeros((8, 8, 8, 4)), "momentum")
+
+
+def test_fields_in_two_spaces_neither_add_nor_subtract():
+    f = random_field(make_grid(4.0, 8), seed=3)
+    fhat = forward_fourier(f)
+    for combine in (SpinorField.__add__, SpinorField.__sub__):
+        with pytest.raises(ValueError, match="space mismatch: position vs frequency"):
+            combine(f, fhat)
 
 
 def test_space_tag_enforced():
@@ -441,9 +480,10 @@ def test_field_file_rejects_bad_magic(tmp_path):
         (b"DZL1 L=4.0 N=3 space=position components=4", r"bad.dzl1: points per axis .* got 3"),
         (b"DZL1 L=-4.0 N=4 space=position components=4", r"bad.dzl1: box half-width .* got -4.0"),
         (b"DZL1 L=4.0 N=4 space=bogus components=4", r"bad.dzl1: unknown space tag 'bogus'"),
+        ("DZL1 L=4.0 N=4 space=position components=4 \u00b5".encode(), r"corrupt DZL1 header in .*bad.dzl1"),
     ],
     ids=["missing-key", "stray-token", "repeated-key", "unknown-key", "empty-key", "float-N", "text-L",
-         "text-components", "negative-N", "odd-N", "negative-L", "unknown-space"],
+         "text-components", "negative-N", "odd-N", "negative-L", "unknown-space", "non-ascii"],
 )
 def test_field_file_rejects_bad_header(tmp_path, header, message):
     path = tmp_path / "bad.dzl1"

@@ -5,11 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import coordinate_mesh
+from conftest import coordinate_mesh, traced_peak_bytes
 from dirac_zero_lab import field
 from dirac_zero_lab.field import make_grid
 from dirac_zero_lab.kernelnorm import (
+    NormEstimate,
     NwKernelSpec,
+    _lp_norm,
+    _nw_operator,
+    _power_iteration,
     estimate_norm,
     lemma_a_conjugated_norm,
     nw_apply,
@@ -147,6 +151,33 @@ def test_nw_apply_complex_input():
 # ---------------------------------------------------------------------------
 # norm estimation
 # ---------------------------------------------------------------------------
+
+
+def test_kernel_apply_holds_no_full_size_temporary(monkeypatch):
+    # one apply at (32, 64) holds its half spectrum, its (N, N, N) result and each thread's
+    # scratch: the input weight is applied per block of planes, the axis-2 inverse is cropped
+    # out of the scratch, and the output weight is multiplied in place; a third scratch block
+    # covers numpy's FFT and ufunc buffers
+    monkeypatch.setattr(field, "_allowed_cpus", lambda: 2)
+    g = make_grid(32.0, 64)
+    N, n = g.N, 2 * g.N
+    apply, _ = _nw_operator(NwKernelSpec(a=1, b=Fraction(1, 2)), g)
+    phi = np.random.default_rng(0).standard_normal((N,) * 3)
+    apply(phi)  # numpy caches its FFT plans on first use
+    half_bytes = N * n * (N + 1) * 16
+    pad_bytes = n * field._BLOCK * (N + 1) * 16
+    assert traced_peak_bytes(apply, phi) < half_bytes + N**3 * 8 + 3 * pad_bytes
+
+
+def test_power_iteration_of_a_zero_operator_is_zero():
+    def zero(v):
+        return np.zeros_like(v)
+
+    assert _power_iteration(zero, zero, np.ones((4, 4, 4)), 5) == NormEstimate(0.0, 1, True)
+
+
+def test_lp_norm_of_a_zero_field_is_zero():
+    assert _lp_norm(np.zeros((4, 4, 4)), 3.0, 0.125) == 0.0
 
 
 def test_estimate_norm_monotone_in_iterations():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import coordinate_mesh
+from conftest import coordinate_mesh, traced_peak_bytes
 from dirac_zero_lab.clifford import ALPHA
 from dirac_zero_lab.field import l2_norm, make_grid
 from dirac_zero_lab.freeop import apply_h0
@@ -69,6 +69,47 @@ def test_from_em_rejects_non_finite_inputs():
 # ---------------------------------------------------------------------------
 # the magnetic zero-mode construction
 # ---------------------------------------------------------------------------
+
+
+def _from_em_by_full_products(q, A, grid):
+    """q I - sum_j A_j alpha_j as a sum of whole (N, N, N, 4, 4) products."""
+    vals = np.zeros((grid.N,) * 3 + (4, 4), dtype=complex)
+    vals += q[..., None, None] * np.eye(4)
+    for j in range(3):
+        vals -= A[..., j, None, None] * ALPHA[j]
+    return vals
+
+
+def test_from_em_equals_the_full_products_bit_for_bit():
+    # each nonzero entry of I and of alpha_j is written into its place; the zero entries the
+    # full products also add change no bit, signed zeros included (+0 and -0 inputs, raw bits)
+    g = make_grid(3.0, 6)
+    rng = np.random.default_rng(11)
+    q = rng.standard_normal(g.npoints).reshape((6,) * 3)
+    A = rng.standard_normal(3 * g.npoints).reshape((6,) * 3 + (3,))
+    for x in (q, A):
+        x[rng.random(x.shape) < 0.2] = 0.0
+        x[rng.random(x.shape) < 0.2] = -0.0
+    zero_q, zero_A = np.zeros_like(q), np.zeros_like(A)
+    for q_in, A_in in ((q, A), (q, None), (None, A), (-q, -A)):
+        got = from_em(q_in, A_in, g).values
+        ref = _from_em_by_full_products(zero_q if q_in is None else q_in, zero_A if A_in is None else A_in, g)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_from_em_builds_no_full_size_temporary(grid16, ly16):
+    # Q is the one (N, N, N, 4, 4) array: beside it live the real copies of q and A and one
+    # (N, N, N) complex product, where one full-size product alone is as large as Q (8 MiB at N = 32)
+    g = grid16
+    q = 0.1 * (1.0 + g.radius2) ** -1.0
+    A = ly16.vector_potential
+    q_bytes = g.npoints * 16 * 16
+    assert traced_peak_bytes(from_em, q, A, g) < q_bytes + 4 * g.npoints * 16
+
+
+def test_potential_field_rejects_a_wrong_shape():
+    with pytest.raises(ValueError, match=r"potential values must have shape \(8, 8, 8, 4, 4\), got \(8, 8, 8, 4\)"):
+        PotentialField(make_grid(4.0, 8), np.zeros((8, 8, 8, 4)))
 
 
 def test_loss_yau_modulus_identity(grid16, ly16):

@@ -566,6 +566,7 @@ def test_fixed_point_subspace_overlap(spectrum_ly, ly16):
 
 def test_subspace_overlap_basics(grid16, ly16):
     assert subspace_overlap([], ly16.zero_mode) == 0.0
+    assert subspace_overlap([0.0 * ly16.zero_mode], ly16.zero_mode) == 0.0  # no direction spans anything
     assert subspace_overlap([ly16.zero_mode], ly16.zero_mode) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -675,6 +676,31 @@ def test_classify_magnetic_mode(ly16, q_ly16):
     assert cls.mu_check[0.45] == "finite-trend"
 
 
+@pytest.mark.parametrize(
+    "s, kind, sigma",
+    [
+        (1.0, "resonance_candidate", 0.985),
+        (1.25, "resonance_candidate", 1.232),
+        (1.5, "inconclusive", 1.479),
+        (1.75, "zero_mode", 1.726),
+        (2.0, "zero_mode", 1.973),
+        (3.0, "zero_mode", 2.957),
+    ],
+)
+def test_classify_known_decay_rates(grid16, s, kind, sigma):
+    # <x>^-s decays at sigma = s; the (16, 32) shells read it a little low, and the margin
+    # 0.1 around 3/2 sorts the six fields into the three decay outcomes
+    cls = classify_threshold_state(bracket_field(grid16, -s), 0.0)
+    assert cls.kind == kind
+    assert cls.fit.sigma == pytest.approx(sigma, abs=5e-4)
+
+
+def test_classify_residual_over_the_gate_is_unclassified(grid16):
+    cls = classify_threshold_state(bracket_field(grid16, -2.0), 0.8)
+    assert (cls.kind, cls.fit, cls.mu_check) == ("unclassified", None, {})
+    assert cls.reason.startswith("residual 0.8 exceeds the classification gate 0.75")
+
+
 def test_classify_gate_rejects_mismatched_pair(grid16, q_ly16):
     # an oscillating <x>^{-1.2} profile is nowhere near the kernel of this
     # operator, so the residual gate trips
@@ -712,6 +738,15 @@ def test_classify_raises_on_a_frequency_space_field(ly16):
         classify_threshold_state(forward_fourier(ly16.zero_mode), 0.0)
 
 
+def test_mu_trend_of_a_field_outside_the_half_box():
+    # nothing on the L/2 sub-box: a field there is diverging, the zero field is not
+    g = make_grid(8.0, 16)
+    vals = np.zeros((16, 16, 16, 4), dtype=complex)
+    vals[0, 0, 0, 0] = 1.0  # a box corner, outside the sub-box
+    assert mu_trend(SpinorField(g, vals, POSITION), 0.4) == "diverging"
+    assert mu_trend(SpinorField(g, 0.0 * vals, POSITION), 0.4) == "finite-trend"
+
+
 def test_mu_trend_diverges_past_half(ly16):
     # decay sharpness: mu = 0.6 sits outside the guaranteed range
     assert mu_trend(ly16.zero_mode, 0.4) == "finite-trend"
@@ -726,6 +761,11 @@ def test_mu_trend_diverges_past_half(ly16):
 def test_weighted_identity_collapses_at_mu_zero(grid16):
     f = random_field(grid16, seed=61, band_limit=1.5)
     assert weighted_derivative_identity_check(f, 0.0) <= 1e-12
+
+
+def test_weighted_identity_of_a_zero_field_is_zero(grid16):
+    zero = SpinorField(grid16, np.zeros((32, 32, 32, 4), dtype=complex), POSITION)
+    assert weighted_derivative_identity_check(zero, 0.4) == 0.0
 
 
 def test_weighted_identity_gaussian_converges_with_n():
