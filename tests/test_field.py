@@ -169,6 +169,9 @@ def test_pruned_padded_convolve_is_bit_identical_to_full_padding(monkeypatch, N,
         return kernel_hat[:, cols, :, None] * spec[..., ::-1] + spec
 
     ref = padded_convolve_reference(values, N, apply_kernel)
+    # an input weight is applied one block of planes at a time, with the bits of weighting first
+    weight = rng.uniform(0.5, 2.0, (N, N, N))
+    ref_weighted = padded_convolve_reference(weight[(...,) + (None,) * len(trailing)] * values, N, apply_kernel)
     # on the shared path and on one CPU; N = 32 and 34 share their real passes,
     # and the 2N = 68 columns of N = 34 end in a short block
     for cpus in (2, 1):
@@ -176,29 +179,7 @@ def test_pruned_padded_convolve_is_bit_identical_to_full_padding(monkeypatch, N,
         out = _padded_convolve(values, apply_kernel)
         assert out.shape == ref.shape and out.flags.c_contiguous
         assert np.array_equal(out, ref)
-
-
-@pytest.mark.parametrize("trailing", [(), (4,)])
-def test_padded_convolve_weights_its_input_per_block_bit_for_bit(monkeypatch, trailing):
-    # weight * values is formed one block of planes at a time in the forward pass, with the
-    # same bits as weighting the whole input first; N = 34 ends its planes in a short block
-    N = 34
-    rng = np.random.default_rng(7 + len(trailing))
-    values = rng.standard_normal((N, N, N) + trailing)
-    if trailing:
-        values = values + 1j * rng.standard_normal(values.shape)
-    weight = rng.uniform(0.5, 2.0, (N, N, N))
-    last = 2 * N if trailing else N + 1
-    kernel_hat = rng.standard_normal((2 * N, 2 * N, last)) + 1j * rng.standard_normal((2 * N, 2 * N, last))
-
-    def apply_kernel(spec, cols):
-        return spec * kernel_hat[:, cols][(...,) + (None,) * len(trailing)]
-
-    weighted = weight[(...,) + (None,) * len(trailing)] * values
-    for cpus in (2, 1):
-        monkeypatch.setattr(field, "_allowed_cpus", lambda: cpus)
-        out = _padded_convolve(values, apply_kernel, weight=weight)
-        assert np.array_equal(out, _padded_convolve(weighted, apply_kernel))
+        assert np.array_equal(_padded_convolve(values, apply_kernel, weight=weight), ref_weighted)
 
 
 def test_padded_convolve_inside_a_helper_job_matches_the_serial_one(monkeypatch):

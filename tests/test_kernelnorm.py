@@ -154,10 +154,10 @@ def test_nw_apply_complex_input():
 
 
 def test_kernel_apply_holds_no_full_size_temporary(monkeypatch):
-    # one apply at (32, 64) holds its half spectrum, its (N, N, N) result and each thread's
-    # scratch: the input weight is applied per block of planes, the axis-2 inverse is cropped
-    # out of the scratch, and the output weight is multiplied in place; a third scratch block
-    # covers numpy's FFT and ufunc buffers
+    # one apply at (32, 64) peaks in its column pass, holding the half spectrum, the (N, N, N)
+    # result and each thread's column block: the input weight is applied per block of planes,
+    # the axis-2 inverse is cropped out of the thread's scratch, and the output weight comes
+    # after the convolution; a third column block covers numpy's FFT and ufunc buffers
     monkeypatch.setattr(field, "_allowed_cpus", lambda: 2)
     g = make_grid(32.0, 64)
     N, n = g.N, 2 * g.N
