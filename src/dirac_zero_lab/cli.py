@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -285,7 +286,7 @@ def _bootstrap_json(trace: bs.BootstrapTrace) -> dict:
 
 
 def _emit_eigenreport(cfg: dict, report: resonance.EigenReport, reference: field.SpinorField | None) -> None:
-    """eigenreport.json, and each eigenfield as eigenfields/eigenfield_<i>.dzl1."""
+    """eigenreport.json (the report's fields but its eigenfields), and each as eigenfields/eigenfield_<i>.dzl1."""
     overlaps = []
     if reference is not None:
         ref_norm = field.l2_norm(reference)
@@ -297,23 +298,9 @@ def _emit_eigenreport(cfg: dict, report: resonance.EigenReport, reference: field
     files = [os.path.join(field_dir, f"eigenfield_{i}.dzl1") for i in range(len(report.eigenfields))]
     for fld, fp in zip(report.eigenfields, files):
         field.save_field(fld, fp)
-    payload = {
-        "eigenvalues": [[lam.real, lam.imag] for lam in report.eigenvalues],
-        "residuals": report.residuals,
-        "iterations": report.iterations,
-        "restarts": report.restarts,
-        "nconv": report.nconv,
-        "sectors": report.sectors,
-        "solve_s": report.solve_s,
-        "matvec_s": report.matvec_s,
-        "gram_schmidt_s": report.gram_schmidt_s,
-        "restart_s": report.restart_s,
-        "dgks_passes": report.dgks_passes,
-        "converged": report.converged,
-        "eigenfield_files": files,
-        "overlaps": overlaps,
-    }
-    _emit_json(cfg, "eigenreport.json", payload)
+    payload = {f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.name != "eigenfields"}
+    payload["eigenvalues"] = [[lam.real, lam.imag] for lam in report.eigenvalues]
+    _emit_json(cfg, "eigenreport.json", dict(payload, eigenfield_files=files, overlaps=overlaps))
 
 
 def cmd_zero_mode(args) -> int:

@@ -117,9 +117,11 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
     theta of H converges when |beta y_ncv| <= tol max(|theta|, eps^(2/3)),
     as in ARPACK.  Until the top k all pass, the (ncv + k) // 2 leading Ritz
     vectors are kept and extended again (Krylov-Schur restart, Stewart 2001).
-    Returns (eigenvalues, eigenvector columns, matvec count, converged,
-    restarts, cost); after ``max_iter`` restarts, only the converged pairs.
-    ``cost`` holds the seconds spent in the matvecs (``matvec_s``), in
+    Returns (eigenvalues, eigenvector columns, stats); after ``max_iter``
+    restarts, only the converged pairs.  ``stats`` holds the solve's counters
+    under their :class:`EigenReport` names: the matvecs (``iterations``), the
+    thick restarts, the converged pairs (``nconv``) and whether all k
+    converged, the seconds spent in the matvecs (``matvec_s``), in
     Gram-Schmidt and normalization (``gram_schmidt_s``) and in the Ritz steps,
     restarts and final rotation (``restart_s``), and the number of DGKS
     second Gram-Schmidt passes (``dgks_passes``).  A non-finite Krylov vector
@@ -132,7 +134,8 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
     V[0] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     V[0] /= np.linalg.norm(V[0])
     scratch = np.empty(n, dtype=np.complex128)  # conj(w), then the projection c V[:j]
-    cost = {"matvec_s": 0.0, "gram_schmidt_s": 0.0, "restart_s": 0.0, "dgks_passes": 0}
+    stats = {"iterations": 0, "restarts": 0, "nconv": 0, "converged": False, "matvec_s": 0.0, "gram_schmidt_s": 0.0,
+             "restart_s": 0.0, "dgks_passes": 0}
 
     def orthogonalize(w, j):
         """Gram-Schmidt of w against V[:j], again if DGKS asks: (coefficients, norm, 0 if w was in their span)."""
@@ -142,7 +145,7 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
             raise ValueError(f"the operator returned a Krylov vector of norm {start}; is the potential too large?")
         h, beta = np.zeros(j, dtype=np.complex128), start
         for second in range(2):
-            cost["dgks_passes"] += second
+            stats["dgks_passes"] += second
             c = np.conj(V[:j] @ np.conj(w, out=scratch))
             w -= np.matmul(c, V[:j], out=scratch)
             h, prev, beta = h + c, beta, np.linalg.norm(w)
@@ -155,12 +158,12 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
         for s in range(0, n, RESTART_BLOCK):
             V[: C.shape[1], s : s + RESTART_BLOCK] = C.T @ V[:m, s : s + RESTART_BLOCK]
 
-    p = matvecs = 0
-    for restart in range(max_iter):
+    p = 0
+    for stats["restarts"] in range(max_iter):
         for j in range(p, m):
             started = time.perf_counter()
             matvec(V[j], out=V[j + 1])  # then orthogonalized and normalized in place
-            matvecs += 1
+            stats["iterations"] += 1
             multiplied = time.perf_counter()
             H[: j + 1, j], H[j + 1, j] = orthogonalize(V[j + 1], j + 1)
             beta = H[j + 1, j].real
@@ -169,27 +172,28 @@ def _eigs(matvec, n: int, k: int, seed: int, tol: float = ARNOLDI_TOL, max_iter:
                 orthogonalize(V[j + 1], j + 1)
                 beta = np.linalg.norm(V[j + 1])
             V[j + 1] /= beta
-            cost["matvec_s"] += multiplied - started
-            cost["gram_schmidt_s"] += time.perf_counter() - multiplied
+            stats["matvec_s"] += multiplied - started
+            stats["gram_schmidt_s"] += time.perf_counter() - multiplied
         started = time.perf_counter()
         theta, Y = np.linalg.eig(H[:m])
         order = np.argsort(-np.abs(theta), kind="stable")
         theta, Y = theta[order], Y[:, order]
         ok = np.abs(H[m] @ Y[:, :k]) <= tol * np.maximum(np.abs(theta[:k]), np.finfo(float).eps ** (2 / 3))
-        if ok.all() or restart == max_iter - 1:
+        if ok.all() or stats["restarts"] == max_iter - 1:
             ritz = Y[:, :k][:, ok]
             rotate(ritz)
             # keeps the Ritz rows and frees the rest; no view of V outlives rotate, and the reference
             # check would refuse the V that a tracer's frame-locals snapshot holds (cProfile, pdb, coverage)
             V.resize((ritz.shape[1], n), refcheck=False)
-            cost["restart_s"] += time.perf_counter() - started
-            return theta[:k][ok], V.T, matvecs, bool(ok.all()), restart, cost
+            stats["restart_s"] += time.perf_counter() - started
+            stats["nconv"], stats["converged"] = ritz.shape[1], bool(ok.all())
+            return theta[:k][ok], V.T, stats
         p = (m + k) // 2
         Qp = np.linalg.qr(Y[:, :p])[0]
         H[:p, :p], H[p, :p], H[p + 1 :], H[:, p:] = Qp.conj().T @ H[:m] @ Qp, H[m] @ Qp, 0.0, 0.0
         rotate(Qp)
         V[p] = V[m]
-        cost["restart_s"] += time.perf_counter() - started
+        stats["restart_s"] += time.perf_counter() - started
 
 
 def format_eigenvalue(lam: complex) -> str:
@@ -213,12 +217,13 @@ class EigenReport:
 
     ``residuals`` holds ||T f - lambda f||_2 / ||f||_2 per reported pair (the
     solver's test is the |lambda|-relative form, which makes the spectrum
-    exactly covariant under Q -> c Q).  ``iterations``, ``restarts`` and
-    ``nconv`` count its matvecs, thick restarts and converged pairs over every
-    sector solved; ``sectors`` says what was solved ("+ copied", "+ negated",
-    "+-", "full", or "none" for Q = 0), ``solve_s`` the whole call's wall time.
-    ``matvec_s``, ``gram_schmidt_s``, ``restart_s`` and ``dgks_passes`` are
-    the solver's own cost (see :func:`_eigs`), summed over the sectors solved.
+    exactly covariant under Q -> c Q).  ``sectors`` says what was solved
+    ("+ copied", "+ negated", "+-", "full", or "none" for Q = 0), ``solve_s``
+    the whole call's wall time.  The other fields are the solver's counters
+    (see :func:`_eigs`): ``converged`` if every sector solved converged, and
+    the matvecs (``iterations``), thick restarts, converged pairs (``nconv``),
+    phase times and DGKS passes summed over the sectors.  eigenreport.json
+    holds every field but ``eigenfields``.
     """
 
     eigenvalues: list[complex]
@@ -296,23 +301,22 @@ def birman_schwinger_spectrum(Q: PotentialField, k: int = 6, seed: int = DEFAULT
             sectors = "+-"
             solves = [_sector_matvec(grid, a + b), _sector_matvec(grid, b - a)]  # T- = S (a - b) = -S (b - a)
             views = [(0, 1, 1), (1, 1, -1)]
-    results = [_eigs(matvec, grid.npoints * width, k, seed) for matvec in solves]
+    values, vectors, stats = zip(*(_eigs(matvec, grid.npoints * width, k, seed) for matvec in solves))
 
     ranked = sorted(
         (
             (sign * complex(lam), order, solve, col, lower)
             for order, (solve, sign, lower) in enumerate(views)
-            for col, lam in enumerate(results[solve][0])
+            for col, lam in enumerate(values[solve])
         ),
         key=cmp_to_key(_pinned_order),
     )[:k]
     eigenvalues, eigenfields, resids = [], [], []
     solve_residual = {}  # the copied or negated view of a pair has the same residual
     for lam, _, solve, col, lower in ranked:
-        vecs = results[solve][1]
-        vec = vecs[:, col] / np.linalg.norm(vecs[:, col])
+        vec = vectors[solve][:, col] / np.linalg.norm(vectors[solve][:, col])
         if (solve, col) not in solve_residual:
-            lam_solve = complex(results[solve][0][col])
+            lam_solve = complex(values[solve][col])
             solve_residual[solve, col] = float(np.linalg.norm(solves[solve](vec) - lam_solve * vec))
         vec = vec.reshape(grid.N, grid.N, grid.N, width)
         if lower:
@@ -321,18 +325,9 @@ def birman_schwinger_spectrum(Q: PotentialField, k: int = 6, seed: int = DEFAULT
         eigenvalues.append(lam)
         eigenfields.append((1.0 / l2_norm(fld)) * fld)
         resids.append(solve_residual[solve, col])
-    return EigenReport(
-        eigenvalues=eigenvalues,
-        eigenfields=eigenfields,
-        residuals=resids,
-        iterations=sum(r[2] for r in results),
-        converged=all(r[3] for r in results),
-        sectors=sectors,
-        solve_s=time.perf_counter() - started,
-        restarts=sum(r[4] for r in results),
-        nconv=sum(len(r[0]) for r in results),
-        **{key: sum(r[5][key] for r in results) for key in results[0][5]},
-    )
+    counters = {key: sum(s[key] for s in stats) for key in stats[0]}  # summed over the sectors solved
+    counters.update(converged=all(s["converged"] for s in stats), solve_s=time.perf_counter() - started)
+    return EigenReport(eigenvalues, eigenfields, resids, sectors=sectors, **counters)
 
 
 def fixed_point_subspace(report: EigenReport) -> tuple[list[complex], list[SpinorField]]:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import json
 import os
@@ -467,6 +468,9 @@ def test_zero_mode_eigenreport_json_and_fields(capsys, tmp_path, q_ly16, ly16):
     assert code == 0
     report = resonance.birman_schwinger_spectrum(q_ly16, k=6)
     on_disk = json.loads((out_dir / "eigenreport.json").read_text())
+    # every report field but the eigenfields, which are files
+    fields = {f.name for f in dataclasses.fields(resonance.EigenReport)} - {"eigenfields"}
+    assert set(on_disk) == fields | {"eigenfield_files", "overlaps"}
     assert on_disk["eigenvalues"] == [[lam.real, lam.imag] for lam in report.eigenvalues]
     assert on_disk["residuals"] == report.residuals
     assert on_disk["iterations"] == report.iterations
