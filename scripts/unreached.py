@@ -7,12 +7,11 @@ Runs pytest in this interpreter (by default with the Tier-1 arguments
 under a ``sys.settrace`` tracer that records the lines run in frames of
 ``src/`` files, on every thread: ``threading.settrace`` reaches the helper
 thread that shares the large passes, which starts after the tracer is set.
-Frames of other files get no line tracing.  A test that sets and then clears
-a tracer of its own would switch this one off for the rest of the run, so it
-is put back after each test (the lines that test runs under its own tracer
-are not seen).  A line is executable if a code object compiled from
-its file has an instruction on it, other than the entry bookkeeping of a
-code object (``RESUME`` and its like, which report no line of their own).
+Frames of other files get no line tracing, and the lines a test runs under a
+tracer of its own are not seen.  A line is executable if a code object
+compiled from its file has an instruction on it, other than the entry
+bookkeeping of a code object (``RESUME`` and its like, which report no line
+of their own).
 Prints ``path:line: source`` for each line never run, then the count.
 Tests that run the CLI in a child process are not traced.  Standard library
 only; pytest is what it runs, not what it uses.
@@ -41,14 +40,6 @@ def _local(frame, event, arg):
 
 def _global(frame, event, arg):
     return _local if frame.f_code.co_filename.startswith(SRC + os.sep) else None
-
-
-class _Retrace:
-    """A pytest plugin that puts the tracer back after each test, for tests that set and clear their own."""
-
-    def pytest_runtest_teardown(self):
-        if sys.gettrace() is not _global:
-            sys.settrace(_global)
 
 
 def _code_objects(code):
@@ -81,7 +72,7 @@ def main(argv: list[str]) -> int:
     threading.settrace(_global)
     sys.settrace(_global)
     try:
-        pytest.main(argv or TIER1_ARGS, plugins=[_Retrace()])
+        pytest.main(argv or TIER1_ARGS)
     finally:
         sys.settrace(None)
         threading.settrace(None)

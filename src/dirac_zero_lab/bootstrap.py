@@ -31,12 +31,13 @@ TERMINAL_STATEMENT = (
 
 
 def _as_fraction(x, name: str) -> Fraction:
+    """``x`` as a Fraction: TypeError for a float, ValueError for no rational number (``"abc"``, ``"1/0"``)."""
     if isinstance(x, float):
         raise TypeError(f"{name} must be exact (int, Fraction or 'p/q' string), got float")
     try:
         return Fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise TypeError(f"{name} must be rational, got {x!r}") from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{name} must be rational, got {x!r}") from exc
 
 
 def map_weight_through_q(s, rho) -> Fraction:

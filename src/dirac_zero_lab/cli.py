@@ -43,6 +43,17 @@ SETTINGS = {
 # acceptance asserts a failing 0.05.
 QUADRATURE_TOL = 0.25
 
+# The potential flags each zero-mode potential reads, with their defaults ("file:" for every file:PATH).
+POTENTIALS = {
+    "zero": {},
+    "loss-yau": {},
+    "file:": {},
+    "scalar-decay": {"amp": 0.1, "rho": 2.0},
+    "em": {"amp": 0.1, "rho": 2.0, "a_scale": 1.0},
+}
+# (flag, the part of the potential it sets) of each potential flag
+POTENTIAL_FLAGS = {"amp": ("--amp", "scalar"), "rho": ("--rho", "scalar"), "a_scale": ("--a-scale", "vector")}
+
 # (flag, help) of each setting
 FLAGS = {
     "L": ("--L", "box half-width"),
@@ -213,10 +224,7 @@ def cmd_nw_sweep(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    try:
-        trace = bs.bootstrap_trace(args.rho)
-    except TypeError as exc:  # rho that is not rational
-        raise ValueError(str(exc)) from exc
+    trace = bs.bootstrap_trace(args.rho)
     cfg = _settings(args)
     _emit_settings(cfg)
     payload = _bootstrap_json(trace)
@@ -235,30 +243,36 @@ def cmd_bootstrap(args) -> int:
 
 def _build_potential(args, grid: field.GridSpec) -> tuple[potential.PotentialField, field.SpinorField | None]:
     """The named potential, and the Loss-Yau zero mode as the overlap reference for ``loss-yau``."""
-    flags = {"--amp": (args.amp, "scalar"), "--rho": (args.rho, "scalar"), "--a-scale": (args.a_scale, "vector")}
-    for flag, (value, part) in flags.items():
-        if not np.isfinite(value):
-            raise ValueError(f"{part} potential is not finite: {flag} {value}")
     name = args.potential
-    if name.startswith("file:"):
+    kind = "file:" if name.startswith("file:") else name
+    if kind not in POTENTIALS:
+        raise ValueError(f"unknown potential {name!r}")
+    given = {key: vars(args)[key] for key in POTENTIAL_FLAGS if vars(args)[key] is not None}
+    unread = [POTENTIAL_FLAGS[key][0] for key in given if key not in POTENTIALS[kind]]
+    if unread:  # a flag the potential does not read is a usage error, not a setting silently dropped
+        raise ValueError(f"--potential {name} does not read {', '.join(unread)}")
+    values = {**POTENTIALS[kind], **given}
+    for key, value in values.items():
+        if not np.isfinite(value):
+            flag, part = POTENTIAL_FLAGS[key]
+            raise ValueError(f"{part} potential is not finite: {flag} {value}")
+    if kind == "file:":
         return potential.load_potential(name[5:]), None
     if name == "zero":
         return potential.from_em(None, None, grid), None
     if name == "loss-yau":
         ly = potential.loss_yau(grid)
         return potential.from_em(None, ly.vector_potential, grid), ly.zero_mode
+    amp, rho = values["amp"], values["rho"]
     if name == "scalar-decay":
-        if args.rho <= 1:
-            raise ValueError(f"scalar-decay needs rho > 1, got {args.rho}")
-        profile = args.amp * (1.0 + grid.radius2) ** (-args.rho / 2.0)
-        return potential.from_em(profile, None, grid), None
-    if name == "em":
-        ly = potential.loss_yau(grid)
-        with np.errstate(over="ignore"):  # a potential out of float range is rejected by from_em
-            q = args.amp * (1.0 + grid.radius2) ** (-args.rho / 2.0) if args.amp else None
-            vector = args.a_scale * ly.vector_potential
-        return potential.from_em(q, vector, grid), None
-    raise ValueError(f"unknown potential {name!r}")
+        if rho <= 1:
+            raise ValueError(f"scalar-decay needs rho > 1, got {rho}")
+        return potential.from_em(amp * (1.0 + grid.radius2) ** (-rho / 2.0), None, grid), None
+    ly = potential.loss_yau(grid)
+    with np.errstate(over="ignore"):  # a potential out of float range is rejected by from_em
+        q = amp * (1.0 + grid.radius2) ** (-rho / 2.0) if amp else None
+        vector = values["a_scale"] * ly.vector_potential
+    return potential.from_em(q, vector, grid), None
 
 
 def _remove_numbered_outputs(out: str) -> None:
@@ -425,9 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("zero-mode", cmd_zero_mode, "fixed-point spectrum and classification")
     p.add_argument("--potential", default="loss-yau", help="zero|loss-yau|scalar-decay|em|file:PATH")
-    p.add_argument("--amp", type=float, default=0.1)
-    p.add_argument("--rho", type=float, default=2.0)
-    p.add_argument("--a-scale", type=float, default=1.0)
+    for key, (flag, _) in POTENTIAL_FLAGS.items():
+        p.add_argument(flag, dest=key, type=float, default=None)  # None: not given
     p.add_argument("--k", type=int, default=6)
 
     p = command("acceptance", cmd_acceptance, "run the acceptance criteria suite")

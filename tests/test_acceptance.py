@@ -160,6 +160,19 @@ def test_criterion_8_reports_an_unclassifiable_mode(monkeypatch, tmp_path, ly16)
     assert not checks[2]["passed"] and checks[2]["detail"] == "0 of 5 modes checked"
 
 
+def test_criterion_8_names_a_potential_with_no_real_eigenvalue(monkeypatch, ly16):
+    # a rescaled potential whose spectrum holds no real eigenvalue has no eigenvalue to scale to 1:
+    # the detail says so, and with no mode detected anywhere the first check fails
+    def no_real_spectrum(Q, k=6, seed=0):
+        return resonance.EigenReport([0.5j], [ly16.zero_mode], [0.0], 1, True)
+
+    monkeypatch.setattr(resonance, "birman_schwinger_spectrum", no_real_spectrum)
+    checks = acceptance.criterion_8().checks
+    rescaled = ["scalar <x>^-2", "scalar <x>^-3", "em half-strength", "mixed em+scalar"]
+    assert not checks[0].passed and checks[0].detail == "; ".join(f"{name}: no real eigenvalue" for name in rescaled)
+    assert checks[1].passed and checks[1].detail == "0 bad outcomes"
+
+
 def test_criterion_8_counts_outcomes_not_words_of_its_detail(monkeypatch, ly16, grid16):
     # a zero_mode state of a potential whose name holds an outcome's word is no bad outcome
     _fake_detected_mode(monkeypatch, ly16.zero_mode)

@@ -126,6 +126,11 @@ def test_trace_rejects_float_rho():
         bootstrap_trace(1.6)
 
 
+def test_trace_rejects_a_rho_that_is_no_rational_number():
+    with pytest.raises(ValueError, match="rho must be rational, got 'abc'"):
+        bootstrap_trace("abc")
+
+
 def test_n0_property_on_random_rationals():
     rng = np.random.default_rng(13)
     checked = 0

@@ -910,6 +910,22 @@ def test_zero_mode_potential_flag_out_of_float_range_is_usage_error(capsys, tmp_
     assert "potential is not finite" in err
 
 
+@pytest.mark.parametrize(
+    "flags, unread",
+    [
+        (["--potential", "zero", "--amp", "5", "--a-scale", "3"], "--amp, --a-scale"),
+        (["--potential", "loss-yau", "--rho", "3"], "--rho"),
+        (["--potential", "file:absent.dzl1", "--amp", "0.1"], "--amp"),  # checked before the file is read
+        (["--potential", "scalar-decay", "--a-scale", "1"], "--a-scale"),
+    ],
+)
+def test_zero_mode_potential_flag_the_potential_does_not_read_is_usage_error(capsys, tmp_path, flags, unread):
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, "zero-mode", *flags, "--L", "4", "--N", "8", "--out", str(out_dir))
+    _assert_clean_usage_error(code, out, err, out_dir)
+    assert f"error: --potential {flags[1]} does not read {unread}\n" == err
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize(
     "argv",

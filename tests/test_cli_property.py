@@ -1,9 +1,10 @@
 """Property tests of the command line and of the files it reads.
 
 The first test runs one of the five commands that read settings, with every
-numeric flag given: up to two of them take an edge value (non-finite,
-negative, zero, over- or underflowing, fractional, malformed), the others a
-normal one.  The second gives a command its settings through a --config
+numeric flag given (for ``zero-mode``, only the potential flags that its
+potential reads; another is a usage error): up to two of them take an edge
+value (non-finite, negative, zero, over- or underflowing, fractional,
+malformed), the others a normal one.  The second gives a command its settings through a --config
 file of drawn lines, and the third loads a drawn DZL1 potential file into
 ``zero-mode``.  Whatever the input, ``cli.main`` returns an exit code in
 {0, 1, 2, 3}, no exception or warning escapes it, and an exit 2 leaves
@@ -20,7 +21,7 @@ import warnings
 
 from hypothesis import event, given, settings, strategies as st
 
-from dirac_zero_lab.cli import SETTINGS, main
+from dirac_zero_lab.cli import POTENTIAL_FLAGS, POTENTIALS, SETTINGS, main
 
 EDGE = ("nan", "inf", "-1", "0", "1e-300", "1e300", "1e400", "3/2", "1/0", "abc")
 SEEDS = ("1", "7")
@@ -82,7 +83,11 @@ def cli_argv(draw):
             h = 1.0
         last = values.pop("scale")
         values["scales"] = f"{2 * h},{3 * h},{4 * h if last == '4' else last}"
-    return [command] + [f"--{name}={value}" for name, value in values.items()] + draw(st.sampled_from(OTHER[command]))
+    other = draw(st.sampled_from(OTHER[command]))
+    if command == "zero-mode":
+        unread = {flag[2:] for key, (flag, _) in POTENTIAL_FLAGS.items() if key not in POTENTIALS[other[1]]}
+        values = {name: value for name, value in values.items() if name not in unread}
+    return [command] + [f"--{name}={value}" for name, value in values.items()] + other
 
 
 def run_main(args):

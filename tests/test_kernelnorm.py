@@ -50,6 +50,13 @@ def test_spec_requires_valid_lebesgue_exponent():
         NwKernelSpec(a=1, b=1, p=Fraction(10**400))  # beyond the float range
 
 
+def test_spec_dimension_must_be_positive_and_the_grid_three():
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        NwKernelSpec(1, Fraction(1, 2), d=0)
+    with pytest.raises(ValueError, match="d = 3 only"):  # a valid spec, but the lattice is three-dimensional
+        estimate_norm(NwKernelSpec(1, Fraction(1, 2), d=2), make_grid(4.0, 8))
+
+
 def test_dual_exponent():
     assert NwKernelSpec(a=1, b=1, p=2).q == Fraction(2)
     assert NwKernelSpec(a=1, b=1, p=Fraction(3, 2)).q == Fraction(3)
@@ -90,6 +97,16 @@ def test_nw_apply_zero_function():
     g = make_grid(4.0, 8)
     out = nw_apply(NwKernelSpec(a=1, b=1), np.zeros((8, 8, 8)), g)
     assert np.all(out == 0.0)
+
+
+def test_nw_apply_rejects_a_wrong_shape_or_non_finite_input():
+    g = make_grid(4.0, 8)
+    with pytest.raises(ValueError, match="expected scalar field of shape"):
+        nw_apply(NwKernelSpec(a=1, b=1), np.zeros((8, 8, 8, 4)), g)
+    phi = np.zeros((8, 8, 8))
+    phi[1, 2, 3] = np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        nw_apply(NwKernelSpec(a=1, b=1), phi, g)
 
 
 def test_nw_apply_positive_kernel_on_ball_indicator():

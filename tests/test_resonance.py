@@ -397,11 +397,12 @@ def test_spectrum_is_unchanged_under_a_tracer(hook, scalar):
     g = make_grid(8.0, 16)
     Q = from_em(scalar * (1.0 + g.radius2) ** -1.0, loss_yau(g).vector_potential, g)
     plain = birman_schwinger_spectrum(Q, k=4)
+    previous = sys.getprofile() if hook is sys.setprofile else sys.gettrace()  # coverage's, say: put back after
     hook(lambda frame, event, arg: None)
     try:
         traced = birman_schwinger_spectrum(Q, k=4)
     finally:
-        hook(None)
+        hook(previous)
     assert traced.sectors == plain.sectors == ("+ copied" if scalar == 0.0 else "+-")
     assert np.array_equal(traced.eigenvalues, plain.eigenvalues)
     assert all(np.array_equal(a.values, b.values) for a, b in zip(traced.eigenfields, plain.eigenfields))
