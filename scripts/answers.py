@@ -9,9 +9,9 @@ that ``zero-mode-file`` reads to ``OUTDIR/POTENTIAL_FILE``.  ``NAME.log``
 holds its exit code, stdout and stderr, and ``NAME/`` its output files.
 ``OUTDIR/MANIFEST`` then lists ``sha256  path`` for every other file under
 ``OUTDIR``, after the wall times are replaced by ``-``: every ``NAME_s`` key
-of ``eigenreport.json`` (``solve_s`` and the solver's phase times, present
-and future), ``elapsed`` in ``acceptance.json`` and the ``(x.xs)`` of each
-acceptance criterion line.
+of ``eigenreport.json`` (``solve_s``, the solver's phase times and any
+timing field added later), ``elapsed`` in ``acceptance.json`` and the
+``(x.xs)`` of each acceptance criterion line.
 
 Two checkouts give equal answers when their manifests are equal
 (``diff A/MANIFEST B/MANIFEST``), and two runs of one checkout must always

@@ -300,7 +300,7 @@ def _bootstrap_json(trace: bs.BootstrapTrace) -> dict:
 
 
 def _emit_eigenreport(cfg: dict, report: resonance.EigenReport, reference: field.SpinorField | None) -> None:
-    """eigenreport.json (the report's fields but its eigenfields), and each as eigenfields/eigenfield_<i>.dzl1."""
+    """eigenreport.json (each report field but the eigenfields), and each field as eigenfields/eigenfield_<i>.dzl1."""
     overlaps = []
     if reference is not None:
         ref_norm = field.l2_norm(reference)
