@@ -11,14 +11,17 @@ Frames of other files get no line tracing, and the lines a test runs under a
 tracer of its own are not seen.  A line is executable if a code object
 compiled from its file has an instruction on it, other than the entry
 bookkeeping of a code object (``RESUME`` and its like, which report no line
-of their own).
-Prints ``path:line: source`` for each line never run, then the count.
+of their own); the lines of a module-level ``if __name__ == "__main__":``
+block are left out, since no in-process test can run them.
+Prints ``path:line: source`` for each line never run, then the count, and
+exits 1 if it listed any line.
 Tests that run the CLI in a child process are not traced.  Standard library
 only; pytest is what it runs, not what it uses.
 """
 
 from __future__ import annotations
 
+import ast
 import dis
 import os
 import sys
@@ -49,10 +52,21 @@ def _code_objects(code):
             yield from _code_objects(const)
 
 
+def _main_block_lines(tree: ast.Module) -> set[int]:
+    """The lines of each module-level ``if __name__ == "__main__":`` block."""
+    lines = set()
+    for node in tree.body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            lines.update(range(node.lineno, node.end_lineno + 1))
+    return lines
+
+
 def executable_lines(path: str) -> set[int]:
-    """Lines of ``path`` that carry an instruction other than a code object's entry bookkeeping."""
+    """Lines of ``path`` that carry an instruction other than a code object's entry bookkeeping,
+    outside a module-level ``if __name__ == "__main__":`` block."""
     with open(path, encoding="utf-8") as fh:
-        module = compile(fh.read(), path, "exec")
+        source = fh.read()
+    module = compile(source, path, "exec")
     lines = set()
     for code in _code_objects(module):
         names = {ins.offset: ins.opname for ins in dis.get_instructions(code)}
@@ -61,7 +75,7 @@ def executable_lines(path: str) -> set[int]:
             if line is not None:
                 ops.setdefault(line, set()).update(names[o] for o in range(start, end, 2) if o in names)
         lines.update(line for line, names in ops.items() if not names <= ENTRY_OPS)
-    return lines
+    return lines - _main_block_lines(ast.parse(source))
 
 
 def main(argv: list[str]) -> int:
@@ -88,7 +102,7 @@ def main(argv: list[str]) -> int:
     for path, n, text in missed:
         print(f"{os.path.relpath(path, ROOT)}:{n}: {text}")
     print(f"{len(missed)} executable lines of src/ never ran")
-    return 0
+    return 1 if missed else 0
 
 
 if __name__ == "__main__":

@@ -38,7 +38,6 @@ class CheckResult:
 
 @dataclass
 class CriterionResult:
-    index: int
     title: str
     checks: list[CheckResult] = dc_field(default_factory=list)
 
@@ -56,7 +55,7 @@ class CriterionResult:
 
 
 def criterion_1() -> CriterionResult:
-    res = CriterionResult(1, "Clifford algebra identities")
+    res = CriterionResult("Clifford algebra identities")
     rep = clifford.check_clifford()
     res.add("anticommutators exact", rep.max_deviation == 0.0, f"max deviation {rep.max_deviation}")
     rng = np.random.default_rng(DEFAULT_SEED)
@@ -94,7 +93,7 @@ def quadrature_gap(f: field.SpinorField) -> float:
 
 
 def criterion_2() -> CriterionResult:
-    res = CriterionResult(2, "Inverse operator: symbol, composition, quadrature")
+    res = CriterionResult("Inverse operator: symbol, composition, quadrature")
     for N in (24, 32):
         grid = field.GridSpec(12.0, N)
         dev = freeop.symbol_product_max_deviation(grid)
@@ -153,7 +152,7 @@ def pairing_discrepancy(grid: field.GridSpec, g_seed: int, phi_seed: int) -> flo
 
 
 def criterion_3() -> CriterionResult:
-    res = CriterionResult(3, "Adjoint pairing identity")
+    res = CriterionResult("Adjoint pairing identity")
     grid = field.GridSpec(12.0, 24)
     worst = 0.0
     for i in range(10):
@@ -180,7 +179,7 @@ NW_BOUNDARY = [(Fraction(3, 2), 0), (0, Fraction(3, 2))]
 
 
 def criterion_4() -> CriterionResult:
-    res = CriterionResult(4, "Weighted-kernel boundedness: criterion vs growth")
+    res = CriterionResult("Weighted-kernel boundedness: criterion vs growth")
     sweeps = {}
     for a, b in [spec for spec, _ in NW_MATRIX] + NW_BOUNDARY:
         spec = kernelnorm.NwKernelSpec(a=a, b=b, d=3, p=2)
@@ -255,7 +254,7 @@ def criterion_4() -> CriterionResult:
 
 
 def criterion_5() -> CriterionResult:
-    res = CriterionResult(5, "Magnetic zero-mode example (sharpness witness)")
+    res = CriterionResult("Magnetic zero-mode example (sharpness witness)")
     grid = field.GridSpec(16.0, 32)
     ly = potential.loss_yau(grid)
     modulus = np.sqrt(np.sum(np.abs(ly.weyl_spinor) ** 2, axis=-1)) * grid.bracket**2
@@ -298,7 +297,7 @@ def criterion_5() -> CriterionResult:
 
 
 def criterion_6() -> CriterionResult:
-    res = CriterionResult(6, "Fixed-point spectrum of -A Q")
+    res = CriterionResult("Fixed-point spectrum of -A Q")
     grid = field.GridSpec(DEFAULT_L, DEFAULT_N)
     ly = potential.loss_yau(grid)
     Q = potential.from_em(None, ly.vector_potential, grid)
@@ -353,7 +352,7 @@ def _brute_force_trace(rho: Fraction) -> tuple[list[Fraction], int]:
 
 
 def criterion_7() -> CriterionResult:
-    res = CriterionResult(7, "Exact decay-iteration traces")
+    res = CriterionResult("Exact decay-iteration traces")
     ok = True
     details = []
     for rho_s in ("8/5", "2", "3/2", "101/100"):
@@ -417,7 +416,7 @@ def _outcome(cls) -> str:
 
 
 def criterion_8() -> CriterionResult:
-    res = CriterionResult(8, "No-resonance property suite")
+    res = CriterionResult("No-resonance property suite")
     grid = field.GridSpec(DEFAULT_L, DEFAULT_N)
     found = []  # (name, the outcome of one detected mode, or None if the potential has no real eigenvalue)
     shortfalls = []

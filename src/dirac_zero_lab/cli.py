@@ -120,8 +120,21 @@ def _emit(cfg: dict, name: str, text: str) -> None:
         fh.write(text)
 
 
+def _json(payload) -> str:
+    """The JSON text of every record ``cli`` writes: a Fraction as [numerator, denominator], a complex as [real, imag]."""
+
+    def exact(value):
+        if isinstance(value, Fraction):
+            return [value.numerator, value.denominator]
+        if isinstance(value, complex):
+            return [value.real, value.imag]
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    return json.dumps(payload, indent=2, sort_keys=True, default=exact)
+
+
 def _emit_json(cfg: dict, name: str, payload: dict) -> None:
-    _emit(cfg, name, json.dumps(payload, indent=2, sort_keys=True))
+    _emit(cfg, name, _json(payload))
 
 
 def _emit_csv(cfg: dict, name: str, header: list[str], rows) -> None:
@@ -147,7 +160,7 @@ def cmd_clifford_check(args) -> int:
             "max_deviation": report.max_deviation,
             "pairs": [{"j": j, "k": k, "deviation": d} for j, k, d in report.deviations],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json(payload))
     else:
         print("anticommutator deviations (j, k, max entrywise):")
         for j, k, d in report.deviations:
@@ -227,9 +240,9 @@ def cmd_bootstrap(args) -> int:
     trace = bs.bootstrap_trace(args.rho)
     cfg = _settings(args)
     _emit_settings(cfg)
-    payload = _bootstrap_json(trace)
+    text = _json(dataclasses.asdict(trace))
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(text)
     else:
         print(f"requested rho = {trace.requested_rho}" + (" (clamped to 5/2)" if trace.clamped else ""))
         print(f"{'n':>4}  {'exponent':>10}  justification")
@@ -237,7 +250,7 @@ def cmd_bootstrap(args) -> int:
             print(f"{step.n:>4}  {str(step.exponent):>10}  {step.justification}")
         print(f"n0 = {trace.n0}; boundary_flag = {trace.boundary_flag}")
         print(trace.terminal)
-    _emit_json(cfg, "bootstrap-trace.json", payload)
+    _emit(cfg, "bootstrap-trace.json", text)
     return 0
 
 
@@ -283,22 +296,6 @@ def _remove_numbered_outputs(out: str) -> None:
                 os.remove(os.path.join(folder, name))
 
 
-def _bootstrap_json(trace: bs.BootstrapTrace) -> dict:
-    """bootstrap-trace.json and ``bootstrap --json``: each fraction as [numerator, denominator]."""
-    return {
-        "rho": [trace.rho.numerator, trace.rho.denominator],
-        "requested_rho": [trace.requested_rho.numerator, trace.requested_rho.denominator],
-        "clamped": trace.clamped,
-        "n0": trace.n0,
-        "boundary_flag": trace.boundary_flag,
-        "terminal": trace.terminal,
-        "steps": [
-            {"n": s.n, "exponent": [s.exponent.numerator, s.exponent.denominator], "justification": s.justification}
-            for s in trace.steps
-        ],
-    }
-
-
 def _emit_eigenreport(cfg: dict, report: resonance.EigenReport, reference: field.SpinorField | None) -> None:
     """eigenreport.json (each report field but the eigenfields), and each field as eigenfields/eigenfield_<i>.dzl1."""
     overlaps = []
@@ -313,7 +310,6 @@ def _emit_eigenreport(cfg: dict, report: resonance.EigenReport, reference: field
     for fld, fp in zip(report.eigenfields, files):
         field.save_field(fld, fp)
     payload = {f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.name != "eigenfields"}
-    payload["eigenvalues"] = [[lam.real, lam.imag] for lam in report.eigenvalues]
     _emit_json(cfg, "eigenreport.json", dict(payload, eigenfield_files=files, overlaps=overlaps))
 
 
@@ -376,31 +372,23 @@ def _check_line(check: acc.CheckResult) -> str:
 def cmd_acceptance(args) -> int:
     cfg = _settings(args)
     criteria = acc.CRITERIA
-    results = []  # (criterion result, elapsed seconds)
+    results, payload = [], {}  # payload: acceptance.json
     for idx in _criterion_indices(args.only, criteria):
         t0 = time.perf_counter()
         result = criteria[idx]()
         elapsed = time.perf_counter() - t0
-        results.append((result, elapsed))
         # each criterion's lines print as soon as it finishes
         print(f"[{'PASS' if result.passed else 'FAIL'}] criterion {idx}: {result.title} ({elapsed:.1f}s)")
         for check in result.checks:
             print(_check_line(check))
+        results.append(result)
+        payload[f"criterion_{idx}"] = dict(dataclasses.asdict(result), passed=result.passed, elapsed=elapsed)
     _emit_settings(cfg)
-    payload = {
-        f"criterion_{r.index}": {
-            "title": r.title,
-            "passed": r.passed,
-            "elapsed": elapsed,
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in r.checks],
-        }
-        for r, elapsed in results
-    }
     _emit_json(cfg, "acceptance.json", payload)
-    total = sum(len(r.checks) for r, _ in results)
-    good = sum(sum(c.passed for c in r.checks) for r, _ in results)
+    total = sum(len(r.checks) for r in results)
+    good = sum(sum(c.passed for c in r.checks) for r in results)
     print(f"{good}/{total} checks passed across {len(results)} criteria")
-    return 0 if all(r.passed for r, _ in results) else 1
+    return 0 if all(r.passed for r in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,7 +5,8 @@ commutes with the half-box shift, and the forward and inverse continuum scales
 multiply to 1).  It applies alpha.c = [[0, sigma.c], [sigma.c, 0]],
 sigma.c = [[c3, c1 - i c2], [c1 + i c2, -c3]], elementwise: c = xi for
 alpha.D, c = xi / |xi|^2 for A, whose xi = 0 mode is annihilated (the symbol
-is singular there; the removed mass is surfaced as a warning).  The symbols
+is singular there; :func:`zero_mode_mass` measures the removed mass, which
+acceptance criterion 2's detail reports).  The symbols
 are cached per grid.  The path works component-major: the field is copied once
 into a (w, N, N, N) buffer, each contiguous (N, N, N) component is transformed
 in place, contracted with the symbol and inverted in place, and the result is

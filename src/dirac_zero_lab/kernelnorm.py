@@ -304,7 +304,9 @@ def lemma_a_conjugated_norm(t: float, grid: GridSpec, seed: int = 0) -> NormEsti
             # w_in v goes straight into the component-major buffer that A transforms
             planar = np.empty((4,) + shape[:3], np.complex128)
             np.multiply(w_in, np.moveaxis(v.reshape(shape), -1, 0), out=planar)
-            return (w_out[..., None] * _multiply_planar(symbol, planar)).ravel()
+            out = _multiply_planar(symbol, planar)
+            out *= w_out[..., None]  # in place: no second full-size 4-spinor array
+            return out.ravel()
 
         return apply
 

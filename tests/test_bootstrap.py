@@ -3,7 +3,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dirac_zero_lab import cli
 from dirac_zero_lab.bootstrap import (
     bootstrap_trace,
     map_weight_through_a,
@@ -160,13 +159,6 @@ def test_trace_exponents_strictly_increase_and_stay_exact():
     # every intermediate re-checks the inverse-operator window
     for prev, nxt in zip(exps, exps[1:]):
         assert nxt == map_weight_through_a(map_weight_through_q(prev, F(5, 4)))
-
-
-def test_trace_json_dict_is_exact():
-    payload = cli._bootstrap_json(bootstrap_trace(F(8, 5)))
-    assert payload["rho"] == [8, 5]
-    assert payload["n0"] == 3
-    assert payload["steps"][1]["exponent"] == [-9, 10]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from dirac_zero_lab import field
-from dirac_zero_lab.cli import _criterion_indices, main
+from dirac_zero_lab.cli import _criterion_indices, _json, main
 
 
 def run_cli(capsys, *argv):
@@ -270,6 +271,22 @@ def test_bootstrap_json_exact_pairs(capsys):
     assert payload["n0"] == 3
     assert payload["steps"][1]["exponent"] == [-9, 10]
     assert payload["boundary_flag"] is False
+
+
+def test_bootstrap_trace_file_is_the_json_stdout(capsys, tmp_path):
+    # the trace's own fields, each fraction an exact pair: no float in the text
+    code, out, _ = run_cli(capsys, "bootstrap", "--rho", "8/5", "--json")
+    assert code == 0
+    assert run_cli(capsys, "bootstrap", "--rho", "8/5", "--out", str(tmp_path))[0] == 0
+    text = (tmp_path / "bootstrap-trace.json").read_text()
+    assert out == text + "\n"
+    json.loads(text, parse_float=lambda token: pytest.fail(f"float {token} in the trace"))
+    assert hashlib.sha256(text.encode()).hexdigest() == "fb120ecd4161dfad1d0a3e2c5fb95f6ac12b3802fe51a487f87293f73d734b88"
+
+
+def test_json_rejects_a_value_it_cannot_write_exactly():
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        _json({"value": object()})
 
 
 def test_bootstrap_rejects_long_range(capsys):
@@ -757,13 +774,13 @@ def test_acceptance_prints_each_criterion_as_it_finishes(capsys, tmp_path, monke
     from dirac_zero_lab import acceptance
 
     def first():
-        res = acceptance.CriterionResult(1, "first")
+        res = acceptance.CriterionResult("first")
         res.add("one check", True, "fine")
         return res
 
     def second():
         assert capsys.readouterr().out == "[PASS] criterion 1: first (0.0s)\n    [ok] one check: fine\n"
-        res = acceptance.CriterionResult(3, "second")
+        res = acceptance.CriterionResult("second")
         res.add("other check", False, "measured 2")
         return res
 

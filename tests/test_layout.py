@@ -1,4 +1,4 @@
-"""Where output is written, and the command list that scripts/answers.py runs.
+"""Where output is written, the command list that scripts/answers.py runs, and the lines scripts/unreached.py counts.
 
 ``cli`` owns every output file and printed line; the numerics modules return
 values.  The one exception is the DZL1 codec of ``field``, which hides a
@@ -54,8 +54,8 @@ def test_the_guard_sees_each_kind_of_io():
     assert _io_uses("kernelnorm", ast.parse(source))[-1] == "kernelnorm:6 open"
 
 
-def _answers():
-    spec = importlib.util.spec_from_file_location("answers", ROOT / "scripts" / "answers.py")
+def _script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -63,7 +63,7 @@ def _answers():
 
 def test_canonical_commands_parse():
     # every command that scripts/answers.py runs is still a valid command line; none is run here
-    answers = _answers()
+    answers = _script("answers")
     names = [name for name, _ in answers.COMMANDS]
     assert len(set(names)) == len(names)
     parser = build_parser()
@@ -71,3 +71,10 @@ def test_canonical_commands_parse():
         args = parser.parse_args(answers.argv_of(name, argv))
         assert args.command == argv[0]
         assert getattr(args, "out", name) == name
+
+
+def test_unreached_leaves_out_the_main_block(tmp_path):
+    # only running the file as a script reaches those lines, so no in-process test can
+    path = tmp_path / "mod.py"
+    path.write_text('import sys\n\n\ndef f():\n    return 1\n\n\nif __name__ == "__main__":\n    sys.exit(f())\n')
+    assert _script("unreached").executable_lines(str(path)) == {1, 4, 5}

@@ -9,6 +9,7 @@ from conftest import coordinate_mesh, traced_peak_bytes
 from dirac_zero_lab.clifford import ALPHA
 from dirac_zero_lab.field import (
     POSITION,
+    GridSpec,
     SpinorField,
     _pointwise_square,
     forward_fourier,
@@ -153,10 +154,12 @@ def _assert_pinned_order(rep):
 def _potentials_8():
     g = make_grid(8.0, 16)
     scalar = -((1.0 + g.radius2) ** (-1.0))
+    beta = np.diag([1.0, 1.0, -1.0, -1.0])  # anticommutes with gamma5: no chiral split
     return g, {
         "+ copied": loss_yau_potential(g),
         "+ negated": from_em(scalar, None, g),
         "+-": from_em(0.5 * scalar, 0.3 * loss_yau(g).vector_potential, g),
+        "full": PotentialField(g, loss_yau_potential(g).values - 0.2 * scalar[..., None, None] * beta),
     }
 
 
@@ -171,6 +174,19 @@ def test_sector_report_matches_four_spinor_reference(sectors):
     for lam in rep.eigenvalues:
         assert min(abs(lam - r) for r in ref) <= 1e-8
     _assert_pinned_order(rep)
+
+
+@pytest.mark.parametrize("sectors", ["+ copied", "+ negated", "+-", "full"])
+def test_spectrum_is_invariant_under_dilation(sectors):
+    # (L, Q) -> (2L, Q/2) maps T = -A(Q.) to itself exactly: the frequency
+    # step pi/L halves, so A's symbol doubles
+    _, potentials = _potentials_8()
+    Q = potentials[sectors]
+    rep = birman_schwinger_spectrum(Q)
+    wide = birman_schwinger_spectrum(PotentialField(GridSpec(16.0, 16), Q.values / 2))
+    assert rep.sectors == wide.sectors == sectors
+    assert wide.eigenvalues == rep.eigenvalues
+    assert wide.residuals == rep.residuals
 
 
 def test_sector_report_is_deterministic():
