@@ -324,6 +324,7 @@ def cmd_zero_mode(args) -> int:
     _remove_numbered_outputs(cfg["out"])  # so the directory holds this run's fields and fits only
     _emit_eigenreport(cfg, report, reference)
     modes = resonance.zero_modes(report, Q)
+    del Q  # its last reader: the classification runs without its table
     print(f"eigenvalues: {[resonance.format_eigenvalue(lam) for lam in report.eigenvalues]}")
     if report.shortfall:  # eigenreport.json records it too
         print(report.shortfall)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import ALPHA, PAULI
+from .clifford import PAULI
 from .field import POSITION, GridSpec, SpinorField, _read_dzl1, _require_same_grid, _require_space, _write_dzl1
 from .freeop import _dot_contract, _multiply, _sigma_coeffs, _symbol
 
@@ -33,24 +33,57 @@ __all__ = [
 HERMITICITY_TOL = 1e-12
 
 
-@dataclass
 class PotentialField:
-    """Pointwise Hermitian 4x4 matrix field on a grid."""
+    """Pointwise Hermitian 4x4 matrix field on a grid.
 
-    grid: GridSpec
-    values: np.ndarray
+    ``values`` is the (N, N, N, 4, 4) complex table.  A potential made by
+    :func:`from_em` keeps its real fields q and A instead and forms the table
+    on the first read of ``values``; a solve reads its 2x2 blocks straight from
+    the fields (:meth:`_em_blocks`), so it never holds the table.
+    """
 
-    def __post_init__(self):
-        expected = (self.grid.N, self.grid.N, self.grid.N, 4, 4)
-        vals = np.asarray(self.values, dtype=np.complex128)
+    def __init__(self, grid: GridSpec, values: np.ndarray):
+        expected = (grid.N, grid.N, grid.N, 4, 4)
+        vals = np.asarray(values, dtype=np.complex128)
         if vals.shape != expected:
             raise ValueError(f"potential values must have shape {expected}, got {vals.shape}")
-        self.values = vals
+        self.grid, self._values, self._em = grid, vals, None
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:  # [[a, b], [b, a]] with a = q I and b = -sigma.A, as alpha_j = [[0, s_j], [s_j, 0]]
+            q, A = self._em
+            vals = np.zeros((self.grid.N,) * 3 + (4, 4), dtype=np.complex128)
+            _em_block(q, None, vals[..., :2, :2])
+            _em_block(None, A, vals[..., :2, 2:])
+            vals[..., 2:, 2:], vals[..., 2:, :2] = vals[..., :2, :2], vals[..., :2, 2:]
+            self._values = vals
+        return self._values
+
+    def _em_blocks(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(q I, -sigma.A), the blocks a and b of a potential made by :func:`from_em`, built with no table; else None."""
+        if self._em is None:
+            return None
+        q, A = self._em
+        shape = (self.grid.N,) * 3 + (2, 2)
+        return _em_block(q, None, np.zeros(shape, np.complex128)), _em_block(None, A, np.zeros(shape, np.complex128))
 
     def __mul__(self, scalar) -> "PotentialField":
         return PotentialField(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
+
+
+def _em_block(q, A, out: np.ndarray) -> np.ndarray:
+    """Add q I - sigma.A into the zeroed (N, N, N, 2, 2) block ``out`` entry by entry, and return it; None is zero."""
+    if q is not None:
+        for r in range(2):
+            out[..., r, r] += q
+    if A is not None:
+        for j, s in enumerate(PAULI):  # each nonzero entry of sigma_j is +-1 or +-i, written straight into its place
+            for r, c in zip(*np.nonzero(s)):
+                out[..., r, c] -= A[..., j] * s[r, c]
+    return out
 
 
 def from_em(q, A, grid: GridSpec) -> PotentialField:
@@ -72,17 +105,13 @@ def from_em(q, A, grid: GridSpec) -> PotentialField:
             raise ValueError(f"{what} potential is not finite on the lattice")
         return arr
 
-    vals = np.zeros(shape + (4, 4), dtype=np.complex128)
-    if q is not None:
-        q_arr = real_finite(q, "scalar", ())
-        for r in range(4):
-            vals[..., r, r] += q_arr
-    if A is not None:
-        a_arr = real_finite(A, "vector", (3,))
-        for j in range(3):  # each nonzero entry of alpha_j is +-1 or +-i, written straight into its place
-            for r, c in zip(*np.nonzero(ALPHA[j])):
-                vals[..., r, c] -= a_arr[..., j] * ALPHA[j][r, c]
-    return PotentialField(grid, vals)
+    Q = PotentialField.__new__(PotentialField)  # the table is formed when ``values`` is first read
+    Q.grid, Q._values = grid, None
+    Q._em = (
+        None if q is None else real_finite(q, "scalar", ()),
+        None if A is None else real_finite(A, "vector", (3,)),
+    )
+    return Q
 
 
 @dataclass

@@ -71,12 +71,19 @@ def residual(f: SpinorField, Q: PotentialField) -> float:
     if norm_f == 0.0:
         raise ValueError("residual of the zero field is undefined")
     h0f = apply_h0(f)
-    qf = apply_potential(Q, f)
-    return l2_norm(h0f + qf) / max(norm_f, l2_norm(h0f))
+    scale = max(norm_f, l2_norm(h0f))
+    h0f.values += apply_potential(Q, f).values
+    return l2_norm(h0f) / scale
 
 
 def _chiral_blocks(Q: PotentialField):
-    """(a, b) with Q = [[a, b], [b, a]] if Q commutes with gamma5 = [[0, I], [I, 0]] exactly, else None."""
+    """(a, b) with Q = [[a, b], [b, a]] if Q commutes with gamma5 = [[0, I], [I, 0]] exactly, else None.
+
+    A potential made by ``from_em`` gives its blocks from its fields, without forming its table.
+    """
+    blocks = Q._em_blocks()
+    if blocks is not None:
+        return blocks
     v = Q.values
     a, b = v[..., :2, :2], v[..., :2, 2:]
     if np.array_equal(a, v[..., 2:, 2:]) and np.array_equal(b, v[..., 2:, :2]):
@@ -285,22 +292,22 @@ def birman_schwinger_spectrum(Q: PotentialField, k: int = 6, seed: int = DEFAULT
     width = 4 if blocks is None else 2
     if not 1 <= k <= grid.npoints * width - 2:
         raise ValueError(f"need 1 <= k <= {grid.npoints * width - 2} eigenpairs on this grid, got k = {k}")
-    if not np.any(Q.values):
-        return EigenReport([], [], [], 0, True, "none")  # T = 0: nothing to solve
     # A view (solve, eigenvalue sign, lower-component sign) reports a solve's pairs
     # in one sector; lower sign 0 marks a 4-spinor solve, whose vectors are used as they are.
-    if blocks is None:
-        sectors, solves, views = "full", [_sector_matvec(grid, Q.values)], [(0, 1, 0)]
+    if blocks is None:  # Q != 0, since 0 commutes with gamma5
+        sectors, parts, views = "full", [Q.values], [(0, 1, 0)]
+    elif not np.any(blocks[0]):
+        if not np.any(blocks[1]):
+            return EigenReport([], [], [], 0, True, "none")  # Q = 0, so T = 0: nothing to solve
+        sectors, parts, views = "+ copied", [blocks[1]], [(0, 1, 1), (0, 1, -1)]
+    elif not np.any(blocks[1]):
+        sectors, parts, views = "+ negated", [blocks[0]], [(0, 1, 1), (0, -1, -1)]
     else:
-        a, b = blocks
-        if not np.any(a):
-            sectors, solves, views = "+ copied", [_sector_matvec(grid, b)], [(0, 1, 1), (0, 1, -1)]
-        elif not np.any(b):
-            sectors, solves, views = "+ negated", [_sector_matvec(grid, a)], [(0, 1, 1), (0, -1, -1)]
-        else:
-            sectors = "+-"
-            solves = [_sector_matvec(grid, a + b), _sector_matvec(grid, b - a)]  # T- = S (a - b) = -S (b - a)
-            views = [(0, 1, 1), (1, 1, -1)]
+        a, b = blocks  # T+ = -S (a + b), T- = S (a - b) = -S (b - a)
+        sectors, parts, views = "+-", [a + b, b - a], [(0, 1, 1), (1, 1, -1)]
+        del a, b
+    solves = [_sector_matvec(grid, m) for m in parts]
+    del blocks, parts  # each matvec holds its own negated component-major copy
     values, vectors, stats = zip(*(_eigs(matvec, grid.npoints * width, k, seed) for matvec in solves))
 
     ranked = sorted(
