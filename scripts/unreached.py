@@ -13,8 +13,11 @@ compiled from its file has an instruction on it, other than the entry
 bookkeeping of a code object (``RESUME`` and its like, which report no line
 of their own); the lines of a module-level ``if __name__ == "__main__":``
 block are left out, since no in-process test can run them.
+Each ``src/`` file's text is read before pytest runs, and the lines are
+listed from that text.  A file whose text changed during the run is named
+instead, since its line numbers no longer match the code that ran.
 Prints ``path:line: source`` for each line never run, then the count, and
-exits 1 if it listed any line.
+exits 1 if it listed any line or named any changed file.
 Tests that run the CLI in a child process are not traced.  Standard library
 only; pytest is what it runs, not what it uses.
 """
@@ -61,11 +64,16 @@ def _main_block_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def executable_lines(path: str) -> set[int]:
-    """Lines of ``path`` that carry an instruction other than a code object's entry bookkeeping,
-    outside a module-level ``if __name__ == "__main__":`` block."""
+def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        source = fh.read()
+        return fh.read()
+
+
+def executable_lines(path: str, source: str | None = None) -> set[int]:
+    """Lines of ``path`` (or of its text ``source``) that carry an instruction other than a code
+    object's entry bookkeeping, outside a module-level ``if __name__ == "__main__":`` block."""
+    if source is None:
+        source = _read(path)
     module = compile(source, path, "exec")
     lines = set()
     for code in _code_objects(module):
@@ -78,11 +86,34 @@ def executable_lines(path: str) -> set[int]:
     return lines - _main_block_lines(ast.parse(source))
 
 
+def src_texts() -> dict[str, str]:
+    """The text of each ``.py`` file under ``src/``, by path."""
+    return {
+        os.path.join(folder, name): _read(os.path.join(folder, name))
+        for folder, _, files in sorted(os.walk(SRC))
+        for name in sorted(files)
+        if name.endswith(".py")
+    }
+
+
+def unreached(texts: dict[str, str]) -> tuple[list[tuple[str, int, str]], list[str]]:
+    """(path, line, source) of each executable line of ``texts`` that never ran, and the files changed since."""
+    missed, changed = [], []
+    for path, source in texts.items():
+        if not os.path.exists(path) or _read(path) != source:
+            changed.append(path)
+            continue
+        lines = source.splitlines()
+        missed += [(path, n, lines[n - 1].strip()) for n in sorted(executable_lines(path, source)) if (path, n) not in ran]
+    return missed, changed
+
+
 def main(argv: list[str]) -> int:
     import pytest
 
     os.chdir(ROOT)
     sys.path.insert(0, SRC)
+    texts = src_texts()
     threading.settrace(_global)
     sys.settrace(_global)
     try:
@@ -90,19 +121,14 @@ def main(argv: list[str]) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    missed = []
-    for folder, _, files in sorted(os.walk(SRC)):
-        for name in sorted(files):
-            if name.endswith(".py"):
-                path = os.path.join(folder, name)
-                with open(path, encoding="utf-8") as fh:
-                    source = fh.read().splitlines()
-                missed += [(path, n, source[n - 1].strip()) for n in sorted(executable_lines(path)) if (path, n) not in ran]
+    missed, changed = unreached(texts)
     print()
     for path, n, text in missed:
         print(f"{os.path.relpath(path, ROOT)}:{n}: {text}")
+    for path in changed:
+        print(f"{os.path.relpath(path, ROOT)}: changed during the run, so its lines are not listed")
     print(f"{len(missed)} executable lines of src/ never ran")
-    return 1 if missed else 0
+    return 1 if missed or changed else 0
 
 
 if __name__ == "__main__":

@@ -54,9 +54,9 @@ class PotentialField:
         if self._values is None:  # [[a, b], [b, a]] with a = q I and b = -sigma.A, as alpha_j = [[0, s_j], [s_j, 0]]
             q, A = self._em
             vals = np.zeros((self.grid.N,) * 3 + (4, 4), dtype=np.complex128)
-            _em_block(q, None, vals[..., :2, :2])
-            _em_block(None, A, vals[..., :2, 2:])
-            vals[..., 2:, 2:], vals[..., 2:, :2] = vals[..., :2, :2], vals[..., :2, 2:]
+            for rows, cols in ((slice(0, 2), slice(2, 4)), (slice(2, 4), slice(0, 2))):
+                _em_block(q, None, vals[..., rows, rows])
+                _em_block(None, A, vals[..., rows, cols])
             self._values = vals
         return self._values
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import traced_peak_bytes
 from dirac_zero_lab import field
 from dirac_zero_lab.cli import _criterion_indices, _json, main
 
@@ -453,6 +454,16 @@ def test_zero_mode_loss_yau_end_to_end(capsys, tmp_path):
     assert payload["sectors"] == "+ copied"  # magnetic Q: one chiral sector solve, copied
     assert payload["eigenfield_files"]
     assert (out_dir / "decay-fit-0.csv").exists()
+
+
+def test_zero_mode_run_never_holds_the_table_beside_the_basis(capsys, tmp_path):
+    # the loss-yau potential's 8 MiB table is formed for the residuals after the solve and
+    # released before the classification; the peak is the solve's (21 MiB of Krylov basis)
+    codes = []
+    argv = ["zero-mode", "--potential", "loss-yau", "--out", str(tmp_path / "ly")]
+    peak = traced_peak_bytes(lambda: codes.append(main(argv)))
+    assert codes == [0] and "kind=zero_mode" in capsys.readouterr().out
+    assert peak <= 32 * 2**20
 
 
 def test_zero_mode_that_stops_short_says_so(capsys, tmp_path, monkeypatch):

@@ -78,3 +78,17 @@ def test_unreached_leaves_out_the_main_block(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text('import sys\n\n\ndef f():\n    return 1\n\n\nif __name__ == "__main__":\n    sys.exit(f())\n')
     assert _script("unreached").executable_lines(str(path)) == {1, 4, 5}
+
+
+def test_unreached_names_a_file_changed_during_the_run(tmp_path):
+    # the lines are listed from the text read before the run; a file edited since is named
+    # instead, since the line numbers that ran no longer match its text
+    script = _script("unreached")
+    kept, edited = tmp_path / "kept.py", tmp_path / "edited.py"
+    for path in (kept, edited):
+        path.write_text("def f():\n    return 1\n")
+    texts = {str(kept): kept.read_text(), str(edited): edited.read_text()}
+    edited.write_text('"""A docstring."""\n\n\ndef f():\n    return 1\n')
+    missed, changed = script.unreached(texts)
+    assert changed == [str(edited)]
+    assert missed == [(str(kept), 1, "def f():"), (str(kept), 2, "return 1")]

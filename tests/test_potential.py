@@ -98,13 +98,66 @@ def test_from_em_equals_the_full_products_bit_for_bit():
 
 
 def test_from_em_builds_no_full_size_temporary(grid16, ly16):
-    # Q is the one (N, N, N, 4, 4) array: beside it live the real copies of q and A and one
-    # (N, N, N) complex product, where one full-size product alone is as large as Q (8 MiB at N = 32)
+    # the table is the one (N, N, N, 4, 4) array its first read forms: beside it live the real
+    # copies of q and A and one (N, N, N) complex product, where one full-size product alone is
+    # as large as the table (8 MiB at N = 32)
     g = grid16
     q = 0.1 * (1.0 + g.radius2) ** -1.0
     A = ly16.vector_potential
     q_bytes = g.npoints * 16 * 16
-    assert traced_peak_bytes(from_em, q, A, g) < q_bytes + 4 * g.npoints * 16
+    assert traced_peak_bytes(lambda: from_em(q, A, g).values) < q_bytes + 4 * g.npoints * 16
+    assert traced_peak_bytes(from_em, q, A, g) < 4 * g.npoints * 16  # the fields only: no table yet
+
+
+def _from_em_eagerly(q, A, grid):
+    """The table of q I - alpha.A built at once, each nonzero entry of alpha_j written into its place."""
+    vals = np.zeros((grid.N,) * 3 + (4, 4), dtype=complex)
+    if q is not None:
+        for r in range(4):
+            vals[..., r, r] += q
+    if A is not None:
+        for j in range(3):
+            for r, c in zip(*np.nonzero(ALPHA[j])):
+                vals[..., r, c] -= A[..., j] * ALPHA[j][r, c]
+    return vals
+
+
+def _signed_em_fields(seed):
+    """Random q and A on the (3, 6) grid with +0 and -0 entries among them."""
+    g = make_grid(3.0, 6)
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal(g.npoints).reshape((6,) * 3)
+    A = rng.standard_normal(3 * g.npoints).reshape((6,) * 3 + (3,))
+    for x in (q, A):
+        x[rng.random(x.shape) < 0.2] = 0.0
+        x[rng.random(x.shape) < 0.2] = -0.0
+    return g, q, A
+
+
+@pytest.mark.parametrize("parts", ["q", "A", "both", "neither"])
+def test_lazy_table_equals_the_eager_construction_bit_for_bit(parts):
+    # from_em keeps q and A; the table its first read forms, and c Q of it, have the bits of
+    # the table built at once, signed zeros included
+    g, q, A = _signed_em_fields(12)
+    q_in = q if parts in ("q", "both") else None
+    A_in = A if parts in ("A", "both") else None
+    Q = from_em(q_in, A_in, g)
+    eager = _from_em_eagerly(q_in, A_in, g)
+    assert np.array_equal(Q.values.view(np.uint64), eager.view(np.uint64))
+    assert Q.values is Q.values  # formed once
+    for c in (0.5, -1.3):
+        assert np.array_equal((c * Q).values.view(np.uint64), (eager * c).view(np.uint64))
+
+
+@pytest.mark.parametrize("parts", ["q", "A", "both", "neither"])
+def test_em_blocks_equal_the_table_slices_bit_for_bit(parts):
+    g, q, A = _signed_em_fields(13)
+    Q = from_em(q if parts in ("q", "both") else None, A if parts in ("A", "both") else None, g)
+    a, b = Q._em_blocks()  # before the table exists
+    table = Q.values
+    for block, rows, cols in ((a, 0, 0), (a, 2, 2), (b, 0, 2), (b, 2, 0)):
+        assert np.array_equal(block.view(np.uint64), table[..., rows : rows + 2, cols : cols + 2].view(np.uint64))
+    assert PotentialField(g, table)._em_blocks() is None  # a table potential has no fields to build from
 
 
 def test_potential_field_rejects_a_wrong_shape():

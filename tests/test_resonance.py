@@ -17,8 +17,8 @@ from dirac_zero_lab.field import (
     make_grid,
     random_field,
 )
-from dirac_zero_lab.freeop import _dot_contract, _symbol
-from dirac_zero_lab.potential import PotentialField, from_em, loss_yau, loss_yau_potential
+from dirac_zero_lab.freeop import _dot_contract, _symbol, apply_a_spectral
+from dirac_zero_lab.potential import PotentialField, apply_potential, from_em, loss_yau, loss_yau_potential
 from dirac_zero_lab import acceptance, resonance
 from dirac_zero_lab.resonance import (
     ARNOLDI_TOL,
@@ -187,6 +187,56 @@ def test_spectrum_is_invariant_under_dilation(sectors):
     assert rep.sectors == wide.sectors == sectors
     assert wide.eigenvalues == rep.eigenvalues
     assert wide.residuals == rep.residuals
+
+
+@pytest.mark.parametrize("sectors", ["+ copied", "+ negated", "+-", "full"])
+def test_em_report_equals_the_table_report(sectors):
+    # the blocks that from_em's fields give and the blocks of the same table solve alike, bit for bit
+    g, potentials = _potentials_8()
+    Q = potentials[sectors]
+    rep, ref = birman_schwinger_spectrum(Q), birman_schwinger_spectrum(PotentialField(g, Q.values))
+    assert rep.sectors == ref.sectors == sectors
+    assert rep.eigenvalues == ref.eigenvalues and rep.residuals == ref.residuals
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(rep.eigenfields, ref.eigenfields))
+
+
+def _dense_T(Q):
+    """T = -A (Q .) on 4-spinors as an n x n matrix, column by column from unit fields."""
+    g = Q.grid
+    unit = np.zeros((g.N,) * 3 + (4,), complex)
+    T = np.empty((unit.size, unit.size), complex)
+    for col in range(unit.size):
+        unit.flat[col] = 1.0
+        image = apply_a_spectral(apply_potential(Q, SpinorField(g, unit, POSITION)), warn_threshold=np.inf)
+        T[:, col] = -image.values.ravel()
+        unit.flat[col] = 0.0
+    return T
+
+
+@pytest.mark.parametrize("sectors", ["+-", "full"])
+def test_spectrum_matches_the_dense_operator(sectors):
+    # an oracle independent of the chiral split, its sector signs and the block path: the top
+    # six of np.linalg.eigvals of the assembled T at (3, 6), n = 864, in the pinned order
+    # (the sixth and seventh |lambda| differ by 4% and 2%, so the cut splits no tie)
+    g = make_grid(3.0, 6)
+    ly, m = loss_yau(g), (1.0 + g.radius2) ** -1.0
+    beta = np.diag([1.0, 1.0, -1.0, -1.0])
+    Q = {
+        "+-": from_em(-0.5 * m, 0.3 * ly.vector_potential, g),  # criterion 8's mixed em + scalar
+        "full": PotentialField(g, from_em(None, ly.vector_potential, g).values + 0.2 * m[..., None, None] * beta),
+    }[sectors]
+    dense = sorted(((complex(lam), 0) for lam in np.linalg.eigvals(_dense_T(Q))), key=cmp_to_key(_pinned_order))
+    rep = birman_schwinger_spectrum(Q, k=6)
+    assert rep.sectors == sectors
+    for lam, (ref, _) in zip(rep.eigenvalues, dense[:6], strict=True):
+        assert abs(lam - ref) <= 1e-7 * abs(ref)
+
+
+def test_em_spectrum_never_forms_the_table(grid16, ly16):
+    # the (16, 32) loss-yau solve: the Krylov basis (21 MiB), the sector matvec's negated block
+    # copy, the symbol and a few n-vectors, but never the 8 MiB (N, N, N, 4, 4) table
+    A = ly16.vector_potential
+    assert traced_peak_bytes(lambda: birman_schwinger_spectrum(from_em(None, A, grid16))) <= 31 * 2**20
 
 
 def test_sector_report_is_deterministic():
@@ -719,6 +769,18 @@ def test_classify_known_answers(grid16, s, res, kind, sigma):
         assert cls.fit is None
     else:
         assert cls.fit.sigma == pytest.approx(sigma, abs=5e-4)
+
+
+def test_classify_known_answer_trends(grid16):
+    # the mu = 0.4 and 0.45 trends of <x>^-s, s = 1 ... 3; recorded, not tuned: mu = 0.45
+    # reads diverging for <x>^-2 at (16, 32), past its 10% growth threshold
+    trends = {s: classify_threshold_state(bracket_field(grid16, -s), 0.0).mu_check for s in (1.0, 1.75, 2.0, 3.0)}
+    assert trends == {
+        1.0: {0.4: "diverging", 0.45: "diverging"},
+        1.75: {0.4: "diverging", 0.45: "diverging"},
+        2.0: {0.4: "finite-trend", 0.45: "diverging"},
+        3.0: {0.4: "finite-trend", 0.45: "finite-trend"},
+    }
 
 
 def test_classify_gate_rejects_mismatched_pair(grid16, q_ly16):
