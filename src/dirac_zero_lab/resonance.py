@@ -295,19 +295,20 @@ def birman_schwinger_spectrum(Q: PotentialField, k: int = 6, seed: int = DEFAULT
     # A view (solve, eigenvalue sign, lower-component sign) reports a solve's pairs
     # in one sector; lower sign 0 marks a 4-spinor solve, whose vectors are used as they are.
     if blocks is None:  # Q != 0, since 0 commutes with gamma5
-        sectors, parts, views = "full", [Q.values], [(0, 1, 0)]
-    elif not np.any(blocks[0]):
-        if not np.any(blocks[1]):
-            return EigenReport([], [], [], 0, True, "none")  # Q = 0, so T = 0: nothing to solve
-        sectors, parts, views = "+ copied", [blocks[1]], [(0, 1, 1), (0, 1, -1)]
-    elif not np.any(blocks[1]):
-        sectors, parts, views = "+ negated", [blocks[0]], [(0, 1, 1), (0, -1, -1)]
+        sectors, solves, views = "full", [_sector_matvec(grid, Q.values)], [(0, 1, 0)]
     else:
-        a, b = blocks  # T+ = -S (a + b), T- = S (a - b) = -S (b - a)
-        sectors, parts, views = "+-", [a + b, b - a], [(0, 1, 1), (1, 1, -1)]
-        del a, b
-    solves = [_sector_matvec(grid, m) for m in parts]
-    del blocks, parts  # each matvec holds its own negated component-major copy
+        a, b = blocks
+        if not np.any(a):
+            if not np.any(b):
+                return EigenReport([], [], [], 0, True, "none")  # Q = 0, so T = 0: nothing to solve
+            sectors, solves, views = "+ copied", [_sector_matvec(grid, b)], [(0, 1, 1), (0, 1, -1)]
+        elif not np.any(b):
+            sectors, solves, views = "+ negated", [_sector_matvec(grid, a)], [(0, 1, 1), (0, -1, -1)]
+        else:
+            sectors = "+-"
+            solves = [_sector_matvec(grid, a + b), _sector_matvec(grid, b - a)]  # T- = S (a - b) = -S (b - a)
+            views = [(0, 1, 1), (1, 1, -1)]
+        del blocks, a, b  # each sector matvec holds its own negated component-major copy
     values, vectors, stats = zip(*(_eigs(matvec, grid.npoints * width, k, seed) for matvec in solves))
 
     ranked = sorted(
