@@ -38,8 +38,9 @@ class PotentialField:
 
     ``values`` is the (N, N, N, 4, 4) complex table.  A potential made by
     :func:`from_em` keeps its real fields q and A instead and forms the table
-    on the first read of ``values``; a solve reads its 2x2 blocks straight from
-    the fields (:meth:`_em_blocks`), so it never holds the table.
+    on the first read of ``values``.  :meth:`chiral_blocks` gives the 2x2
+    blocks a solve splits by, built straight from those fields, so a solve of
+    an em potential never holds the table.
     """
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
@@ -52,38 +53,43 @@ class PotentialField:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:  # [[a, b], [b, a]] with a = q I and b = -sigma.A, as alpha_j = [[0, s_j], [s_j, 0]]
-            q, A = self._em
             vals = np.zeros((self.grid.N,) * 3 + (4, 4), dtype=np.complex128)
             for rows, cols in ((slice(0, 2), slice(2, 4)), (slice(2, 4), slice(0, 2))):
-                _em_block(q, None, vals[..., rows, rows])
-                _em_block(None, A, vals[..., rows, cols])
+                self._em_blocks(vals[..., rows, rows], vals[..., rows, cols])
             self._values = vals
         return self._values
 
-    def _em_blocks(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(q I, -sigma.A), the blocks a and b of a potential made by :func:`from_em`, built with no table; else None."""
-        if self._em is None:
-            return None
+    def chiral_blocks(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(a, b) with Q = [[a, b], [b, a]] if Q commutes with gamma5 = [[0, I], [I, 0]] exactly, else None.
+
+        A potential made by :func:`from_em` builds them from its fields, without forming its table; a table
+        potential gives its own slices.
+        """
+        if self._em is not None:
+            shape = (self.grid.N,) * 3 + (2, 2)
+            return self._em_blocks(np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
+        v = self.values
+        a, b = v[..., :2, :2], v[..., :2, 2:]
+        if np.array_equal(a, v[..., 2:, 2:]) and np.array_equal(b, v[..., 2:, :2]):
+            return a, b
+        return None
+
+    def _em_blocks(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Add q I into the zeroed (N, N, N, 2, 2) block ``a`` and -sigma.A into ``b``; a None field adds nothing."""
         q, A = self._em
-        shape = (self.grid.N,) * 3 + (2, 2)
-        return _em_block(q, None, np.zeros(shape, np.complex128)), _em_block(None, A, np.zeros(shape, np.complex128))
+        if q is not None:
+            for r in range(2):
+                a[..., r, r] += q
+        if A is not None:
+            for j, s in enumerate(PAULI):  # each nonzero entry of sigma_j, +-1 or +-i, written straight into its place
+                for r, c in zip(*np.nonzero(s)):
+                    b[..., r, c] -= A[..., j] * s[r, c]
+        return a, b
 
     def __mul__(self, scalar) -> "PotentialField":
         return PotentialField(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
-
-
-def _em_block(q, A, out: np.ndarray) -> np.ndarray:
-    """Add q I - sigma.A into the zeroed (N, N, N, 2, 2) block ``out`` entry by entry, and return it; None is zero."""
-    if q is not None:
-        for r in range(2):
-            out[..., r, r] += q
-    if A is not None:
-        for j, s in enumerate(PAULI):  # each nonzero entry of sigma_j is +-1 or +-i, written straight into its place
-            for r, c in zip(*np.nonzero(s)):
-                out[..., r, c] -= A[..., j] * s[r, c]
-    return out
 
 
 def from_em(q, A, grid: GridSpec) -> PotentialField:

@@ -76,21 +76,6 @@ def residual(f: SpinorField, Q: PotentialField) -> float:
     return l2_norm(h0f) / scale
 
 
-def _chiral_blocks(Q: PotentialField):
-    """(a, b) with Q = [[a, b], [b, a]] if Q commutes with gamma5 = [[0, I], [I, 0]] exactly, else None.
-
-    A potential made by ``from_em`` gives its blocks from its fields, without forming its table.
-    """
-    blocks = Q._em_blocks()
-    if blocks is not None:
-        return blocks
-    v = Q.values
-    a, b = v[..., :2, :2], v[..., :2, 2:]
-    if np.array_equal(a, v[..., 2:, 2:]) and np.array_equal(b, v[..., 2:, :2]):
-        return a, b
-    return None
-
-
 def _sector_matvec(grid: GridSpec, m: np.ndarray):
     """T v = -S (m v) on chiral 2-spinors, S = (sigma.D)^{-1} the 2-spinor block of A.
 
@@ -288,7 +273,7 @@ def birman_schwinger_spectrum(Q: PotentialField, k: int = 6, seed: int = DEFAULT
     """
     started = time.perf_counter()
     grid = Q.grid
-    blocks = _chiral_blocks(Q)
+    blocks = Q.chiral_blocks()
     width = 4 if blocks is None else 2
     if not 1 <= k <= grid.npoints * width - 2:
         raise ValueError(f"need 1 <= k <= {grid.npoints * width - 2} eigenpairs on this grid, got k = {k}")

@@ -54,6 +54,48 @@ def test_the_guard_sees_each_kind_of_io():
     assert _io_uses("kernelnorm", ast.parse(source))[-1] == "kernelnorm:6 open"
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _foreign_private_reads(trees: dict[str, ast.Module]) -> list[str]:
+    """Each read of a single-underscore attribute in a module that does not define that name, as 'module:line what'.
+
+    A module defines a name by a def, a class, or an assignment to that name or to an attribute of that name.
+    """
+    found = []
+    for module, tree in trees.items():
+        defined = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+        found += [
+            f"{module}:{node.lineno} {ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and _private(node.attr) and node.attr not in defined
+        ]
+    return sorted(found)
+
+
+def test_private_state_is_read_only_where_it_is_defined():
+    # a module asks another for what it needs through a public name; an import of a private function
+    # (the one multiplier path, say) is no attribute read and stays allowed
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert _foreign_private_reads(trees) == []
+
+
+def test_the_private_read_guard_sees_each_kind_of_definition():
+    owner = "class P:\n    def _m(self):\n        self._x = 1\n_y = 2\nP._z = 3\n"
+    reader = "from .owner import _y\ndef f(p):\n    return p._m(), p._x, p._z, p.__class__, p._w\n"
+    trees = {"owner.py": ast.parse(owner + "def g(p):\n    return p._m, p._x, p._z\n"), "reader.py": ast.parse(reader)}
+    assert _foreign_private_reads(trees) == [f"reader.py:3 p._{name}" for name in "mwxz"]
+
+
 def _script(name: str):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)

@@ -153,11 +153,12 @@ def test_lazy_table_equals_the_eager_construction_bit_for_bit(parts):
 def test_em_blocks_equal_the_table_slices_bit_for_bit(parts):
     g, q, A = _signed_em_fields(13)
     Q = from_em(q if parts in ("q", "both") else None, A if parts in ("A", "both") else None, g)
-    a, b = Q._em_blocks()  # before the table exists
+    a, b = Q.chiral_blocks()  # before the table exists
     table = Q.values
     for block, rows, cols in ((a, 0, 0), (a, 2, 2), (b, 0, 2), (b, 2, 0)):
         assert np.array_equal(block.view(np.uint64), table[..., rows : rows + 2, cols : cols + 2].view(np.uint64))
-    assert PotentialField(g, table)._em_blocks() is None  # a table potential has no fields to build from
+    for block, sliced in zip((a, b), PotentialField(g, table).chiral_blocks(), strict=True):  # the table's own slices
+        assert np.array_equal(block.view(np.uint64), sliced.view(np.uint64))
 
 
 def test_potential_field_rejects_a_wrong_shape():

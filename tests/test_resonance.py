@@ -189,6 +189,44 @@ def test_spectrum_is_invariant_under_dilation(sectors):
     assert wide.residuals == rep.residuals
 
 
+def _assert_same_spectrum(rep, moved):
+    # a lattice map that is no exact symmetry of the rounding moves each eigenvalue by no more than the
+    # two residuals: |lambda_a - lambda_b| <= (r_a + r_b) + 4 eps |lambda|; at (8, 16), k = 6, the seven
+    # (path, map) cases of the two tests below read at most 0.79 (r_a + r_b), and the eps term keeps a
+    # pair whose residuals fall below the rounding of lambda itself
+    assert moved.sectors == rep.sectors
+    eps = np.finfo(float).eps
+    for la, lb, ra, rb in zip(rep.eigenvalues, moved.eigenvalues, rep.residuals, moved.residuals, strict=True):
+        assert abs(la - lb) <= ra + rb + 4 * eps * abs(la)
+
+
+@pytest.mark.parametrize("sectors", ["+ copied", "+ negated", "+-", "full"])
+def test_spectrum_is_invariant_under_a_lattice_translation(sectors):
+    # a one-cell roll of Q commutes with the periodic A, so T keeps its spectrum
+    g, potentials = _potentials_8()
+    Q = potentials[sectors]
+    moved = PotentialField(g, np.roll(Q.values, 1, axis=0))
+    _assert_same_spectrum(birman_schwinger_spectrum(Q), birman_schwinger_spectrum(moved))
+
+
+@pytest.mark.parametrize("sectors", ["+ copied", "+ negated", "+-"])
+def test_spectrum_is_invariant_under_an_axis_rotation(sectors):
+    # x -> (x2, x3, x1) maps the lattice to itself, and the vector potential turns with the axes; the
+    # scalar is off centre, since a radial one is the same array after the rotation
+    g = make_grid(8.0, 16)
+    x1, x2, x3 = g.coords
+    scalar = -((1.0 + (x1 - 1.0) ** 2 + (x2 - 0.5) ** 2 + x3**2) ** -1.0)
+    A = loss_yau(g).vector_potential
+    q, A = {"+ copied": (None, A), "+ negated": (scalar, None), "+-": (0.5 * scalar, 0.3 * A)}[sectors]
+    turned = (
+        None if q is None else np.transpose(q, (2, 0, 1)),
+        None if A is None else np.transpose(A, (2, 0, 1, 3))[..., [2, 0, 1]],
+    )
+    rep = birman_schwinger_spectrum(from_em(q, A, g))
+    assert rep.sectors == sectors
+    _assert_same_spectrum(rep, birman_schwinger_spectrum(from_em(*turned, g)))
+
+
 @pytest.mark.parametrize("sectors", ["+ copied", "+ negated", "+-", "full"])
 def test_em_report_equals_the_table_report(sectors):
     # the blocks that from_em's fields give and the blocks of the same table solve alike, bit for bit
@@ -270,6 +308,20 @@ def test_chirality_mixing_potential_takes_four_spinor_path():
     assert rep.converged and all(r <= 1e-8 for r in rep.residuals)
 
 
+def test_table_whose_off_diagonal_blocks_differ_takes_four_spinor_path():
+    # Q = [[q I, i w I], [-i w I, q I]] is Hermitian and its diagonal blocks agree, but its off-diagonal
+    # blocks b and b^dag = -b do not, so Q does not commute with gamma5
+    g = make_grid(4.0, 8)
+    m = (1.0 + g.radius2)[..., None, None] ** -1.0
+    a, b = 0.5 * m * np.eye(2), 0.3j * m * np.eye(2)
+    values = np.block([[a, b], [np.conj(np.swapaxes(b, -1, -2)), a]])
+    assert np.array_equal(values, np.conj(np.swapaxes(values, -1, -2)))
+    Q = PotentialField(g, values)
+    assert Q.chiral_blocks() is None
+    rep = birman_schwinger_spectrum(Q, k=4)
+    assert rep.sectors == "full" and rep.converged
+
+
 def test_spectrum_rejects_bad_k(q_ly16):
     with pytest.raises(ValueError):
         birman_schwinger_spectrum(q_ly16, k=0)
@@ -281,7 +333,7 @@ def test_spectrum_rejects_bad_k(q_ly16):
 
 
 def _random_block(g, width, seed):
-    """A strided width x width block of a random 4x4 lattice matrix field, as _chiral_blocks returns."""
+    """A strided width x width block of a random 4x4 lattice matrix field, as PotentialField.chiral_blocks returns."""
     rng = np.random.default_rng(seed)
     shape = (g.N,) * 3 + (4, 4)
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[..., :width, :width]
@@ -432,7 +484,7 @@ def test_eigs_holds_no_second_basis(grid16, q_ly16):
     # the (16, 32) loss-yau sector solve: the basis and a few n-vectors of matvec and
     # Gram-Schmidt work, but no copy of the basis at a restart and no Ritz vectors
     # formed beside it: they are rotated into the basis's leading rows
-    matvec = _sector_matvec(grid16, resonance._chiral_blocks(q_ly16)[1])
+    matvec = _sector_matvec(grid16, q_ly16.chiral_blocks()[1])
     n, k = grid16.npoints * 2, 6
     m = max(2 * k + 1, resonance.ARNOLDI_MIN_BASIS)
     solves = []
